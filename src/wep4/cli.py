@@ -31,7 +31,8 @@ from .henneberg import (
     seed_phi,
 )
 from .geometry import immersion_point
-from .mesh import AXES, PolarGrid, export, format_float, project, sample_grid
+from .laurent import NonFiniteCoefficientError
+from .mesh import AXES, PolarGrid, export, export_csv, format_float, project, sample_grid
 from .verify import run_verify, sample_annulus
 
 __all__ = ["main", "parse_lambda"]
@@ -153,6 +154,16 @@ def _apply_config(parser, commands, argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _write_text(path, text: str, note: str = "") -> None:
+    """Write text to path and say so, or to stdout when there is no path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
+    print(f"wrote {path} {note}".rstrip())
+
+
 def _cmd_eval(args) -> int:
     params = _params_from(args)
     if not args.point:
@@ -162,18 +173,34 @@ def _cmd_eval(args) -> int:
         w = complex(float(u_text), float(v_text))
     except ValueError:
         raise UsageError(f"bad point {args.point!r}, expected 'u,v'") from None
+    if not np.isfinite(w):
+        raise UsageError(f"the point {args.point!r} is not finite")
     if w == 0:
         raise UsageError("the point 0,0 is the puncture")
-    point = immersion_point(family_curve(params), w)
+    try:
+        point = immersion_point(family_curve(params), w)
+    except (OverflowError, ZeroDivisionError):  # |w|**k out of range either way
+        point = None
+    if point is None or not np.isfinite(point).all():
+        raise UsageError(f"the curve overflows double precision at the point {args.point!r}")
     print(" ".join(format_float(c) for c in point))
     return 0
 
 
-def _cmd_mesh(args) -> int:
+def _sample(args):
+    """The grid of a mesh or curvature command, refused where it overflows."""
     params = _params_from(args)
     if not args.out:
         raise UsageError("--out is required")
-    mesh4 = sample_grid(params, _grid_from(args))
+    with np.errstate(all="ignore"):
+        mesh4 = sample_grid(params, _grid_from(args))
+    if not (np.isfinite(mesh4.xyzw).all() and np.isfinite(mesh4.E).all()):
+        raise UsageError("the surface overflows double precision on this grid")
+    return mesh4
+
+
+def _cmd_mesh(args) -> int:
+    mesh4 = _sample(args)
     if args.fmt == "csv":
         export(mesh4, "csv", args.out)
     else:
@@ -182,48 +209,41 @@ def _cmd_mesh(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         export(mesh3, args.fmt, args.out)
-    print(f"wrote {args.out} ({len(mesh4.vertices)} vertices, {len(mesh4.quads)} quads)")
+    print(f"wrote {args.out} ({mesh4.E.size} vertices, {len(mesh4.quads)} quads)")
     return 0
+
+
+def _samples_from(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    return args.samples
 
 
 def _cmd_verify(args) -> int:
     params = _params_from(args)
-    results = run_verify(params, args.samples, args.seed)
+    results = run_verify(params, _samples_from(args), args.seed)
     for res in results:
         print(res.line())
-    failed = [r for r in results if not r.skipped and not r.passed]
-    print(f"verify: {len(results) - len(failed)}/{len(results)} suites passed")
+    failed = sum(not r.skipped and not r.passed for r in results)
+    skipped = sum(r.skipped for r in results)
+    passed = len(results) - failed - skipped
+    print(f"verify: {passed}/{len(results)} suites passed, {failed} failed, {skipped} skipped")
     return 1 if failed else 0
 
 
 def _cmd_report(args) -> int:
     params = _params_from(args)
-    rng_points = sample_annulus(np.random.default_rng(args.seed), args.samples,
+    rng_points = sample_annulus(np.random.default_rng(args.seed), _samples_from(args),
                                 r_lo=0.5, r_hi=1.7)
     report = fidelity_report(params, [complex(w) for w in rng_points])
-    text = report.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-        print(f"wrote {args.out} ({len(report.rows)} rows)")
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, report.to_csv(), f"({len(report.rows)} rows)")
     return 0
 
 
 def _cmd_curvature(args) -> int:
-    params = _params_from(args)
-    if not args.out:
-        raise UsageError("--out is required")
-    mesh4 = sample_grid(params, _grid_from(args))
-    lines = ["u,v,E,K"]
-    for v in mesh4.vertices:
-        k = "" if v.curvature is None else format_float(v.curvature)
-        lines.append(f"{format_float(v.u)},{format_float(v.v)},{format_float(v.energy)},{k}")
-    with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
-    print(f"wrote {args.out} ({len(mesh4.vertices)} rows)")
+    mesh4 = _sample(args)
+    export_csv(mesh4, args.out, fields=("u", "v", "E", "K"))
+    print(f"wrote {args.out} ({mesh4.E.size} rows)")
     return 0
 
 
@@ -241,13 +261,7 @@ def _cmd_info(args) -> int:
         "curve": [_poly_json(p) for p in curve.parts],
         "seed": _poly_json(seed_phi(params.m, params.n)),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -269,6 +283,10 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"wep4: error: {exc}", file=sys.stderr)
+        return 2
+    except NonFiniteCoefficientError as exc:
+        # only an overflowing --lambda makes a member's coefficients non-finite
+        print(f"wep4: error: --lambda too large: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse usage errors and --help
         return int(exc.code or 0)

@@ -2,10 +2,9 @@
 
 Tangent vectors come straight from the 1-form (X_u = Re phi, X_v = -Im phi),
 never from finite differences, so the first fundamental form and the frames
-carry no discretization error.  Finite differences appear in exactly two
-places where no closed form is available: the log-metric Laplacian behind
-the Gauss curvature, and the harmonicity residual used as a minimality
-detector.
+carry no discretization error.  The Gauss curvature is a closed form in the
+Weierstrass data as well.  Finite differences appear in exactly one place,
+the harmonicity residual used as a minimality detector.
 """
 
 from __future__ import annotations
@@ -16,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .henneberg import FamilyParams, MinimalCurve
-from .weierstrass import PhiForm, conformal_energy, conformal_factor, regularity_threshold
+from .laurent import LaurentPoly
+from .weierstrass import PhiForm, WeierstrassTriple, conformal_factor, regularity_threshold
 
 __all__ = [
     "SurfaceJet",
@@ -31,8 +31,9 @@ __all__ = [
     "frame_scalars",
     "normal_frame",
     "closed_form_normals",
+    "conformal_fields",
     "gauss_curvature",
-    "gauss_curvature_batch",
+    "coordinate_laplacian",
     "harmonicity_residual",
     "curvature_denominator_check",
 ]
@@ -60,7 +61,6 @@ class SurfaceJet:
     E: float
     F: float
     G: float
-    reg_weight: float
     regular: bool
 
 
@@ -116,7 +116,6 @@ def surface_jet(phi: PhiForm, curve: MinimalCurve, w: complex) -> SurfaceJet:
         E=_dot(xu, xu),
         F=_dot(xu, xv),
         G=_dot(xv, xv),
-        reg_weight=reg,
         regular=reg > regularity_threshold(phi, w),
     )
 
@@ -202,49 +201,62 @@ def closed_form_normals(jet: SurfaceJet, scalars: FrameScalars) -> tuple[np.ndar
     return n1, n2
 
 
-def gauss_curvature_batch(phi: PhiForm, ws: np.ndarray) -> np.ndarray:
-    """Vectorized K = -Laplacian(ln E) / (2 E) with Richardson refinement.
+def conformal_fields(triple: WeierstrassTriple, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Conformal factor E, regularity weight and Gauss curvature K at points w.
 
-    Central five-point Laplacians at steps h and h/2 (h = 1e-4 max(1, |w|))
-    are combined as (4 L_{h/2} - L_h) / 3.  Caller is responsible for
-    masking non-regular points.
+    With the lift F = (1/sqrt2, g, h, (g^2 + h^2)/sqrt2) of the generalized
+    Gauss map, phi = f U F for a constant unitary U, so E = |f|^2 |F|^2 / 2
+    and (Hoffman & Osserman, Mem. AMS 236, 1980)
+
+        K = -4 |F ^ F'|^2 / (|F|^6 |f|^2) = -2 |F ^ F'|^2 / (|F|^4 E),
+
+    where |F ^ F'|^2 = sum_{j<k} |F_j F'_k - F_k F'_j|^2 by Lagrange's
+    identity.  A sum of squares, so K <= 0 holds with no cancellation and
+    no step size.  F and F' are scaled by 1/|F| before the products, which
+    keeps the intermediates in range at large |w|.  The regularity weight
+    is |f| (1 + |g|^2 + |h|^2).  K is not finite where f vanishes (the
+    branch points); callers mask it there.
     """
-    ws = np.asarray(ws, dtype=complex)
-    h = 1e-4 * np.maximum(1.0, np.abs(ws))
-    log_e0 = np.log(conformal_energy(phi, ws))
-
-    def laplacian(step):
-        total = -4.0 * log_e0
-        for d in (step, -step, 1j * step, -1j * step):
-            total = total + np.log(conformal_energy(phi, ws + d))
-        return total / step**2
-
-    refined = (4.0 * laplacian(h / 2.0) - laplacian(h)) / 3.0
-    return -refined / (2.0 * np.exp(log_e0))
+    f, g, h = triple.f(w), triple.g(w), triple.h(w)
+    dg, dh = triple.g.derivative()(w), triple.h.derivative()(w)
+    root_half = math.sqrt(0.5)
+    lift = (np.full_like(f, root_half), g, h, root_half * (g * g + h * h))
+    dlift = (np.zeros_like(f), dg, dh, 2.0 * root_half * (g * dg + h * dh))
+    norm2 = sum(c.real**2 + c.imag**2 for c in lift)
+    inv = 1.0 / np.sqrt(norm2)
+    lift = [c * inv for c in lift]
+    dlift = [c * inv for c in dlift]
+    wedge = sum(
+        np.abs(lift[j] * dlift[k] - lift[k] * dlift[j]) ** 2
+        for j in range(4) for k in range(j + 1, 4)
+    )
+    f2 = f.real**2 + f.imag**2
+    energy = 0.5 * f2 * norm2
+    reg = np.sqrt(f2) * (1.0 + np.abs(g) ** 2 + np.abs(h) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curvature = -2.0 * wedge / energy
+    return energy, reg, curvature
 
 
 def gauss_curvature(phi: PhiForm, w: complex) -> float:
     """Gauss curvature of the conformal metric E (du^2 + dv^2) at w.
 
-    Same stencil as the batch version, but the five-point sums are exactly
-    rounded so that a constant metric yields exactly zero.
+    The closed form of conformal_fields at one point; needs the (f, g, h)
+    data the form was built from.
     """
-    energy, reg = conformal_factor(phi, w)
-    if reg <= regularity_threshold(phi, w) or energy <= 0.0:
+    if phi.triple is None:
+        raise ValueError("closed-form curvature needs the (f, g, h) data of the form")
+    energy, reg, curvature = conformal_fields(phi.triple, np.array([complex(w)]))
+    if not (reg[0] > regularity_threshold(phi, w) and energy[0] > 0.0):
         raise UndefinedCurvatureError("curvature undefined at a non-regular point")
-    h = 1e-4 * max(1.0, abs(w))
+    return float(curvature[0])
 
-    def log_energy(z: complex) -> float:
-        return math.log(conformal_factor(phi, z)[0])
 
-    center = log_energy(w)
-
-    def laplacian(step: float) -> float:
-        values = [log_energy(w + d) for d in (step, -step, 1j * step, -1j * step)]
-        return math.fsum(values + [-4.0 * center]) / step**2
-
-    refined = (4.0 * laplacian(h / 2.0) - laplacian(h)) / 3.0
-    return -refined / (2.0 * energy)
+def coordinate_laplacian(comp: LaurentPoly, w: complex, h: float) -> float:
+    """|Five-point Laplacian| of Re comp at w, step h, ring summed exactly."""
+    center = comp(w).real
+    total = math.fsum(comp(w + d).real for d in (h, -h, 1j * h, -1j * h)) - 4.0 * center
+    return abs(total) / h**2
 
 
 def harmonicity_residual(curve: MinimalCurve, w: complex, h: float) -> float:
@@ -256,70 +268,43 @@ def harmonicity_residual(curve: MinimalCurve, w: complex, h: float) -> float:
     """
     if abs(w) <= 2.0 * h:
         raise ValueError("stencil disc reaches the puncture")
-    worst = 0.0
-    for comp in curve.parts:
-        center = comp(w).real
-        total = math.fsum(
-            comp(w + d).real for d in (h, -h, 1j * h, -1j * h)
-        ) - 4.0 * center
-        worst = max(worst, abs(total) / h**2)
-    return worst
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, int], int] = {}
-    for (i, j), ca in a.items():
-        for (k, l), cb in b.items():
-            key = (i + k, j + l)
-            out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _poly_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v != 0}
+    return max(coordinate_laplacian(comp, w, h) for comp in curve.parts)
 
 
 def curvature_denominator_check() -> tuple[bool, str]:
     """Verify the octic identity inside the curvature denominator.
 
-    Expands ((u^2+v^2)^2 - 1)^2 + (4uv)^2 with exact integer arithmetic,
-    compares it coefficient by coefficient against the reference octic, and
-    samples the full denominator for strict positivity away from the branch
-    points (where the middle factor legitimately vanishes), for both stated
-    exponents of the trailing factor.
+    The middle factor ((u^2+v^2)^2 - 1)^2 + (4uv)^2 = |w^4 - 1|^2 is compared
+    with the reference octic in exact integer arithmetic on the grid
+    {-4..4}^2; two polynomials of degree at most 8 in each variable that
+    agree on 9 x 9 points are identical.  The full denominator is then
+    sampled for strict positivity away from the branch points (where the
+    middle factor legitimately vanishes), for both stated exponents of the
+    trailing factor.
     """
-    r2 = {(2, 0): 1, (0, 2): 1}  # u^2 + v^2
-    middle = _poly_add(
-        _poly_mul(_poly_add(_poly_mul(r2, r2), {(0, 0): -1}),
-                  _poly_add(_poly_mul(r2, r2), {(0, 0): -1})),
-        _poly_mul({(1, 1): 4}, {(1, 1): 4}),
-    )
     octic = {
         (8, 0): 1, (6, 2): 4, (4, 4): 6, (2, 6): 4, (0, 8): 1,
         (4, 0): -2, (0, 4): -2, (2, 2): 12, (0, 0): 1,
     }
-    identity_ok = middle == octic
+
+    def middle(u, v):
+        r = u * u + v * v
+        return (r * r - 1) ** 2 + (4 * u * v) ** 2
+
+    identity_ok = all(
+        middle(u, v) == sum(c * u**i * v**j for (i, j), c in octic.items())
+        for u in range(-4, 5) for v in range(-4, 5)
+    )
 
     def denom(u: float, v: float, k: int) -> float:
         r = u * u + v * v
-        mid = (r * r - 1.0) ** 2 + (4.0 * u * v) ** 2
-        return (r + 1.0) * mid * (2.0 * r + 1.0) ** k
+        return (r + 1.0) * middle(u, v) * (2.0 * r + 1.0) ** k
 
-    positive_ok = True
     branch = {(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
     grid = [x / 4.0 for x in range(-8, 9)]
-    for k in (1, 2):
-        for u in grid:
-            for v in grid:
-                if (u, v) == (0.0, 0.0):
-                    continue
-                val = denom(u, v, k)
-                if (u, v) in branch:
-                    positive_ok &= val == 0.0
-                else:
-                    positive_ok &= val > 0.0
+    positive_ok = all(
+        denom(u, v, k) == 0.0 if (u, v) in branch else denom(u, v, k) > 0.0
+        for k in (1, 2) for u in grid for v in grid if (u, v) != (0.0, 0.0)
+    )
     factored = "(u^2+v^2+1) * (((u^2+v^2)^2-1)^2 + (4uv)^2) * (2(u^2+v^2)+1)^k, k in {1, 2}"
     return identity_ok and positive_ok, factored

@@ -63,13 +63,6 @@ class FamilyParams:
         if not (math.isfinite(lam.real) and math.isfinite(lam.imag)):
             raise ValueError("lam must be finite")
         object.__setattr__(self, "lam", lam)
-        m, n = self.m, self.n
-        denominators = (
-            m + n - 1, 3 * m + n - 1, m + 3 * n - 1, m + n + 1,
-            m - n - 1, n - m - 1, 2 * m + n - 1, n + 1, m + 2 * n - 1, m + 1,
-        )
-        if any(d == 0 for d in denominators):
-            raise ValueError(f"degenerate closed-form denominator for (m, n) = {m, n}")
 
     @property
     def lam_is_real(self) -> bool:
@@ -81,12 +74,6 @@ class MinimalCurve:
     """The C4-valued curve whose real part is the immersion."""
 
     parts: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, k: int) -> LaurentPoly:
-        return self.parts[k]
 
 
 def family_triple(p: FamilyParams) -> WeierstrassTriple:
@@ -150,8 +137,7 @@ def seed_phi(m: int, n: int) -> LaurentPoly:
 
     Phi = 2 / ((m+n-1)(m+n)(m+n+1)) * (w**(m+n+1) + w**(-(m+n)+1)).
     """
-    if m < 1 or n < 1 or m % 2 == 0 or n % 2 == 0:
-        raise ValueError("m and n must be positive odd integers")
+    FamilyParams(m, n, 0)  # the family's own order checks
     N = m + n
     c = 2.0 / ((N - 1) * N * (N + 1))
     return LaurentPoly({N + 1: c, -(N - 1): c})

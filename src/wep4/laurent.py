@@ -17,6 +17,7 @@ import numpy as np
 __all__ = [
     "LaurentPoly",
     "LaurentDomainError",
+    "NonFiniteCoefficientError",
     "NonIntegrableTermError",
     "ZERO",
     "ONE",
@@ -26,6 +27,10 @@ __all__ = [
 
 class LaurentDomainError(ZeroDivisionError):
     """A polynomial with negative exponents was evaluated at the puncture 0."""
+
+
+class NonFiniteCoefficientError(ValueError):
+    """A coefficient is infinite or NaN, for example after an overflow."""
 
 
 class NonIntegrableTermError(ValueError):
@@ -47,8 +52,8 @@ class LaurentPoly:
     Coefficients with exact value 0 are dropped on construction, so ``==``
     is structural equality of the canonical form.  Scalar evaluation uses
     exactly rounded (fsum) accumulation so that algebraic cancellations
-    come out as true zeros; ndarray evaluation takes a fast vectorized
-    path meant for bulk sampling.
+    come out as true zeros; ndarray evaluation is the vectorized bulk path,
+    compensated so that exact cancellations come out as zeros there too.
     """
 
     __slots__ = ("_terms",)
@@ -59,7 +64,7 @@ class LaurentPoly:
             for k in sorted(terms):
                 c = complex(terms[k])
                 if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                    raise ValueError(f"non-finite coefficient at exponent {k}")
+                    raise NonFiniteCoefficientError(f"non-finite coefficient at exponent {k}")
                 if c != 0:
                     clean[int(k)] = c
         self._terms = clean
@@ -76,14 +81,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def min_exponent(self) -> int | None:
-        return min(self._terms) if self._terms else None
-
-    @property
-    def max_exponent(self) -> int | None:
-        return max(self._terms) if self._terms else None
 
     def __iter__(self):
         return iter(self._terms.items())
@@ -165,9 +162,9 @@ class LaurentPoly:
         """Evaluate at a complex scalar or at an ndarray of complex points.
 
         Scalar evaluation accumulates with fsum (exactly rounded sum of the
-        term values); array evaluation is plain vectorized summation.
-        Evaluation at 0 raises LaurentDomainError when negative exponents
-        are present.
+        term values); array evaluation sums the same terms with a cascade of
+        error-free TwoSum steps.  Evaluation at 0 raises LaurentDomainError
+        when negative exponents are present.
         """
         if isinstance(w, np.ndarray):
             return self._eval_array(w)
@@ -186,10 +183,20 @@ class LaurentPoly:
             return np.zeros_like(w)
         if min(self._terms) < 0 and np.any(w == 0):
             raise LaurentDomainError("evaluation at the puncture w = 0")
-        out = np.zeros_like(w)
-        for k, c in self._terms.items():
-            out = out + c * w**k
-        return out
+        # Cascaded TwoSum (Ogita, Rump & Oishi's Sum2): each step's rounding
+        # error is recovered exactly and added back at the end.  Complex
+        # addition is componentwise, so TwoSum holds on complex arrays as is.
+        terms = iter(self._terms.items())
+        k, c = next(terms)
+        total = c * w**k
+        error = np.zeros_like(total)
+        for k, c in terms:
+            term = c * w**k
+            s = total + term
+            z = s - total
+            error += (total - (s - z)) + (term - z)
+            total = s
+        return total + error
 
     def envelope(self, radius: float) -> float:
         """Upper bound sum(|c_k| * radius**k); a scale for error tolerances."""

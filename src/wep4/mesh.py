@@ -5,6 +5,9 @@ around the puncture.  Vertices landing on (or numerically at) a branch
 point are kept but flagged non-regular; faces never reference a flagged
 vertex, and the curvature field is simply left empty there.
 
+A grid is sampled in one vectorized pass and stored as columns (one row
+per vertex); the exporters format whole columns at once.
+
 Exports are plain ASCII with LF line endings and floats printed in their
 shortest round-trip form, so identical inputs give byte-identical files.
 """
@@ -13,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .geometry import gauss_curvature_batch, surface_jet
+from .geometry import conformal_fields
 from .henneberg import FamilyParams, family_curve, family_phi
+from .weierstrass import regularity_threshold
 
 __all__ = [
     "PolarGrid",
@@ -25,6 +30,8 @@ __all__ = [
     "QuadMesh4D",
     "Mesh3D",
     "AXES",
+    "CSV_FIELDS",
+    "MAX_VERTICES",
     "sample_grid",
     "project",
     "export",
@@ -33,9 +40,15 @@ __all__ = [
     "export_csv",
     "load_obj",
     "format_float",
+    "format_column",
 ]
 
 AXES = "xyzw"
+CSV_FIELDS = ("u", "v", "x", "y", "z", "w", "E", "K", "regular")
+# A grid is sampled in one pass over whole arrays, so its size is capped.
+# Peak memory is about 0.35 kB per vertex to sample and 1.3 kB per vertex to
+# export as CSV: about 1.3 GB at the cap.
+MAX_VERTICES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -53,18 +66,31 @@ class PolarGrid:
     theta_closed: bool = True
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("need 0 < r_min < r_max (the puncture is excluded)")
+        if not (0.0 < self.r_min < self.r_max < math.inf):
+            raise ValueError("need 0 < r_min < r_max < inf (the puncture is excluded)")
         if self.n_r < 2 or self.n_theta < 2:
             raise ValueError("need at least 2 samples per direction")
+        if self.n_r * self.n_theta > MAX_VERTICES:
+            raise ValueError(f"grid of {self.n_r} x {self.n_theta} vertices exceeds "
+                             f"the cap of {MAX_VERTICES:,}")
 
-    def radii(self) -> np.ndarray:
-        return np.linspace(self.r_min, self.r_max, self.n_r)
-
-    def angles(self) -> np.ndarray:
+    def points(self) -> np.ndarray:
+        """All n_r * n_theta sample points, radius-major."""
         if self.theta_closed:
-            return np.arange(self.n_theta) * (2.0 * math.pi / self.n_theta)
-        return np.linspace(0.0, 2.0 * math.pi, self.n_theta)
+            angles = np.arange(self.n_theta) * (2.0 * math.pi / self.n_theta)
+        else:
+            angles = np.linspace(0.0, 2.0 * math.pi, self.n_theta)
+        unit = np.array([complex(math.cos(t), math.sin(t)) for t in angles.tolist()])
+        return (np.linspace(self.r_min, self.r_max, self.n_r)[:, None] * unit).ravel()
+
+    def quads(self) -> np.ndarray:
+        """(cells, 4) corner indices of every grid cell, radius-major."""
+        n_t = self.n_theta
+        j = np.arange(n_t if self.theta_closed else n_t - 1)
+        jn = (j + 1) % n_t
+        i = np.arange(self.n_r - 1)[:, None] * n_t
+        corners = (i + j, i + n_t + j, i + n_t + jn, i + jn)
+        return np.stack(corners, axis=-1).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -81,81 +107,62 @@ class Vertex:
     curvature: float | None
     regular: bool
 
-    def coordinate(self, axis: str) -> float:
-        return getattr(self, axis)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadMesh4D:
-    vertices: tuple[Vertex, ...]
-    quads: tuple[tuple[int, int, int, int], ...]
+    """A sampled grid as columns, one row per vertex (radius-major).
+
+    uv (n, 2) parameters, xyzw (n, 4) positions, E (n,) metric energy,
+    K (n,) Gauss curvature (NaN exactly where the vertex is not regular),
+    regular (n,) flags, and quads (q, 4) vertex indices of the kept cells.
+    """
+
+    uv: np.ndarray
+    xyzw: np.ndarray
+    E: np.ndarray
+    K: np.ndarray
+    regular: np.ndarray
+    quads: np.ndarray
     params: FamilyParams
     grid: PolarGrid
 
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The columns as Vertex records, built on first use."""
+        rows = zip(self.uv.tolist(), self.xyzw.tolist(), self.E.tolist(),
+                   self.K.tolist(), self.regular.tolist())
+        return tuple(Vertex(u, v, x, y, z, w, e, k if reg else None, reg)
+                     for (u, v), (x, y, z, w), e, k, reg in rows)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Mesh3D:
-    """Projected mesh: 3-coordinate vertices plus faces of length 3 or 4."""
+    """Projected mesh: (n, 3) vertex positions plus faces of 3 or 4 corners."""
 
-    vertices: tuple[tuple[float, float, float], ...]
-    faces: tuple[tuple[int, ...], ...]
+    vertices: np.ndarray
+    faces: np.ndarray
     axes: str
 
 
 def sample_grid(params: FamilyParams, grid: PolarGrid) -> QuadMesh4D:
-    """Sample the immersion over the polar grid.
+    """Sample the immersion over the polar grid in one vectorized pass.
 
-    Positions and metric data come from exact scalar evaluation; the
-    curvature column is batch finite differences at the regular vertices.
+    Positions, E and the closed-form K come from array evaluation of the
+    curve and the Weierstrass data; a cell becomes a quad only when all
+    four corners are regular.
     """
     phi = family_phi(params)
     curve = family_curve(params)
-    radii = grid.radii()
-    angles = grid.angles()
-    omegas = [complex(r * math.cos(t), r * math.sin(t)) for r in radii for t in angles]
-
-    verts: list[Vertex] = []
-    jets = []
-    for w in omegas:
-        jet = surface_jet(phi, curve, w)
-        jets.append(jet)
-        x, y, z, ww = (float(c) for c in jet.position)
-        verts.append(
-            Vertex(
-                u=w.real, v=w.imag, x=x, y=y, z=z, w=ww,
-                energy=0.5 * (jet.E + jet.G),
-                curvature=None,
-                regular=jet.regular,
-            )
-        )
-
-    regular_idx = [i for i, vx in enumerate(verts) if vx.regular]
-    if regular_idx:
-        ks = gauss_curvature_batch(phi, np.array([omegas[i] for i in regular_idx]))
-        for i, k in zip(regular_idx, ks):
-            old = verts[i]
-            # a stencil point landing exactly on a branch point yields a
-            # non-finite K; keep the vertex but leave the field empty
-            verts[i] = Vertex(
-                u=old.u, v=old.v, x=old.x, y=old.y, z=old.z, w=old.w,
-                energy=old.energy,
-                curvature=float(k) if math.isfinite(k) else None,
-                regular=True,
-            )
-
-    n_t = grid.n_theta
-    quads: list[tuple[int, int, int, int]] = []
-    theta_pairs = (
-        [(j, (j + 1) % n_t) for j in range(n_t)]
-        if grid.theta_closed
-        else [(j, j + 1) for j in range(n_t - 1)]
+    w = grid.points()
+    xyzw = np.stack([part(w).real for part in curve.parts], axis=1)
+    energy, reg, curvature = conformal_fields(phi.triple, w)
+    regular = reg > regularity_threshold(phi, w)
+    quads = grid.quads()
+    return QuadMesh4D(
+        uv=np.stack([w.real, w.imag], axis=1), xyzw=xyzw, E=energy,
+        K=np.where(regular, curvature, np.nan), regular=regular,
+        quads=quads[regular[quads].all(axis=1)], params=params, grid=grid,
     )
-    for i in range(grid.n_r - 1):
-        for j, jn in theta_pairs:
-            corners = (i * n_t + j, (i + 1) * n_t + j, (i + 1) * n_t + jn, i * n_t + jn)
-            if all(verts[c].regular for c in corners):
-                quads.append(corners)
-    return QuadMesh4D(tuple(verts), tuple(quads), params, grid)
 
 
 def project(mesh: QuadMesh4D, axes: str) -> Mesh3D:
@@ -163,41 +170,43 @@ def project(mesh: QuadMesh4D, axes: str) -> Mesh3D:
     axes = axes.lower()
     if len(axes) != 3 or len(set(axes)) != 3 or any(a not in AXES for a in axes):
         raise ValueError(f"projection must name three distinct axes from {AXES!r}")
-    vertices = tuple(
-        (v.coordinate(axes[0]), v.coordinate(axes[1]), v.coordinate(axes[2]))
-        for v in mesh.vertices
-    )
-    return Mesh3D(vertices=vertices, faces=mesh.quads, axes=axes)
+    columns = [AXES.index(a) for a in axes]
+    return Mesh3D(vertices=mesh.xyzw[:, columns], faces=mesh.quads, axes=axes)
+
+
+def format_column(values) -> list[str]:
+    """Shortest decimals that round-trip; integral values lose the '.0',
+    -0.0 prints as 0 and NaN marks an empty field."""
+    texts = map(repr, (np.asarray(values, dtype=float) + 0.0).tolist())
+    return ["" if t == "nan" else t[:-2] if t.endswith(".0") else t for t in texts]
 
 
 def format_float(value: float) -> str:
-    """Shortest decimal that round-trips; integral values lose the '.0'."""
-    value = float(value) + 0.0  # normalizes -0.0
-    text = repr(value)
-    return text[:-2] if text.endswith(".0") else text
+    """format_column for one value."""
+    return format_column([value])[0]
 
 
-def _triangles(faces) -> list[tuple[int, int, int]]:
-    tris: list[tuple[int, int, int]] = []
-    for face in faces:
-        if len(face) == 3:
-            tris.append(tuple(face))
-        elif len(face) == 4:
-            a, b, c, d = face
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-        else:
-            raise ValueError("only triangle and quad faces are supported")
-    return tris
+def _triangles(faces) -> np.ndarray:
+    faces = np.asarray(faces, dtype=np.int64)
+    if faces.ndim == 2 and faces.shape[1] == 3:
+        return faces
+    if faces.ndim == 2 and faces.shape[1] == 4:
+        # quad (a, b, c, d) -> triangles (a, b, c), (a, c, d)
+        return faces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    raise ValueError("only triangle and quad faces are supported")
+
+
+def _point_lines(vertices, prefix: str = "") -> list[str]:
+    x, y, z = (format_column(c) for c in np.asarray(vertices, dtype=float).reshape(-1, 3).T)
+    return [f"{prefix}{a} {b} {c}" for a, b, c in zip(x, y, z)]
 
 
 def export_obj(mesh: Mesh3D, path) -> None:
     """ASCII OBJ: 'v x y z' lines, then 1-based 'f i j k' triangles."""
     if not isinstance(mesh, Mesh3D):
         raise ValueError("OBJ export needs a projected 3D mesh")
-    lines = [f"v {format_float(x)} {format_float(y)} {format_float(z)}"
-             for x, y, z in mesh.vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in _triangles(mesh.faces)]
+    lines = _point_lines(mesh.vertices, "v ")
+    lines += [f"f {a} {b} {c}" for a, b, c in (_triangles(mesh.faces) + 1).tolist()]
     _write_lines(path, lines)
 
 
@@ -217,56 +226,51 @@ def export_ply(mesh: Mesh3D, path) -> None:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    lines += [f"{format_float(x)} {format_float(y)} {format_float(z)}"
-              for x, y, z in mesh.vertices]
-    lines += [f"3 {a} {b} {c}" for a, b, c in tris]
+    lines += _point_lines(mesh.vertices)
+    lines += [f"3 {a} {b} {c}" for a, b, c in tris.tolist()]
     _write_lines(path, lines)
 
 
-def export_csv(mesh: QuadMesh4D, path) -> None:
-    """Vertex table; the curvature field is empty at non-regular vertices."""
+def export_csv(mesh: QuadMesh4D, path, fields=CSV_FIELDS) -> None:
+    """Vertex table of the named CSV_FIELDS; K is empty at non-regular vertices."""
     if not isinstance(mesh, QuadMesh4D):
         raise ValueError("CSV export needs the full 4D mesh")
-    lines = ["u,v,x,y,z,w,E,K,regular"]
-    for v in mesh.vertices:
-        k = "" if v.curvature is None else format_float(v.curvature)
-        lines.append(
-            ",".join(
-                [format_float(v.u), format_float(v.v), format_float(v.x),
-                 format_float(v.y), format_float(v.z), format_float(v.w),
-                 format_float(v.energy), k, "1" if v.regular else "0"]
-            )
-        )
-    _write_lines(path, lines)
+    columns = {"u": mesh.uv[:, 0], "v": mesh.uv[:, 1], "E": mesh.E, "K": mesh.K}
+    columns.update(zip(AXES, mesh.xyzw.T))
+    texts = [
+        np.where(mesh.regular, "1", "0").tolist() if name == "regular"
+        else format_column(columns[name])
+        for name in fields
+    ]
+    _write_lines(path, [",".join(fields), *map(",".join, zip(*texts))])
 
 
 def export(mesh, fmt: str, path) -> None:
     """Dispatch on format: obj and ply take 3D meshes, csv the 4D mesh."""
-    fmt = fmt.lower()
-    if fmt == "obj":
-        export_obj(mesh, path)
-    elif fmt == "ply":
-        export_ply(mesh, path)
-    elif fmt == "csv":
-        export_csv(mesh, path)
-    else:
+    writers = {"obj": export_obj, "ply": export_ply, "csv": export_csv}
+    if fmt.lower() not in writers:
         raise ValueError(f"unsupported format {fmt!r}")
+    writers[fmt.lower()](mesh, path)
 
 
 def load_obj(path) -> Mesh3D:
     """Minimal OBJ reader for the files this module writes."""
-    vertices: list[tuple[float, float, float]] = []
-    faces: list[tuple[int, ...]] = []
+    vertices: list[list[float]] = []
+    faces: list[list[int]] = []
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
             parts = line.split()
             if not parts:
                 continue
             if parts[0] == "v":
-                vertices.append(tuple(float(p) for p in parts[1:4]))
+                vertices.append([float(p) for p in parts[1:4]])
             elif parts[0] == "f":
-                faces.append(tuple(int(p) - 1 for p in parts[1:]))
-    return Mesh3D(vertices=tuple(vertices), faces=tuple(faces), axes="xyz")
+                faces.append([int(p) - 1 for p in parts[1:]])
+    return Mesh3D(
+        vertices=np.array(vertices, dtype=float).reshape(-1, 3),
+        faces=np.array(faces, dtype=np.int64).reshape(len(faces), -1),
+        axes="xyz",
+    )
 
 
 def _write_lines(path, lines) -> None:

@@ -32,7 +32,6 @@ __all__ = [
     "nullity_defect",
     "nullity_residual",
     "conformal_factor",
-    "conformal_energy",
     "regularity_threshold",
 ]
 
@@ -66,12 +65,6 @@ class PhiForm:
 
     parts: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
     triple: WeierstrassTriple | None = None
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, k: int) -> LaurentPoly:
-        return self.parts[k]
 
 
 def nullity_defect(parts) -> LaurentPoly:
@@ -149,26 +142,18 @@ def conformal_factor(phi: PhiForm, w: complex) -> tuple[float, float]:
     return energy, reg
 
 
-def conformal_energy(phi: PhiForm, w: np.ndarray) -> np.ndarray:
-    """Vectorized E = sum |phi_k|^2 / 2 over an array of sample points."""
-    w = np.asarray(w, dtype=complex)
-    total = np.zeros(w.shape, dtype=float)
-    for p in phi.parts:
-        total = total + np.abs(p(w)) ** 2
-    return 0.5 * total
-
-
 def regularity_threshold(phi: PhiForm, w: complex) -> float:
     """Scale-aware cutoff below which the regularity weight counts as zero.
 
     Grows with |w|**k_max away from the unit circle and with |w|**k_min
     toward the puncture, so near-branch vertices are flagged at every
-    radius without flagging healthy ones.
+    radius without flagging healthy ones.  ``w`` may be an ndarray of
+    points, which gives an array of cutoffs.
     """
     exps = [k for p in phi.parts for k, _ in p]
     if not exps:
         return 1e-6
     r = abs(w)
-    if r == 0.0:
+    if not isinstance(r, np.ndarray) and r == 0.0:
         return math.inf
     return 1e-6 * (1.0 + r ** max(exps) + r ** min(exps))

@@ -52,6 +52,45 @@ def test_verify_exit_zero(capsys):
     assert "nullity: PASS" in out and "suites passed" in out
 
 
+def test_verify_summary_counts_skipped_suites(capsys):
+    rc = main(["verify", "--m", "1", "--n", "3", "--lambda", "1+1i", "--samples", "200"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert sum(" SKIP " in line for line in lines[:-1]) == 2
+    assert lines[-1] == "verify: 6/8 suites passed, 0 failed, 2 skipped"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--samples", "0"],
+    ["verify", "--samples=-1"],
+    ["report", "--samples", "0"],
+    ["report", "--samples=-1"],
+    ["eval", "--point", "nan,0"],
+    ["eval", "--point", "1e400,0"],
+    ["eval", "--point", "1e-200,0"],
+    ["eval", "--lambda", "1e308", "--point", "1,0"],
+    ["info", "--lambda", "1e308"],
+    ["mesh", "--nr", "1001", "--ntheta", "1000"],
+    ["curvature", "--nr", "2", "--ntheta", "500001"],
+])
+def test_bad_input_exits_two_with_message(argv, tmp_path, monkeypatch, capsys):
+    # the grid cap must hold before anything is sampled
+    monkeypatch.setattr("wep4.cli.sample_grid", lambda *a: pytest.fail("grid sampled"))
+    if argv[0] in ("mesh", "curvature"):
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("wep4: error: ") and captured.out == ""
+
+
+def test_grid_that_overflows_is_refused(tmp_path, capsys):
+    out = tmp_path / "K.csv"
+    rc = main(["curvature", "--rmax", "1e200", "--nr", "3", "--ntheta", "4",
+               "--out", str(out)])
+    assert rc == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith("wep4: error: ")
+
+
 def test_verify_deterministic_stdout(capsys):
     argv = ["verify", "--m", "1", "--n", "3", "--lambda", "0.5-2i",
             "--samples", "120", "--seed", "7"]

@@ -11,6 +11,7 @@ from wep4.geometry import (
     FrameScalars,
     UndefinedCurvatureError,
     closed_form_normals,
+    conformal_fields,
     curvature_denominator_check,
     frame_scalars,
     gauss_curvature,
@@ -22,7 +23,7 @@ from wep4.geometry import (
 )
 from wep4.henneberg import FamilyParams, MinimalCurve, family_curve, family_phi
 from wep4.laurent import ONE, ZERO
-from wep4.weierstrass import WeierstrassTriple, phi_from_triple
+from wep4.weierstrass import WeierstrassTriple, conformal_factor, phi_from_triple
 
 RNG = np.random.default_rng(31)
 
@@ -183,6 +184,51 @@ def test_gauss_curvature_rejects_branch_point():
     phi = family_phi(FamilyParams(1, 1, 0))
     with pytest.raises(UndefinedCurvatureError):
         gauss_curvature(phi, 1 + 0j)
+
+
+def _fd_curvature(phi, w):
+    """Reference K = -Laplacian(ln E) / (2 E): Richardson-refined five-point
+    Laplacians at steps h and h/2, h = 1e-4 max(1, |w|), with exactly
+    rounded sums.  Returns K and a bound on its own error: the refinement
+    step |L_h - L_{h/2}| / 3 (truncation) plus 64 eps max|ln E| / (h/2)^2
+    (roundoff), both divided by 2E."""
+    h = 1e-4 * max(1.0, abs(w))
+    log_e = lambda z: math.log(conformal_factor(phi, z)[0])
+    center = log_e(w)
+
+    def laplacian(step):
+        ring = [log_e(w + d) for d in (step, -step, 1j * step, -1j * step)]
+        return math.fsum(ring + [-4.0 * center]) / step**2, max(map(abs, ring + [center]))
+
+    coarse, _ = laplacian(h)
+    fine, size = laplacian(h / 2.0)
+    two_e = 2.0 * conformal_factor(phi, w)[0]
+    error = abs(coarse - fine) / 3.0 + 64.0 * 2.0**-52 * size / (h / 2.0) ** 2
+    return -(4.0 * fine - coarse) / 3.0 / two_e, error / two_e
+
+
+def test_closed_form_curvature_matches_finite_differences():
+    grid_members = [(m, n, lam) for m, n in ((1, 1), (1, 3), (3, 1), (3, 3), (3, 5))
+                    for lam in (0, 1, 1 + 1j, 0.5 - 2j)]
+    worst = 0.0
+    for m, n, lam in grid_members + [(5, 7, 0.3j)]:
+        phi = family_phi(FamilyParams(m, n, lam))
+        ws = np.array(_points(12, 0.45, 2.0))
+        _, reg, ks = conformal_fields(phi.triple, ws)
+        for w, k in zip(ws[reg > 1e-3], ks[reg > 1e-3]):
+            k_fd, fd_error = _fd_curvature(phi, complex(w))
+            assert k < 0.0
+            assert abs(k - k_fd) <= fd_error, (m, n, lam, w)
+            worst = max(worst, abs(k - k_fd) / abs(k))
+    assert worst <= 1e-3
+
+
+def test_scalar_curvature_is_the_array_closed_form():
+    phi = family_phi(FamilyParams(1, 3, 1 + 1j))
+    ws = np.array(_points(20))
+    _, _, ks = conformal_fields(phi.triple, ws)
+    for w, k in zip(ws, ks):
+        assert gauss_curvature(phi, complex(w)) == k
 
 
 def test_harmonicity_residual_second_order():

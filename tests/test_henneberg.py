@@ -58,6 +58,21 @@ def test_params_reject_even_orders():
         FamilyParams(1, 1, complex("inf"))
 
 
+def test_closed_form_denominators_never_vanish_for_odd_orders():
+    # The closed forms of the family divide by these ten expressions.  For
+    # positive odd m, n each one is >= 1 or odd (m - n - 1, n - m - 1), so
+    # none can vanish and FamilyParams carries no guard for them; checked
+    # exhaustively for small orders.
+    for m in range(1, 100, 2):
+        for n in range(1, 100, 2):
+            denominators = (
+                m + n - 1, 3 * m + n - 1, m + 3 * n - 1, m + n + 1,
+                m - n - 1, n - m - 1, 2 * m + n - 1, n + 1, m + 2 * n - 1, m + 1,
+            )
+            assert all(d >= 1 or d % 2 == 1 for d in denominators), (m, n)
+            FamilyParams(m, n, 0.5 - 2j)
+
+
 def test_expanded_f_equals_two_term_form():
     # the expanded product form agrees with 2(w**(m+n-2) - w**(-(m+n+2)))
     # coefficient for coefficient, for all odd orders up to 9

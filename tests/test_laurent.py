@@ -114,6 +114,16 @@ def test_fsum_evaluation_cancels_exactly():
     assert p(1 + 0j) == 0j
 
 
+def test_array_evaluation_is_compensated():
+    # plain summation loses the middle term: (1e16 + 1) - 1e16 == 0
+    p = LaurentPoly({2: 1e16, 1: 1.0, 0: -1e16})
+    ones = np.ones(3, dtype=complex)
+    assert np.array_equal(p(ones), ones)
+    # exact cancellations come out as true zeros, as on the scalar path
+    q = LaurentPoly({1: 1.0, 3: -1 / 3, -3: 1 / 3, -1: -1.0})
+    assert np.array_equal(q(np.array([1 + 0j, -1 + 0j])), np.zeros(2, dtype=complex))
+
+
 def test_envelope_bounds_value():
     p = LaurentPoly({2: 3.0, -1: -4j})
     r = 1.7

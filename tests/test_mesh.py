@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from wep4.henneberg import FamilyParams
+from wep4.geometry import surface_jet
+from wep4.henneberg import FamilyParams, family_curve, family_phi
 from wep4.mesh import (
+    MAX_VERTICES,
     PolarGrid,
     export,
     export_csv,
@@ -24,6 +27,56 @@ def test_grid_validation():
         PolarGrid(1.0, 0.5, 4, 4)
     with pytest.raises(ValueError):
         PolarGrid(0.5, 1.0, 1, 4)
+
+
+def test_grid_vertex_cap():
+    side = int(MAX_VERTICES**0.5) + 1
+    with pytest.raises(ValueError, match="cap"):
+        PolarGrid(0.5, 2.0, side, side)
+    PolarGrid(0.5, 2.0, 2, MAX_VERTICES // 2)  # at the cap is fine
+
+
+LAM_GRID = (0, 1, 1 + 1j, 0.5 - 2j)
+MN_GRID = ((1, 1), (1, 3), (3, 1), (3, 3), (3, 5))
+README_MEMBERS = ((1, 1, 1 + 1j), (1, 3, 1 + 1j), (3, 5, 0.5 - 2j), (5, 7, 0.3j), (1, 1, 0))
+
+
+def _assert_matches_scalar_path(params, grid, stride=1):
+    """Array columns against per-vertex scalar (fsum) jets."""
+    mesh = sample_grid(params, grid)
+    phi, curve = family_phi(params), family_curve(params)
+    for i in range(0, mesh.E.size, stride):
+        w = complex(*mesh.uv[i])
+        jet = surface_jet(phi, curve, w)
+        scale = max(1.0, float(np.max(np.abs(jet.position))))
+        assert np.max(np.abs(mesh.xyzw[i] - jet.position)) <= 1e-13 * scale, (params, w)
+        energy = 0.5 * (jet.E + jet.G)
+        assert abs(mesh.E[i] - energy) <= 1e-13 * energy or not jet.regular, (params, w)
+        assert bool(mesh.regular[i]) == jet.regular, (params, w)
+    return mesh
+
+
+def test_array_path_matches_scalar_path_on_acceptance_grid():
+    # r = 1 lies on the grid and 48 theta steps hit every (2m+2n)-th root of unity
+    grid = PolarGrid(0.5, 2.0, 7, 48)
+    for m, n in MN_GRID:
+        for lam in LAM_GRID:
+            mesh = _assert_matches_scalar_path(FamilyParams(m, n, lam), grid)
+            assert np.count_nonzero(~mesh.regular) == 2 * m + 2 * n
+
+
+def test_array_path_matches_scalar_path_on_readme_grids():
+    for m, n, lam in README_MEMBERS:
+        params = FamilyParams(m, n, lam)
+        _assert_matches_scalar_path(params, PolarGrid(0.5, 2.0, 40, 80))
+        _assert_matches_scalar_path(params, PolarGrid(0.5, 2.0, 80, 160), stride=13)
+
+
+def test_curvature_empty_exactly_off_regular_vertices():
+    for m, n, lam in README_MEMBERS:
+        mesh = sample_grid(FamilyParams(m, n, lam), PolarGrid(0.5, 2.0, 40, 80))
+        assert np.array_equal(np.isnan(mesh.K), ~mesh.regular)
+        assert np.all(mesh.K[mesh.regular] < 0.0)
 
 
 def test_branch_vertices_flagged_and_masked():
@@ -68,8 +121,8 @@ def test_projection_axis_selection():
     p1 = project(mesh, "xyw")
     p2 = project(mesh, "wxy")
     assert sorted(map(sorted, p1.vertices)) == sorted(map(sorted, p2.vertices))
-    face_lists = {project(mesh, ax).faces for ax in ("xyz", "xyw", "xzw", "yzw")}
-    assert len(face_lists) == 1
+    face_lists = [project(mesh, ax).faces for ax in ("xyz", "xyw", "xzw", "yzw")]
+    assert all(np.array_equal(faces, face_lists[0]) for faces in face_lists)
 
 
 def test_projection_drops_nothing_at_lam_zero():

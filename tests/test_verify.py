@@ -1,11 +1,16 @@
 """The verification suite layer the CLI builds on."""
 
-import numpy as np
+import re
 
+import numpy as np
+import pytest
+
+from wep4 import verify
 from wep4.henneberg import FamilyParams
 from wep4.verify import (
     check_back_differentiation,
     check_frames,
+    check_integral_free,
     check_reductions,
     quadrature_targets,
     run_verify,
@@ -13,6 +18,7 @@ from wep4.verify import (
     sample_regular,
 )
 from wep4.henneberg import family_phi
+from wep4.weierstrass import PhiForm
 
 
 def test_run_verify_all_suites_pass():
@@ -63,3 +69,20 @@ def test_sample_regular_avoids_branch_ring():
     for w in pts:
         _, reg = conformal_factor(phi, complex(w))
         assert reg > 1e-3
+
+
+@pytest.mark.parametrize("lam, seed", [(2, 32), (2, 34), (2, 50), (2, 71), (2, 83), (2, 91), (1, 91)])
+def test_integral_free_bound_clears_roundoff(lam, seed):
+    # these seeds put the h = 1e-6 central difference near 2e-9, its own roundoff
+    results = run_verify(FamilyParams(1, 1, lam), samples=1000, seed=seed)
+    for r in results:
+        assert r.skipped or r.passed, r.line()
+
+
+def test_integral_free_detects_perturbed_form(monkeypatch):
+    original = verify.phi_from_triple
+    perturbed = lambda t: PhiForm(tuple(p * (1 + 1e-6) for p in original(t).parts), t)
+    monkeypatch.setattr(verify, "phi_from_triple", perturbed)
+    res = check_integral_free(FamilyParams(1, 1, 2), np.random.default_rng(34))
+    assert not res.passed
+    assert float(re.search(r"fd_ratio=(\S+)", res.detail).group(1)) > 1.0

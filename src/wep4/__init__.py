@@ -15,13 +15,11 @@ from .laurent import (
     NonIntegrableTermError,
 )
 from .weierstrass import (
-    GaussPairData,
     PhiForm,
     WeierstrassTriple,
     conformal_factor,
     nullity_defect,
     nullity_residual,
-    phi_from_gauss_pair,
     phi_from_triple,
 )
 from .henneberg import (

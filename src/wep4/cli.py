@@ -32,12 +32,17 @@ from .henneberg import (
 )
 from .geometry import immersion_point
 from .laurent import NonFiniteCoefficientError
-from .mesh import AXES, PolarGrid, export, export_csv, format_float, project, sample_grid
+from .mesh import (AXES, PolarGrid, export, export_csv, format_float, project,
+                   projection_columns, sample_grid)
 from .verify import run_verify, sample_annulus
 
 __all__ = ["main", "parse_lambda"]
 
 _LAMBDA_CHARS = re.compile(r"^[0-9eE+\-.i]+$")
+# argparse takes a token that starts with "-" for an option unless it is a
+# plain negative number, so "--point -0.5,0.4" would lose its value.
+_DASH_LED_FLAGS = ("--point", "--lambda")
+_DASH_LED_VALUE = re.compile(r"^-[0-9.i]")
 
 
 class UsageError(ValueError):
@@ -154,6 +159,17 @@ def _apply_config(parser, commands, argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _attach_dash_led_values(argv: list[str]) -> list[str]:
+    """Rewrite '--point -0.5,0.4' as '--point=-0.5,0.4' (and so for --lambda)."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _DASH_LED_FLAGS and _DASH_LED_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _write_text(path, text: str, note: str = "") -> None:
     """Write text to path and say so, or to stdout when there is no path."""
     if not path:
@@ -200,15 +216,16 @@ def _sample(args):
 
 
 def _cmd_mesh(args) -> int:
+    if args.fmt != "csv":
+        try:
+            projection_columns(args.project)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     mesh4 = _sample(args)
     if args.fmt == "csv":
         export(mesh4, "csv", args.out)
     else:
-        try:
-            mesh3 = project(mesh4, args.project)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        export(mesh3, args.fmt, args.out)
+        export(project(mesh4, args.project), args.fmt, args.out)
     print(f"wrote {args.out} ({mesh4.E.size} vertices, {len(mesh4.quads)} quads)")
     return 0
 
@@ -235,7 +252,7 @@ def _cmd_report(args) -> int:
     params = _params_from(args)
     rng_points = sample_annulus(np.random.default_rng(args.seed), _samples_from(args),
                                 r_lo=0.5, r_hi=1.7)
-    report = fidelity_report(params, [complex(w) for w in rng_points])
+    report = fidelity_report(params, rng_points)
     _write_text(args.out, report.to_csv(), f"({len(report.rows)} rows)")
     return 0
 
@@ -276,7 +293,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _attach_dash_led_values(list(sys.argv[1:] if argv is None else argv))
     parser, commands = _build_parser()
     try:
         args = _apply_config(parser, commands, argv)

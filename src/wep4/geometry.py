@@ -5,6 +5,11 @@ never from finite differences, so the first fundamental form and the frames
 carry no discretization error.  The Gauss curvature is a closed form in the
 Weierstrass data as well.  Finite differences appear in exactly one place,
 the harmonicity residual used as a minimality detector.
+
+Jets, frame scalars and frames take one point or an ndarray of points.  At
+one point the vectors have shape (4,) and the sums are exactly rounded
+(fsum); over n points they are (n, 4) stacks, summed with compensated
+TwoSum cascades (laurent.accurate_sum).
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .henneberg import FamilyParams, MinimalCurve
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, accurate_sum
 from .weierstrass import PhiForm, WeierstrassTriple, conformal_factor, regularity_threshold
 
 __all__ = [
@@ -53,15 +58,19 @@ class UndefinedCurvatureError(ValueError):
 
 @dataclass(frozen=True)
 class SurfaceJet:
-    """First-order data of the immersion at one parameter point."""
+    """First-order data of the immersion at one point or at an array of them.
+
+    Vectors have shape (4,) at one point and (n, 4) over n points; E, F, G
+    and regular are then floats and a bool, or arrays of shape (n,).
+    """
 
     position: np.ndarray
     xu: np.ndarray
     xv: np.ndarray
-    E: float
-    F: float
-    G: float
-    regular: bool
+    E: float | np.ndarray
+    F: float | np.ndarray
+    G: float | np.ndarray
+    regular: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,20 +80,21 @@ class FrameScalars:
     p = (quartic+1)(cross_minus+1)(cross_plus+1) * inv_r8 equals the squared
     norm of each tangent vector; q, with (1 - cross_minus) in place of
     (cross_minus + 1), equals the pairing of a tangent vector with the perp
-    partner of the other one.
+    partner of the other one.  Each field is an array over an array of points.
     """
 
-    p: float
-    q: float
-    quartic: float
-    cross_minus: float
-    cross_plus: float
-    inv_r8: float
+    p: float | np.ndarray
+    q: float | np.ndarray
+    quartic: float | np.ndarray
+    cross_minus: float | np.ndarray
+    cross_plus: float | np.ndarray
+    inv_r8: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class NormalFrame:
-    """Orthonormal tangent pair (e1, e2) and normal pair (n1, n2)."""
+    """Orthonormal tangent pair (e1, e2) and normal pair (n1, n2), each a
+    vector or a stack of vectors like the jet's."""
 
     e1: np.ndarray
     e2: np.ndarray
@@ -92,22 +102,28 @@ class NormalFrame:
     n2: np.ndarray
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    # fsum keeps the signed-permutation cancellations exact.
-    return math.fsum(float(x) * float(y) for x, y in zip(a, b))
+def _dot(a: np.ndarray, b: np.ndarray):
+    """Inner product over the last axis.  The accurate sum keeps the
+    signed-permutation cancellations exact."""
+    return accurate_sum(x * y for x, y in zip(a.T, b.T))
 
 
-def immersion_point(curve: MinimalCurve, w: complex) -> np.ndarray:
-    """Real part of the C4 curve: the immersion point in R4."""
-    return np.array([comp(w).real for comp in curve.parts])
+def _scaled(c, vec: np.ndarray) -> np.ndarray:
+    """Each vector of a stack times its own scalar."""
+    return np.expand_dims(c, -1) * vec
 
 
-def surface_jet(phi: PhiForm, curve: MinimalCurve, w: complex) -> SurfaceJet:
+def immersion_point(curve: MinimalCurve, w) -> np.ndarray:
+    """Real part of the C4 curve: the immersion point in R4 (a stack of
+    points over an array of w)."""
+    return np.stack([comp(w).real for comp in curve.parts], axis=-1)
+
+
+def surface_jet(phi: PhiForm, curve: MinimalCurve, w) -> SurfaceJet:
     """Position, analytic tangents, first fundamental form, regularity flag."""
     position = immersion_point(curve, w)
-    vals = [comp(w) for comp in phi.parts]
-    xu = np.array([v.real for v in vals])
-    xv = np.array([-v.imag for v in vals])
+    vals = np.stack([comp(w) for comp in phi.parts], axis=-1)
+    xu, xv = vals.real, -vals.imag
     _, reg = conformal_factor(phi, w)
     return SurfaceJet(
         position=position,
@@ -120,26 +136,26 @@ def surface_jet(phi: PhiForm, curve: MinimalCurve, w: complex) -> SurfaceJet:
     )
 
 
+_PERP = [1, 0, 3, 2]
+_PERP_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
 def perp_vectors(jet: SurfaceJet) -> tuple[np.ndarray, np.ndarray]:
     """Signed-permutation partners of the tangents.
 
     perp1 = (-xu2, xu1, -xu4, xu3) is orthogonal to xu and perp2, built the
     same way from xv, is orthogonal to xv; both exactly, term against term.
     """
-
-    def flip(a: np.ndarray) -> np.ndarray:
-        return np.array([-a[1], a[0], -a[3], a[2]])
-
-    return flip(jet.xu), flip(jet.xv)
+    return jet.xu[..., _PERP] * _PERP_SIGN, jet.xv[..., _PERP] * _PERP_SIGN
 
 
-def frame_scalars(params: FamilyParams, w: complex) -> FrameScalars:
+def frame_scalars(params: FamilyParams, w) -> FrameScalars:
     """Closed-form p, q and their factor scalars at w (m = n = 1, real lam)."""
     if params.m != 1 or params.n != 1:
         raise ValueError("closed-form frame scalars exist only for m = n = 1")
     if not params.lam_is_real:
         raise ValueError("closed-form frame scalars require real lam")
-    if w == 0:
+    if np.any(w == 0):
         raise ValueError("frame scalars undefined at the puncture")
     lam = params.lam.real
     u, v = w.real, w.imag
@@ -158,7 +174,7 @@ def _orthogonalize(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     out = vec.astype(float)
     for _ in range(2):  # one re-orthogonalization pass tightens the Gram matrix
         for b in basis:
-            out = out - _dot(out, b) * b
+            out = out - _scaled(_dot(out, b), b)
     return out
 
 
@@ -167,18 +183,19 @@ def normal_frame(jet: SurfaceJet) -> NormalFrame:
 
     e1, e2 span the tangent plane, n1, n2 the normal plane.  Raises
     DegenerateFrameError when the four candidates are numerically rank
-    deficient (the residual check is the rank test).
+    deficient (the residual check is the rank test); over a stack of
+    points, when that holds at any of them.
     """
-    if not jet.regular:
+    if not np.all(jet.regular):
         raise DegenerateFrameError("no frame at a non-regular point")
     perp1, perp2 = perp_vectors(jet)
     basis: list[np.ndarray] = []
     for vec in (jet.xu, jet.xv, perp1, perp2):
         resid = _orthogonalize(vec, basis)
-        norm = math.sqrt(_dot(resid, resid))
-        if norm <= 1e-10 * max(1.0, math.sqrt(_dot(vec, vec))):
+        norm = np.sqrt(_dot(resid, resid))
+        if np.any(norm <= 1e-10 * np.maximum(1.0, np.sqrt(_dot(vec, vec)))):
             raise DegenerateFrameError("frame candidates are rank deficient")
-        basis.append(resid / norm)
+        basis.append(resid / np.expand_dims(norm, -1))
     return NormalFrame(*basis)
 
 
@@ -189,15 +206,15 @@ def closed_form_normals(jet: SurfaceJet, scalars: FrameScalars) -> tuple[np.ndar
     Requires cross_minus bounded away from 0 (the formulas divide by it).
     """
     b = scalars.cross_minus
-    if b <= 1e-12:
+    if np.any(b <= 1e-12):
         raise FormulaDegenerateError("cross_minus ~ 0: closed-form normals undefined")
     perp1, perp2 = perp_vectors(jet)
-    factor = math.sqrt(
+    factor = np.sqrt(
         (b + 1.0)
         / (4.0 * (scalars.quartic + 1.0) * b * (scalars.cross_plus + 1.0) * scalars.inv_r8)
     )
-    n1 = factor * ((1.0 - b) / (b + 1.0) * jet.xv + perp1)
-    n2 = factor * ((b - 1.0) / (b + 1.0) * jet.xu + perp2)
+    n1 = _scaled(factor, _scaled((1.0 - b) / (b + 1.0), jet.xv) + perp1)
+    n2 = _scaled(factor, _scaled((b - 1.0) / (b + 1.0), jet.xu) + perp2)
     return n1, n2
 
 
@@ -252,10 +269,13 @@ def gauss_curvature(phi: PhiForm, w: complex) -> float:
     return float(curvature[0])
 
 
-def coordinate_laplacian(comp: LaurentPoly, w: complex, h: float) -> float:
-    """|Five-point Laplacian| of Re comp at w, step h, ring summed exactly."""
+def coordinate_laplacian(comp: LaurentPoly, w, h: float):
+    """|Five-point Laplacian| of Re comp at w, step h, ring summed exactly.
+
+    ``w`` may be an ndarray of points, which gives an array of residuals.
+    """
     center = comp(w).real
-    total = math.fsum(comp(w + d).real for d in (h, -h, 1j * h, -1j * h)) - 4.0 * center
+    total = accurate_sum(comp(w + d).real for d in (h, -h, 1j * h, -1j * h)) - 4.0 * center
     return abs(total) / h**2
 
 

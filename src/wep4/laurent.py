@@ -22,6 +22,7 @@ __all__ = [
     "ZERO",
     "ONE",
     "IDENTITY",
+    "accurate_sum",
 ]
 
 
@@ -41,9 +42,28 @@ class NonIntegrableTermError(ValueError):
     """
 
 
-def _fsum_complex(values: Iterable[complex]) -> complex:
+def accurate_sum(values: Iterable):
+    """Sum real or complex scalars exactly rounded, or arrays elementwise.
+
+    Scalars go through math.fsum (componentwise for complex values), so
+    algebraic cancellations come out as true zeros.  Arrays go through a
+    cascade of error-free TwoSum steps (Ogita, Rump & Oishi's Sum2): each
+    step's rounding error is recovered exactly and added back at the end,
+    which makes exact cancellations zeros there too.  Complex addition is
+    componentwise, so TwoSum holds on complex arrays as is.
+    """
     vals = list(values)
-    return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+    if not any(isinstance(v, np.ndarray) for v in vals):
+        if any(isinstance(v, complex) for v in vals):
+            return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
+        return math.fsum(vals)
+    total, error = vals[0], 0.0
+    for term in vals[1:]:
+        s = total + term
+        z = s - total
+        error = error + ((total - (s - z)) + (term - z))
+        total = s
+    return total + error
 
 
 class LaurentPoly:
@@ -163,40 +183,16 @@ class LaurentPoly:
 
         Scalar evaluation accumulates with fsum (exactly rounded sum of the
         term values); array evaluation sums the same terms with a cascade of
-        error-free TwoSum steps.  Evaluation at 0 raises LaurentDomainError
-        when negative exponents are present.
+        error-free TwoSum steps (see accurate_sum).  Evaluation at 0 raises
+        LaurentDomainError when negative exponents are present.
         """
-        if isinstance(w, np.ndarray):
-            return self._eval_array(w)
-        w = complex(w)
+        array = isinstance(w, np.ndarray)
+        w = w.astype(complex, copy=False) if array else complex(w)
         if not self._terms:
-            return 0j
-        if w == 0:
-            if min(self._terms) < 0:
-                raise LaurentDomainError("evaluation at the puncture w = 0")
-            return complex(self._terms.get(0, 0.0))
-        return _fsum_complex(c * w**k for k, c in self._terms.items())
-
-    def _eval_array(self, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=complex)
-        if not self._terms:
-            return np.zeros_like(w)
-        if min(self._terms) < 0 and np.any(w == 0):
+            return np.zeros_like(w) if array else 0j
+        if (np.any(w == 0) if array else w == 0) and min(self._terms) < 0:
             raise LaurentDomainError("evaluation at the puncture w = 0")
-        # Cascaded TwoSum (Ogita, Rump & Oishi's Sum2): each step's rounding
-        # error is recovered exactly and added back at the end.  Complex
-        # addition is componentwise, so TwoSum holds on complex arrays as is.
-        terms = iter(self._terms.items())
-        k, c = next(terms)
-        total = c * w**k
-        error = np.zeros_like(total)
-        for k, c in terms:
-            term = c * w**k
-            s = total + term
-            z = s - total
-            error += (total - (s - z)) + (term - z)
-            total = s
-        return total + error
+        return accurate_sum(c * w**k for k, c in self._terms.items())
 
     def envelope(self, radius: float) -> float:
         """Upper bound sum(|c_k| * radius**k); a scale for error tolerances."""

@@ -34,6 +34,7 @@ __all__ = [
     "MAX_VERTICES",
     "sample_grid",
     "project",
+    "projection_columns",
     "export",
     "export_obj",
     "export_ply",
@@ -165,13 +166,18 @@ def sample_grid(params: FamilyParams, grid: PolarGrid) -> QuadMesh4D:
     )
 
 
-def project(mesh: QuadMesh4D, axes: str) -> Mesh3D:
-    """Keep three of the four coordinate axes; faces are untouched."""
+def projection_columns(axes: str) -> list[int]:
+    """Column indices of three distinct axes named from AXES (any case)."""
     axes = axes.lower()
     if len(axes) != 3 or len(set(axes)) != 3 or any(a not in AXES for a in axes):
         raise ValueError(f"projection must name three distinct axes from {AXES!r}")
-    columns = [AXES.index(a) for a in axes]
-    return Mesh3D(vertices=mesh.xyzw[:, columns], faces=mesh.quads, axes=axes)
+    return [AXES.index(a) for a in axes]
+
+
+def project(mesh: QuadMesh4D, axes: str) -> Mesh3D:
+    """Keep three of the four coordinate axes; faces are untouched."""
+    columns = projection_columns(axes)
+    return Mesh3D(vertices=mesh.xyzw[:, columns], faces=mesh.quads, axes=axes.lower())
 
 
 def format_column(values) -> list[str]:

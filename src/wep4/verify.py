@@ -18,8 +18,10 @@ import numpy as np
 
 from .geometry import (
     closed_form_normals,
+    conformal_fields,
     coordinate_laplacian,
     frame_scalars,
+    immersion_point,
     normal_frame,
     perp_vectors,
     surface_jet,
@@ -37,7 +39,6 @@ from .henneberg import (
 from .laurent import LaurentPoly
 from .weierstrass import (
     WeierstrassTriple,
-    conformal_factor,
     nullity_defect,
     nullity_residual,
     phi_from_triple,
@@ -85,17 +86,20 @@ def sample_annulus(rng: np.random.Generator, count: int,
 
 def sample_regular(rng: np.random.Generator, count: int, phi,
                    r_lo: float = 0.4, r_hi: float = 1.8) -> np.ndarray:
-    """Annulus samples kept only where the regularity weight is healthy."""
-    out: list[complex] = []
-    while len(out) < count:
-        for w in sample_annulus(rng, count, r_lo, r_hi):
-            w = complex(w)
-            _, reg = conformal_factor(phi, w)
-            if reg > 1e3 * regularity_threshold(phi, w):
-                out.append(w)
-                if len(out) == count:
-                    break
-    return np.array(out)
+    """Annulus samples kept only where the regularity weight is healthy.
+
+    Draws batches of `count` points until `count` have passed, keeping the
+    first ones in draw order; every batch is drawn whole.
+    """
+    kept: list[np.ndarray] = []
+    found = 0
+    while found < count:
+        w = sample_annulus(rng, count, r_lo, r_hi)
+        _, reg, _ = conformal_fields(phi.triple, w)
+        healthy = w[reg > 1e3 * regularity_threshold(phi, w)][: count - found]
+        kept.append(healthy)
+        found += healthy.size
+    return np.concatenate(kept)
 
 
 def _segment_origin_distance(z: complex) -> float:
@@ -121,13 +125,16 @@ def quadrature_targets(rng: np.random.Generator, count: int) -> list[complex]:
 
 # -- suites --------------------------------------------------------------------
 
+def _worst(*errors) -> float:
+    """Largest magnitude in arrays of errors; 0 when they are empty."""
+    return max(float(np.max(np.abs(e), initial=0.0)) for e in errors)
+
+
 def check_nullity(params: FamilyParams, samples: int, rng: np.random.Generator) -> SuiteResult:
     phi = family_phi(params)
     defect = nullity_defect(phi.parts)
     structural = defect.is_zero
-    worst = 0.0
-    for w in sample_annulus(rng, samples):
-        worst = max(worst, nullity_residual(phi, complex(w)))
+    worst = _worst(nullity_residual(phi, sample_annulus(rng, samples)))
     ok = structural and worst <= 1e-12
     return SuiteResult(
         "nullity", ok, samples + 1,
@@ -184,11 +191,8 @@ def check_quadrature(params: FamilyParams, rng: np.random.Generator,
 
 def check_conformality(params: FamilyParams, samples: int, rng: np.random.Generator) -> SuiteResult:
     phi = family_phi(params)
-    curve = family_curve(params)
-    worst = 0.0
-    for w in sample_regular(rng, samples, phi):
-        jet = surface_jet(phi, curve, complex(w))
-        worst = max(worst, abs(jet.E - jet.G) / jet.E, abs(jet.F) / jet.E)
+    jet = surface_jet(phi, family_curve(params), sample_regular(rng, samples, phi))
+    worst = _worst((jet.E - jet.G) / jet.E, jet.F / jet.E)
     return SuiteResult("conformality", worst <= 1e-12, 2 * samples, f"max_rel={worst:.3e}")
 
 
@@ -202,24 +206,18 @@ def check_harmonicity(params: FamilyParams, points: int, rng: np.random.Generato
     """
     curve = family_curve(params)
     lo, hi = 1.8, 2.2
-    checked = 0
-    worst_order = 2.0
-    ok = True
-    for w in sample_annulus(rng, points, r_lo=0.75, r_hi=1.6):
-        w = complex(w)
-        scale = max(abs(c.real) for comp in curve.parts for c in (comp(w),))
-        floor = 1e-7 * (1.0 + scale)
-        for comp in curve.parts:
-            res_h = coordinate_laplacian(comp, w, h)
-            res_h2 = coordinate_laplacian(comp, w, h / 2.0)
-            if res_h < floor or res_h2 < floor:
-                continue
-            order = math.log2(res_h / res_h2)
-            checked += 1
-            if not (lo <= order <= hi):
-                ok = False
-                worst_order = order
-    ok = ok and checked > 0
+    w = sample_annulus(rng, points, r_lo=0.75, r_hi=1.6)
+    # (points, coordinates) arrays; a failure reports the last order out of
+    # range, taken point by point
+    floor = 1e-7 * (1.0 + np.max(np.abs(immersion_point(curve, w)), axis=1, keepdims=True))
+    res_h, res_h2 = (np.stack([coordinate_laplacian(comp, w, step) for comp in curve.parts],
+                              axis=-1) for step in (h, h / 2.0))
+    measurable = (res_h >= floor) & (res_h2 >= floor)
+    orders = np.log2(res_h[measurable] / res_h2[measurable])
+    outside = orders[(orders < lo) | (orders > hi)]
+    checked = int(orders.size)
+    ok = outside.size == 0 and checked > 0
+    worst_order = outside[-1] if outside.size else 2.0
     detail = (f"{checked} measurable orders within [{lo}, {hi}]"
               if ok else f"order {worst_order:.3f} out of range")
     return SuiteResult("harmonicity", ok, checked, detail)
@@ -232,29 +230,25 @@ def check_frames(params: FamilyParams, points: int, rng: np.random.Generator) ->
         return SuiteResult("frames", True, 0, "not applicable here", skipped=True)
     phi = family_phi(params)
     curve = family_curve(params)
-    worst_pq = 0.0
-    worst_gram = 0.0
-    worst_span = 0.0
-    for w in sample_regular(rng, points, phi):
-        w = complex(w)
-        jet = surface_jet(phi, curve, w)
-        perp1, perp2 = perp_vectors(jet)
-        s = frame_scalars(params, w)
-        q_direct = float(np.dot(jet.xu, perp2))
-        q_mirror = -float(np.dot(jet.xv, perp1))
-        worst_pq = max(
-            worst_pq,
-            abs(s.p - jet.E) / s.p,
-            abs(s.q - q_direct) / s.p,
-            abs(s.q - q_mirror) / s.p,
-        )
-        frame = normal_frame(jet)
-        basis = np.stack([frame.e1, frame.e2, frame.n1, frame.n2])
-        worst_gram = max(worst_gram, float(np.max(np.abs(basis @ basis.T - np.eye(4)))))
-        if s.cross_minus > 1e-6:
-            for n in closed_form_normals(jet, s):
-                resid = n - np.dot(n, frame.n1) * frame.n1 - np.dot(n, frame.n2) * frame.n2
-                worst_span = max(worst_span, float(np.linalg.norm(resid)))
+    w = sample_regular(rng, points, phi)
+    jet = surface_jet(phi, curve, w)
+    perp1, perp2 = perp_vectors(jet)
+    s = frame_scalars(params, w)
+    q_direct = np.sum(jet.xu * perp2, axis=1)
+    q_mirror = -np.sum(jet.xv * perp1, axis=1)
+    worst_pq = _worst((s.p - jet.E) / s.p, (s.q - q_direct) / s.p, (s.q - q_mirror) / s.p)
+    frame = normal_frame(jet)
+    basis = np.stack([frame.e1, frame.e2, frame.n1, frame.n2], axis=1)
+    worst_gram = _worst(basis @ basis.transpose(0, 2, 1) - np.eye(4))
+    # the closed forms divide by cross_minus: check them where it is clear of 0
+    keep = s.cross_minus > 1e-6
+    n1, n2 = frame.n1[keep], frame.n2[keep]
+    normals = closed_form_normals(surface_jet(phi, curve, w[keep]), frame_scalars(params, w[keep]))
+    worst_span = _worst(*(
+        np.linalg.norm(n - np.sum(n * n1, axis=1, keepdims=True) * n1
+                       - np.sum(n * n2, axis=1, keepdims=True) * n2, axis=1)
+        for n in normals
+    ))
     ok = worst_pq <= 1e-10 and worst_gram <= 1e-10 and worst_span <= 1e-8
     return SuiteResult(
         "frames", ok, 6 * points,

@@ -8,10 +8,6 @@ Its antiderivative is a null curve in C4 and the real part of that curve is
 a conformal minimal immersion of the punctured parameter domain.  Nullity,
 sum_k phi_k^2 = 0, holds identically by construction; conformality of the
 immersion (E = G, F = 0) is a direct consequence.
-
-The alternative convention driven by a pair of meromorphic functions
-(the two Gauss maps) plus a holomorphic 1-form is provided as well, only to
-exercise that route; there is no conversion map between the two data sets.
 """
 
 from __future__ import annotations
@@ -21,14 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laurent import ONE, ZERO, LaurentPoly
+from .laurent import ONE, ZERO, LaurentPoly, accurate_sum
 
 __all__ = [
     "WeierstrassTriple",
-    "GaussPairData",
     "PhiForm",
     "phi_from_triple",
-    "phi_from_gauss_pair",
     "nullity_defect",
     "nullity_residual",
     "conformal_factor",
@@ -46,21 +40,12 @@ class WeierstrassTriple:
 
 
 @dataclass(frozen=True)
-class GaussPairData:
-    """Two meromorphic Gauss maps g1, g2 plus a holomorphic 1-form factor h."""
-
-    g1: LaurentPoly
-    g2: LaurentPoly
-    h: LaurentPoly
-
-
-@dataclass(frozen=True)
 class PhiForm:
     """The 4-vector of holomorphic 1-form components.
 
-    ``triple`` is retained when the form was built from (f, g, h) data so
-    that the regularity weight |f| (1 + |g|^2 + |h|^2) can be evaluated
-    exactly; forms built another way fall back to sqrt(2 E).
+    ``triple`` is retained when the form was built from (f, g, h) data;
+    the regularity weight |f| (1 + |g|^2 + |h|^2) and the curvature are
+    read from it.
     """
 
     parts: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
@@ -101,27 +86,16 @@ def phi_from_triple(t: WeierstrassTriple) -> PhiForm:
     return PhiForm(parts, triple=t)
 
 
-def phi_from_gauss_pair(d: GaussPairData) -> PhiForm:
-    """Build the null 1-form from paired Gauss maps (g1, g2) and factor h."""
-    prod = d.g1 * d.g2
-    parts = (
-        ((ONE + prod) * 0.5) * d.h,
-        ((ONE - prod) * 0.5j) * d.h,
-        ((d.g1 - d.g2) * 0.5) * d.h,
-        ((d.g1 + d.g2) * (-0.5j)) * d.h,
-    )
-    _check_null(parts)
-    return PhiForm(parts)
+def nullity_residual(phi: PhiForm, w):
+    """|sum phi_k(w)^2| / sum |phi_k(w)|^2, reporting 0/0 as 0.
 
-
-def nullity_residual(phi: PhiForm, w: complex) -> float:
-    """|sum phi_k(w)^2| / sum |phi_k(w)|^2, reporting 0/0 as 0."""
+    ``w`` may be an ndarray of points, which gives an array of residuals.
+    """
     vals = [p(w) for p in phi.parts]
-    num = abs(complex(math.fsum((v * v).real for v in vals), math.fsum((v * v).imag for v in vals)))
-    den = math.fsum(abs(v) ** 2 for v in vals)
-    if den == 0.0:
-        return 0.0
-    return num / den
+    num = abs(accurate_sum(v * v for v in vals))
+    den = accurate_sum(abs(v) ** 2 for v in vals)
+    ratio = np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0.0)
+    return ratio if isinstance(w, np.ndarray) else float(ratio)
 
 
 def conformal_factor(phi: PhiForm, w: complex) -> tuple[float, float]:
@@ -129,16 +103,15 @@ def conformal_factor(phi: PhiForm, w: complex) -> tuple[float, float]:
 
     E = sum |phi_k(w)|^2 / 2, which equals <X_u, X_u> = <X_v, X_v> for the
     immersion with X_u - i X_v = phi.  The regularity weight is
-    |f| (1 + |g|^2 + |h|^2) when the triple is known and sqrt(2 E)
-    otherwise; both vanish exactly at branch points.
+    |f| (1 + |g|^2 + |h|^2), which vanishes exactly at branch points; it
+    needs the (f, g, h) data the form was built from.  ``w`` may be an
+    ndarray of points.
     """
-    vals = [p(w) for p in phi.parts]
-    energy = 0.5 * math.fsum(abs(v) ** 2 for v in vals)
-    if phi.triple is not None:
-        t = phi.triple
-        reg = abs(t.f(w)) * (1.0 + abs(t.g(w)) ** 2 + abs(t.h(w)) ** 2)
-    else:
-        reg = math.sqrt(2.0 * energy)
+    t = phi.triple
+    if t is None:
+        raise ValueError("the regularity weight needs the (f, g, h) data of the form")
+    energy = 0.5 * accurate_sum(abs(p(w)) ** 2 for p in phi.parts)
+    reg = abs(t.f(w)) * (1.0 + abs(t.g(w)) ** 2 + abs(t.h(w)) ** 2)
     return energy, reg
 
 

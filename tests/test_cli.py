@@ -32,6 +32,23 @@ def test_eval_real_lambda(capsys):
     assert out == "-1.3333333333333333 0 2 2"
 
 
+@pytest.mark.parametrize("flag, value", [("--point", "-0.5,0.4"), ("--lambda", "-1+1i"),
+                                         ("--lambda", "-2i"), ("--point", "-.5,-1e-1")])
+def test_dash_led_values_match_the_equals_form(flag, value, capsys):
+    argv = ["eval", "--m", "1", "--n", "3", "--lambda", "0.5", "--point", "0.7,0.2"]
+    argv[argv.index(flag) + 1] = value
+    assert main(argv) == 0
+    spaced = capsys.readouterr().out
+    joined = argv[:argv.index(flag)] + [f"{flag}={value}"] + argv[argv.index(flag) + 2:]
+    assert main(joined) == 0
+    assert capsys.readouterr().out == spaced and len(spaced.split()) == 4
+
+
+def test_option_after_a_valued_flag_is_not_taken_as_its_value(capsys):
+    assert main(["eval", "--point", "--lambda", "1"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 def test_eval_rejects_puncture_and_bad_point(capsys):
     assert main(["eval", "--m", "1", "--n", "1", "--lambda", "0", "--point", "0,0"]) == 2
     assert main(["eval", "--m", "1", "--n", "1", "--lambda", "0", "--point", "zap"]) == 2
@@ -121,11 +138,14 @@ def test_mesh_identical_invocations_byte_identical(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
-def test_mesh_bad_projection_is_usage_error(tmp_path, capsys):
+def test_mesh_bad_projection_is_usage_error(tmp_path, monkeypatch, capsys):
+    # the projection is checked before the grid is sampled
+    monkeypatch.setattr("wep4.cli.sample_grid", lambda *a: pytest.fail("grid sampled"))
     rc = main(["mesh", "--m", "1", "--n", "1", "--lambda", "0",
                "--project", "xxy", "--format", "obj",
                "--out", str(tmp_path / "x.obj")])
     assert rc == 2
+    assert "three distinct axes" in capsys.readouterr().err
 
 
 def test_report_stdout_csv(capsys):

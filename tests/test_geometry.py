@@ -130,9 +130,38 @@ def test_normal_frame_orthonormal():
 
 def test_normal_frame_rejects_non_regular():
     params = FamilyParams(1, 1, 0)
-    jet = surface_jet(family_phi(params), family_curve(params), 1 + 0j)
-    with pytest.raises(DegenerateFrameError):
-        normal_frame(jet)
+    phi, curve = family_phi(params), family_curve(params)
+    for w in (1 + 0j, np.array([1.5 + 0.5j, 1 + 0j])):  # one point, or any in a stack
+        with pytest.raises(DegenerateFrameError):
+            normal_frame(surface_jet(phi, curve, w))
+
+
+def test_stacked_jets_and_frames_match_one_point_calls():
+    # over an array of points every field is the stack of the one-point
+    # values: fsum at one point, compensated sums over the stack
+    for lam in (0.0, 1.0, 2.0):
+        params = FamilyParams(1, 1, lam)
+        phi, curve = family_phi(params), family_curve(params)
+        w = np.array([z for z, _ in _regular_points(phi, curve, 40)])
+        jet = surface_jet(phi, curve, w)
+        s = frame_scalars(params, w)
+        frame = normal_frame(jet)
+        normals = closed_form_normals(jet, s)
+        assert jet.xu.shape == (40, 4) and jet.E.shape == (40,) and jet.regular.all()
+        for i, z in enumerate(w.tolist()):
+            one = surface_jet(phi, curve, z)
+            for name in ("position", "xu", "xv", "E", "F", "G"):
+                got, want = getattr(jet, name)[i], getattr(one, name)
+                assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * (1 + jet.E[i])), name
+            s1 = frame_scalars(params, z)
+            for name in ("p", "q", "quartic", "cross_minus", "cross_plus", "inv_r8"):
+                # numpy and Python round r2**4 apart by an ulp at times
+                assert getattr(s, name)[i] == pytest.approx(getattr(s1, name), rel=1e-15)
+            frame1 = normal_frame(one)
+            for name in ("e1", "e2", "n1", "n2"):
+                assert np.max(np.abs(getattr(frame, name)[i] - getattr(frame1, name))) <= 1e-14
+            for n, n_one in zip(normals, closed_form_normals(one, s1)):
+                assert np.max(np.abs(n[i] - n_one)) <= 1e-14
 
 
 def test_closed_form_normals_span_gs_normals():

@@ -8,13 +8,11 @@ import pytest
 from wep4.henneberg import FamilyParams, family_phi, family_triple
 from wep4.laurent import IDENTITY, ONE, ZERO, LaurentPoly
 from wep4.weierstrass import (
-    GaussPairData,
     PhiForm,
     WeierstrassTriple,
     conformal_factor,
     nullity_defect,
     nullity_residual,
-    phi_from_gauss_pair,
     phi_from_triple,
 )
 
@@ -48,28 +46,6 @@ def test_phi_for_plane():
     )
 
 
-def test_gauss_pair_trivial_maps():
-    phi = phi_from_gauss_pair(GaussPairData(ZERO, ZERO, LaurentPoly({0: 2.0})))
-    assert phi.parts[0] == ONE
-    assert phi.parts[1] == LaurentPoly({0: 1j})
-    assert phi.parts[2].is_zero and phi.parts[3].is_zero
-
-
-def test_gauss_pair_antisymmetric_maps():
-    phi = phi_from_gauss_pair(
-        GaussPairData(IDENTITY, LaurentPoly({1: -1.0}), ONE)
-    )
-    assert phi.parts[2] == IDENTITY
-    assert phi.parts[3].is_zero
-
-
-def test_gauss_pair_nullity_structural():
-    d = GaussPairData(
-        LaurentPoly({2: 1.0, 0: -0.5}), LaurentPoly({1: 3.0}), LaurentPoly({0: 1.0, 1: 2.0})
-    )
-    assert nullity_defect(phi_from_gauss_pair(d).parts).is_zero
-
-
 def test_nullity_residual_small_on_members():
     for m, n, lam in ((1, 1, 1 + 1j), (3, 5, 0.5 - 2j)):
         phi = family_phi(FamilyParams(m, n, lam))
@@ -86,7 +62,15 @@ def test_nullity_residual_detects_corruption():
 
 
 def test_nullity_residual_zero_over_zero_reports_zero():
-    assert nullity_residual(PhiForm((ZERO, ZERO, ZERO, ZERO)), 1 + 0j) == 0.0
+    zero_form = PhiForm((ZERO, ZERO, ZERO, ZERO))
+    assert nullity_residual(zero_form, 1 + 0j) == 0.0
+    assert np.array_equal(nullity_residual(zero_form, np.array([1 + 0j, 2j])), [0.0, 0.0])
+
+
+def test_conformal_factor_needs_the_triple():
+    bare = PhiForm(family_phi(FamilyParams(1, 1, 1.0)).parts)
+    with pytest.raises(ValueError):
+        conformal_factor(bare, 0.5 + 0.25j)
 
 
 def test_conformal_factor_at_branch_point():
@@ -101,13 +85,6 @@ def test_conformal_factor_plane():
     # E = |1/2|^2 / 2 + |i/2|^2 / 2 = 1/4, the squared tangent norm
     assert energy == pytest.approx(0.25, abs=1e-15)
     assert reg == pytest.approx(1.0, abs=1e-15)
-
-
-def test_reg_weight_fallback_without_triple():
-    # forms not built from (f, g, h) fall back to sqrt(2 E)
-    phi = phi_from_gauss_pair(GaussPairData(ZERO, ZERO, LaurentPoly({0: 2.0})))
-    energy, reg = conformal_factor(phi, 0.5 + 0.25j)
-    assert reg == pytest.approx(math.sqrt(2.0 * energy), rel=1e-15)
 
 
 def test_real_lambda_metric_identity():

@@ -44,7 +44,6 @@ from .geometry import (
     curvature_denominator_check,
     frame_scalars,
     gauss_curvature,
-    harmonicity_residual,
     immersion_point,
     normal_frame,
     perp_vectors,

@@ -32,7 +32,7 @@ from .henneberg import (
 )
 from .geometry import immersion_point
 from .laurent import NonFiniteCoefficientError
-from .mesh import (AXES, PolarGrid, export, export_csv, format_float, project,
+from .mesh import (AXES, PolarGrid, export, export_csv, format_column, project,
                    projection_columns, sample_grid)
 from .verify import run_verify, sample_annulus
 
@@ -199,7 +199,7 @@ def _cmd_eval(args) -> int:
         point = None
     if point is None or not np.isfinite(point).all():
         raise UsageError(f"the curve overflows double precision at the point {args.point!r}")
-    print(" ".join(format_float(c) for c in point))
+    print(" ".join(format_column(point)))
     return 0
 
 

@@ -4,7 +4,7 @@ Tangent vectors come straight from the 1-form (X_u = Re phi, X_v = -Im phi),
 never from finite differences, so the first fundamental form and the frames
 carry no discretization error.  The Gauss curvature is a closed form in the
 Weierstrass data as well.  Finite differences appear in exactly one place,
-the harmonicity residual used as a minimality detector.
+the five-point coordinate Laplacian behind verify's minimality check.
 
 Jets, frame scalars and frames take one point or an ndarray of points.  At
 one point the vectors have shape (4,) and the sums are exactly rounded
@@ -39,7 +39,6 @@ __all__ = [
     "conformal_fields",
     "gauss_curvature",
     "coordinate_laplacian",
-    "harmonicity_residual",
     "curvature_denominator_check",
 ]
 
@@ -277,18 +276,6 @@ def coordinate_laplacian(comp: LaurentPoly, w, h: float):
     center = comp(w).real
     total = accurate_sum(comp(w + d).real for d in (h, -h, 1j * h, -1j * h)) - 4.0 * center
     return abs(total) / h**2
-
-
-def harmonicity_residual(curve: MinimalCurve, w: complex, h: float) -> float:
-    """Max over coordinates of the five-point Laplacian of Re X_k.
-
-    Coordinates of a minimal immersion are harmonic, so the residual is pure
-    O(h^2) truncation; a corrupted curve shows up orders of magnitude above
-    that.  The stencil disc must stay clear of the puncture.
-    """
-    if abs(w) <= 2.0 * h:
-        raise ValueError("stencil disc reaches the puncture")
-    return max(coordinate_laplacian(comp, w, h) for comp in curve.parts)
 
 
 def curvature_denominator_check() -> tuple[bool, str]:

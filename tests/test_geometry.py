@@ -12,10 +12,10 @@ from wep4.geometry import (
     UndefinedCurvatureError,
     closed_form_normals,
     conformal_fields,
+    coordinate_laplacian,
     curvature_denominator_check,
     frame_scalars,
     gauss_curvature,
-    harmonicity_residual,
     immersion_point,
     normal_frame,
     perp_vectors,
@@ -258,6 +258,18 @@ def test_scalar_curvature_is_the_array_closed_form():
     _, _, ks = conformal_fields(phi.triple, ws)
     for w, k in zip(ws, ks):
         assert gauss_curvature(phi, complex(w)) == k
+
+
+def harmonicity_residual(curve: MinimalCurve, w: complex, h: float) -> float:
+    """Reference: max over coordinates of the five-point Laplacian of Re X_k.
+
+    Coordinates of a minimal immersion are harmonic, so the residual is pure
+    O(h^2) truncation; a corrupted curve shows up orders of magnitude above
+    that.  The stencil disc must stay clear of the puncture.
+    """
+    if abs(w) <= 2.0 * h:
+        raise ValueError("stencil disc reaches the puncture")
+    return max(coordinate_laplacian(comp, w, h) for comp in curve.parts)
 
 
 def test_harmonicity_residual_second_order():

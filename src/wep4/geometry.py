@@ -21,7 +21,7 @@ import numpy as np
 
 from .henneberg import FamilyParams, MinimalCurve
 from .laurent import LaurentPoly, accurate_sum
-from .weierstrass import PhiForm, WeierstrassTriple, conformal_factor, regularity_threshold
+from .weierstrass import PhiForm, WeierstrassTriple, is_regular
 
 __all__ = [
     "SurfaceJet",
@@ -118,12 +118,17 @@ def immersion_point(curve: MinimalCurve, w) -> np.ndarray:
     return np.stack([comp(w).real for comp in curve.parts], axis=-1)
 
 
+def _triple(phi: PhiForm) -> WeierstrassTriple:
+    if phi.triple is None:
+        raise ValueError("branch flags and curvature need the (f, g, h) data of the form")
+    return phi.triple
+
+
 def surface_jet(phi: PhiForm, curve: MinimalCurve, w) -> SurfaceJet:
-    """Position, analytic tangents, first fundamental form, regularity flag."""
+    """Position, analytic tangents, first fundamental form, is_regular flag."""
     position = immersion_point(curve, w)
     vals = np.stack([comp(w) for comp in phi.parts], axis=-1)
     xu, xv = vals.real, -vals.imag
-    _, reg = conformal_factor(phi, w)
     return SurfaceJet(
         position=position,
         xu=xu,
@@ -131,7 +136,7 @@ def surface_jet(phi: PhiForm, curve: MinimalCurve, w) -> SurfaceJet:
         E=_dot(xu, xu),
         F=_dot(xu, xv),
         G=_dot(xv, xv),
-        regular=reg > regularity_threshold(phi, w),
+        regular=is_regular(_triple(phi), w),
     )
 
 
@@ -217,8 +222,8 @@ def closed_form_normals(jet: SurfaceJet, scalars: FrameScalars) -> tuple[np.ndar
     return n1, n2
 
 
-def conformal_fields(triple: WeierstrassTriple, w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Conformal factor E, regularity weight and Gauss curvature K at points w.
+def conformal_fields(triple: WeierstrassTriple, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conformal factor E and Gauss curvature K at points w.
 
     With the lift F = (1/sqrt2, g, h, (g^2 + h^2)/sqrt2) of the generalized
     Gauss map, phi = f U F for a constant unitary U, so E = |f|^2 |F|^2 / 2
@@ -229,9 +234,9 @@ def conformal_fields(triple: WeierstrassTriple, w: np.ndarray) -> tuple[np.ndarr
     where |F ^ F'|^2 = sum_{j<k} |F_j F'_k - F_k F'_j|^2 by Lagrange's
     identity.  A sum of squares, so K <= 0 holds with no cancellation and
     no step size.  F and F' are scaled by 1/|F| before the products, which
-    keeps the intermediates in range at large |w|.  The regularity weight
-    is |f| (1 + |g|^2 + |h|^2).  K is not finite where f vanishes (the
-    branch points); callers mask it there.
+    keeps the intermediates in range at large |w|.  K is not finite where f
+    vanishes (the branch points); callers mask it where
+    weierstrass.is_regular is False.
     """
     f, g, h = triple.f(w), triple.g(w), triple.h(w)
     dg, dh = triple.g.derivative()(w), triple.h.derivative()(w)
@@ -248,24 +253,22 @@ def conformal_fields(triple: WeierstrassTriple, w: np.ndarray) -> tuple[np.ndarr
     )
     f2 = f.real**2 + f.imag**2
     energy = 0.5 * f2 * norm2
-    reg = np.sqrt(f2) * (1.0 + np.abs(g) ** 2 + np.abs(h) ** 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         curvature = -2.0 * wedge / energy
-    return energy, reg, curvature
+    return energy, curvature
 
 
 def gauss_curvature(phi: PhiForm, w: complex) -> float:
     """Gauss curvature of the conformal metric E (du^2 + dv^2) at w.
 
     The closed form of conformal_fields at one point; needs the (f, g, h)
-    data the form was built from.
+    data the form was built from.  Raises UndefinedCurvatureError where
+    weierstrass.is_regular flags a branch point.
     """
-    if phi.triple is None:
-        raise ValueError("closed-form curvature needs the (f, g, h) data of the form")
-    energy, reg, curvature = conformal_fields(phi.triple, np.array([complex(w)]))
-    if not (reg[0] > regularity_threshold(phi, w) and energy[0] > 0.0):
+    triple = _triple(phi)
+    if not is_regular(triple, w):
         raise UndefinedCurvatureError("curvature undefined at a non-regular point")
-    return float(curvature[0])
+    return float(conformal_fields(triple, np.array([complex(w)]))[1][0])
 
 
 def coordinate_laplacian(comp: LaurentPoly, w, h: float):

@@ -33,6 +33,7 @@ __all__ = [
     "family_triple",
     "family_phi",
     "family_curve",
+    "fixed_gh_phi",
     "fixed_gh_curve",
     "classic_henneberg_phi",
     "classic_henneberg_curve",
@@ -91,11 +92,8 @@ def family_phi(p: FamilyParams) -> PhiForm:
 
 
 def _integrate_phi(phi: PhiForm) -> MinimalCurve:
-    # No integrand of this family carries exponent -1 (parity argument for
-    # the first two components, positivity for the last two); assert it so a
-    # violation cannot silently produce a wrong surface.
-    for comp in phi.parts:
-        assert all(k != -1 for k, _ in comp), "integrand with exponent -1"
+    # No integrand of this family carries exponent -1 (parity for the first two
+    # components, positivity for the last two); antiderivative raises if one does.
     return MinimalCurve(tuple(comp.antiderivative() for comp in phi.parts))
 
 
@@ -104,17 +102,20 @@ def family_curve(p: FamilyParams) -> MinimalCurve:
     return _integrate_phi(family_phi(p))
 
 
+def fixed_gh_phi(p: FamilyParams) -> PhiForm:
+    """Null form of the same f with the low-order data g = w, h = lam w."""
+    h = LaurentPoly.monomial(1, p.lam)
+    return phi_from_triple(WeierstrassTriple(family_triple(p).f, IDENTITY, h))
+
+
 def fixed_gh_curve(p: FamilyParams) -> MinimalCurve:
-    """Curve for the same f but with the low-order data g = w, h = lam w.
+    """Curve of fixed_gh_phi: the same f, but g = w, h = lam w.
 
     Coincides with family_curve at m = n = 1.  The third component comes out
     as (2/(m+n)) (w**(m+n) + w**(-(m+n))): both terms positive, whatever the
     printed reference form suggests.
     """
-    f = family_triple(p).f
-    g = IDENTITY
-    h = LaurentPoly.monomial(1, p.lam)
-    return _integrate_phi(phi_from_triple(WeierstrassTriple(f, g, h)))
+    return _integrate_phi(fixed_gh_phi(p))
 
 
 def classic_henneberg_phi() -> PhiForm:

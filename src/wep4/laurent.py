@@ -194,9 +194,10 @@ class LaurentPoly:
             raise LaurentDomainError("evaluation at the puncture w = 0")
         return accurate_sum(c * w**k for k, c in self._terms.items())
 
-    def envelope(self, radius: float) -> float:
-        """Upper bound sum(|c_k| * radius**k); a scale for error tolerances."""
-        return math.fsum(abs(c) * radius**k for k, c in self._terms.items())
+    def envelope(self, radius):
+        """Upper bound sum(|c_k| * radius**k) on |self| at that radius, a scale
+        for error tolerances; ``radius`` may be an ndarray."""
+        return accurate_sum(abs(c) * radius**k for k, c in self._terms.items())
 
 
 ZERO = LaurentPoly()

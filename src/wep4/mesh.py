@@ -1,8 +1,8 @@
 """Polar-grid sampling of the immersions and mesh/table export.
 
 Grids are polar because the family's branch loci and ends are circles
-around the puncture.  Vertices landing on (or numerically at) a branch
-point are kept but flagged non-regular; faces never reference a flagged
+around the puncture.  Vertices at a branch point (weierstrass.is_regular)
+are kept but flagged non-regular; faces never reference a flagged
 vertex, and the curvature field is simply left empty there.
 
 A grid is sampled in one vectorized pass and stored as columns (one row
@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import conformal_fields
-from .henneberg import FamilyParams, family_curve, family_phi
-from .weierstrass import regularity_threshold
+from .henneberg import FamilyParams, family_curve, family_triple
+from .weierstrass import is_regular
 
 __all__ = [
     "PolarGrid",
@@ -152,15 +152,15 @@ def sample_grid(params: FamilyParams, grid: PolarGrid) -> QuadMesh4D:
     """Sample the immersion over the polar grid in one vectorized pass.
 
     Positions, E and the closed-form K come from array evaluation of the
-    curve and the Weierstrass data; a cell becomes a quad only when all
-    four corners are regular.
+    curve and the Weierstrass data, flags from weierstrass.is_regular; a
+    cell becomes a quad only when all four corners are regular.
     """
-    phi = family_phi(params)
+    triple = family_triple(params)
     curve = family_curve(params)
     w = grid.points()
     xyzw = np.stack([part(w).real for part in curve.parts], axis=1)
-    energy, reg, curvature = conformal_fields(phi.triple, w)
-    regular = reg > regularity_threshold(phi, w)
+    energy, curvature = conformal_fields(triple, w)
+    regular = is_regular(triple, w)
     quads = grid.quads()
     return QuadMesh4D(
         uv=np.stack([w.real, w.imag], axis=1), xyzw=xyzw, E=energy,

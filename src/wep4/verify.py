@@ -18,7 +18,6 @@ import numpy as np
 
 from .geometry import (
     closed_form_normals,
-    conformal_fields,
     coordinate_laplacian,
     frame_scalars,
     immersion_point,
@@ -32,18 +31,14 @@ from .henneberg import (
     family_curve,
     family_phi,
     family_triple,
+    fixed_gh_curve,
+    fixed_gh_phi,
     integral_free_point,
     recover_seed,
     seed_phi,
 )
 from .laurent import LaurentPoly
-from .weierstrass import (
-    WeierstrassTriple,
-    nullity_defect,
-    nullity_residual,
-    phi_from_triple,
-    regularity_threshold,
-)
+from .weierstrass import is_regular, nullity_defect, nullity_residual
 
 __all__ = [
     "SuiteResult",
@@ -77,6 +72,11 @@ class SuiteResult:
 
 # -- sampling ------------------------------------------------------------------
 
+# is_regular tolerance of the sampled suites, a distance in units of 1/N that
+# keeps every sample clear of the branch points and their degenerate metric.
+SAMPLE_MARGIN = 1e-4
+
+
 def sample_annulus(rng: np.random.Generator, count: int,
                    r_lo: float = 0.4, r_hi: float = 1.8) -> np.ndarray:
     r = rng.uniform(r_lo, r_hi, count)
@@ -86,7 +86,7 @@ def sample_annulus(rng: np.random.Generator, count: int,
 
 def sample_regular(rng: np.random.Generator, count: int, phi,
                    r_lo: float = 0.4, r_hi: float = 1.8) -> np.ndarray:
-    """Annulus samples kept only where the regularity weight is healthy.
+    """Annulus samples kept only where is_regular holds with SAMPLE_MARGIN.
 
     Draws batches of `count` points until `count` have passed, keeping the
     first ones in draw order; every batch is drawn whole.
@@ -95,8 +95,7 @@ def sample_regular(rng: np.random.Generator, count: int, phi,
     found = 0
     while found < count:
         w = sample_annulus(rng, count, r_lo, r_hi)
-        _, reg, _ = conformal_fields(phi.triple, w)
-        healthy = w[reg > 1e3 * regularity_threshold(phi, w)][: count - found]
+        healthy = w[is_regular(phi.triple, w, SAMPLE_MARGIN)][: count - found]
         kept.append(healthy)
         found += healthy.size
     return np.concatenate(kept)
@@ -267,17 +266,13 @@ def check_integral_free(params: FamilyParams, rng: np.random.Generator,
     16 eps S / h (roundoff; S = (1 + |1 + lam^2|) sum_j |w|^j env(seed^(j))
     bounds the terms the curve sums) plus h^2 env(phi'') (truncation).
     """
-    from .henneberg import fixed_gh_curve
-
     seed = seed_phi(params.m, params.n)
     f_expected = family_triple(params).f
     d3 = seed.derivative().derivative().derivative()
     seed_ulp = _max_coeff_ulp(d3, f_expected)
 
     target = fixed_gh_curve(params)
-    phi_low = phi_from_triple(
-        WeierstrassTriple(f_expected, LaurentPoly.monomial(1), LaurentPoly.monomial(1, params.lam))
-    )
+    phi_low = fixed_gh_phi(params)
     seed_derivs = (seed, seed.derivative(), seed.derivative().derivative())
     phi_curvature = [comp.derivative().derivative() for comp in phi_low.parts]
     weight = 1.0 + abs(1.0 + params.lam * params.lam)

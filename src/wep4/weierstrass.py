@@ -12,7 +12,6 @@ immersion (E = G, F = 0) is a direct consequence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,11 @@ __all__ = [
     "nullity_defect",
     "nullity_residual",
     "conformal_factor",
-    "regularity_threshold",
+    "is_regular",
 ]
+
+# Branch flag tolerance of is_regular, a distance in units of 1/N (see there).
+BRANCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,7 @@ class PhiForm:
     """The 4-vector of holomorphic 1-form components.
 
     ``triple`` is retained when the form was built from (f, g, h) data;
-    the regularity weight |f| (1 + |g|^2 + |h|^2) and the curvature are
-    read from it.
+    the branch flags and the curvature are read from it.
     """
 
     parts: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
@@ -70,7 +71,8 @@ def _check_null(parts) -> None:
     )
     worst = max(abs(c) for _, c in defect)
     # Construction guarantees symbolic cancellation; only float dust may remain.
-    assert worst <= 1e-10 * max(1.0, scale), f"nullity defect {worst} at scale {scale}"
+    if worst > 1e-10 * max(1.0, scale):
+        raise ValueError(f"parts are not null: defect {worst} at scale {scale}")
 
 
 def phi_from_triple(t: WeierstrassTriple) -> PhiForm:
@@ -99,13 +101,13 @@ def nullity_residual(phi: PhiForm, w):
 
 
 def conformal_factor(phi: PhiForm, w: complex) -> tuple[float, float]:
-    """Return (E, reg_weight) at w.
+    """Return (E, reg_weight) at w, summed from the form's components.
 
     E = sum |phi_k(w)|^2 / 2, which equals <X_u, X_u> = <X_v, X_v> for the
-    immersion with X_u - i X_v = phi.  The regularity weight is
-    |f| (1 + |g|^2 + |h|^2), which vanishes exactly at branch points; it
-    needs the (f, g, h) data the form was built from.  ``w`` may be an
-    ndarray of points.
+    immersion with X_u - i X_v = phi; the regularity weight is
+    |f| (1 + |g|^2 + |h|^2) and needs the form's (f, g, h) data.  The
+    pipeline reads neither (see geometry.conformal_fields and is_regular):
+    both are the tests' independent reference.  ``w`` may be an ndarray.
     """
     t = phi.triple
     if t is None:
@@ -115,18 +117,14 @@ def conformal_factor(phi: PhiForm, w: complex) -> tuple[float, float]:
     return energy, reg
 
 
-def regularity_threshold(phi: PhiForm, w: complex) -> float:
-    """Scale-aware cutoff below which the regularity weight counts as zero.
+def is_regular(triple: WeierstrassTriple, w, tol: float = BRANCH_TOL):
+    """True where w is clear of the branch points: |f(w)| > tol env_f(|w|).
 
-    Grows with |w|**k_max away from the unit circle and with |w|**k_min
-    toward the puncture, so near-branch vertices are flagged at every
-    radius without flagging healthy ones.  ``w`` may be an ndarray of
-    points, which gives an array of cutoffs.
+    The metric weight |f| (1 + |g|^2 + |h|^2) vanishes exactly where f does,
+    so the rule compares f with its own envelope env_f(r) = sum |c_k| r^k
+    and needs no other scale.  For the family, f = 2 w^(-N-2) (w^(2N) - 1)
+    with N = m + n, the ratio is |w^(2N) - 1| / (1 + |w|^(2N)), about N times
+    the distance to the nearest 2N-th root of unity near |w| = 1: tol is a
+    distance in units of 1/N.  ``w`` may be an ndarray of points.
     """
-    exps = [k for p in phi.parts for k, _ in p]
-    if not exps:
-        return 1e-6
-    r = abs(w)
-    if not isinstance(r, np.ndarray) and r == 0.0:
-        return math.inf
-    return 1e-6 * (1.0 + r ** max(exps) + r ** min(exps))
+    return abs(triple.f(w)) > tol * triple.f.envelope(abs(w))

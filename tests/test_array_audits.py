@@ -34,7 +34,7 @@ from wep4.geometry import (
 )
 from wep4.henneberg import FamilyParams, family_curve, family_phi
 from wep4.verify import run_verify, sample_annulus, sample_regular
-from wep4.weierstrass import conformal_factor, nullity_residual, regularity_threshold
+from wep4.weierstrass import is_regular, nullity_residual
 
 LAM_GRID = (0, 1, 1 + 1j, 0.5 - 2j)
 MN_GRID = ((1, 1), (1, 3), (3, 1), (3, 3), (3, 5))
@@ -59,8 +59,7 @@ def scalar_sample_regular(rng, count, phi, r_lo=0.4, r_hi=1.8):
     while len(out) < count:
         for w in verify.sample_annulus(rng, count, r_lo, r_hi):
             w = complex(w)
-            _, reg = conformal_factor(phi, w)
-            if reg > 1e3 * regularity_threshold(phi, w):
+            if is_regular(phi.triple, w, verify.SAMPLE_MARGIN):
                 out.append(w)
                 if len(out) == count:
                     break

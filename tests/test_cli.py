@@ -167,6 +167,17 @@ def test_curvature_csv(tmp_path, capsys):
     assert len(lines) == 1 + 6 * 8
 
 
+def test_curvature_of_a_high_order_member_is_empty_only_at_branch_points(tmp_path, capsys):
+    # (1, 15): 16 of the 32nd roots of unity lie on the 40 x 80 grid's r = 1 ring
+    out = tmp_path / "K.csv"
+    rc = main(["curvature", "--m=1", "--n=15", "--lambda=0.0001", "--nr=40", "--ntheta=80",
+               f"--out={out}"])
+    assert rc == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 40 * 80
+    assert sum(k == "" for _, _, _, k in rows) == 16
+
+
 def test_info_json(capsys):
     rc = main(["info", "--m", "1", "--n", "1", "--lambda", "1+1i"])
     assert rc == 0

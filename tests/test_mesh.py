@@ -1,10 +1,13 @@
 """Grid sampling, masking, projection, and the export formats."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from wep4.geometry import surface_jet
 from wep4.henneberg import FamilyParams, family_curve, family_phi
@@ -96,6 +99,64 @@ def test_branch_vertices_flagged_and_masked():
         assert all(mesh.vertices[i].regular for i in quad)
     for v in mesh.vertices:
         assert (v.curvature is None) == (not v.regular)
+
+
+def _branch_distance(w, order):
+    """Distance from each point to the nearest order-th root of unity."""
+    nearest = np.round(np.angle(w) * order / (2.0 * math.pi))
+    return np.abs(w - np.exp(2j * math.pi * nearest / order))
+
+
+def test_high_order_member_flags_only_its_roots_of_unity():
+    # 16 of the 32nd roots of unity lie on the r = 1 ring; no other vertex is a branch point
+    mesh = sample_grid(FamilyParams(1, 15, 1e-4), PolarGrid(0.5, 2.0, 40, 80))
+    w = mesh.uv[:, 0] + 1j * mesh.uv[:, 1]
+    roots = _branch_distance(w, 32) <= 1e-12
+    assert np.count_nonzero(roots) == 16
+    assert np.array_equal(~mesh.regular, roots)
+    assert np.array_equal(np.isnan(mesh.K), roots)
+
+
+def test_high_order_member_keeps_every_readme_quad():
+    # no vertex of the 80 x 160 grid lies on the unit circle
+    mesh = sample_grid(FamilyParams(1, 15, 1e-4), PolarGrid(0.5, 2.0, 80, 160))
+    assert mesh.regular.all()
+    assert len(mesh.quads) == 79 * 160 == 12_640
+
+
+_ODD = st.sampled_from(range(1, 16, 2))
+
+
+@st.composite
+def _members_and_grids(draw):
+    m, n = draw(_ODD), draw(_ODD)
+    # |lam| log-uniform in [1e-6, 2]: a small |h| leaves f's own size in the weight
+    size, angle = 10.0 ** draw(st.floats(-6.0, math.log10(2.0))), draw(st.floats(0.0, 2.0 * math.pi))
+    lam = size * complex(math.cos(angle), math.sin(angle))
+    # r = 1 is a grid radius: an end of (0.5, 1) and (1, 2), and inside the
+    # other two ranges whenever n_r - 1 is a multiple of 3
+    n_r = draw(st.integers(2, 31))
+    r_min, r_max = draw(st.sampled_from(((0.5, 2.0), (0.5, 1.0), (1.0, 2.0), (0.75, 1.5))))
+    # a multiple of 2(m+n) theta steps puts a vertex on every root
+    n_theta = draw(st.one_of(st.integers(2, 90), st.integers(1, 3).map(lambda k: 2 * (m + n) * k)))
+    return FamilyParams(m, n, lam), PolarGrid(r_min, r_max, n_r, n_theta, draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_members_and_grids(), st.randoms(use_true_random=False))
+# high order, small lam: at r = 2 the weight |f|(1+|g|^2+|h|^2) is ~1e-8 |w|^44, the form's top power
+@example((FamilyParams(1, 15, 1e-4), PolarGrid(0.5, 2.0, 31, 64)), random.Random(0))
+def test_flags_are_the_roots_of_unity(case, rng):
+    params, grid = case
+    mesh = sample_grid(params, grid)
+    w = mesh.uv[:, 0] + 1j * mesh.uv[:, 1]
+    distance = _branch_distance(w, 2 * (params.m + params.n))
+    assume(not np.any((distance > 1e-12) & (distance < 1e-6)))
+    assert np.array_equal(~mesh.regular, distance <= 1e-12)
+    phi, curve = family_phi(params), family_curve(params)
+    picked = set(np.flatnonzero(~mesh.regular).tolist()) | set(rng.sample(range(w.size), min(8, w.size)))
+    for i in picked:
+        assert surface_jet(phi, curve, complex(w[i])).regular == bool(mesh.regular[i])
 
 
 def test_interior_ring_vertices_stay_regular():

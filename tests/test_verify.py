@@ -80,9 +80,9 @@ def test_integral_free_bound_clears_roundoff(lam, seed):
 
 
 def test_integral_free_detects_perturbed_form(monkeypatch):
-    original = verify.phi_from_triple
-    perturbed = lambda t: PhiForm(tuple(p * (1 + 1e-6) for p in original(t).parts), t)
-    monkeypatch.setattr(verify, "phi_from_triple", perturbed)
+    original = verify.fixed_gh_phi
+    perturbed = lambda p: PhiForm(tuple(q * (1 + 1e-6) for q in original(p).parts), original(p).triple)
+    monkeypatch.setattr(verify, "fixed_gh_phi", perturbed)
     res = check_integral_free(FamilyParams(1, 1, 2), np.random.default_rng(34))
     assert not res.passed
     assert float(re.search(r"fd_ratio=(\S+)", res.detail).group(1)) > 1.0

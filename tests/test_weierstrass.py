@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from wep4.henneberg import FamilyParams, family_phi, family_triple
+from wep4.henneberg import FamilyParams, classic_henneberg_phi, family_phi, family_triple
 from wep4.laurent import IDENTITY, ONE, ZERO, LaurentPoly
 from wep4.weierstrass import (
     PhiForm,
     WeierstrassTriple,
+    _check_null,
     conformal_factor,
+    is_regular,
     nullity_defect,
     nullity_residual,
     phi_from_triple,
@@ -65,6 +67,38 @@ def test_nullity_residual_zero_over_zero_reports_zero():
     zero_form = PhiForm((ZERO, ZERO, ZERO, ZERO))
     assert nullity_residual(zero_form, 1 + 0j) == 0.0
     assert np.array_equal(nullity_residual(zero_form, np.array([1 + 0j, 2j])), [0.0, 0.0])
+
+
+def test_non_null_parts_raise():
+    with pytest.raises(ValueError, match="not null"):
+        _check_null((ONE, ZERO, ZERO, ZERO))
+    _check_null((ONE, ONE * 1j, ZERO, ZERO))  # 1 + (i)^2 = 0
+
+
+def test_is_regular_compares_f_with_its_envelope():
+    # for the family the ratio is |w^(2N) - 1| / (1 + |w|^(2N)), N = m + n
+    for m, n in ((1, 1), (1, 15), (7, 5)):
+        t = family_triple(FamilyParams(m, n, 0.3 - 1j))
+        big_n = m + n
+        rng = np.random.default_rng(m + n)
+        ws = rng.uniform(0.5, 2.0, 40) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 40))
+        ratio = np.abs(ws ** (2 * big_n) - 1.0) / (1.0 + np.abs(ws) ** (2 * big_n))
+        assert np.all(is_regular(t, ws, ratio * (1.0 - 1e-9)))
+        assert not np.any(is_regular(t, ws, ratio * (1.0 + 1e-9)))
+        for w, rho in zip(ws[:5].tolist(), ratio[:5].tolist()):
+            assert is_regular(t, w, rho * (1.0 - 1e-9)) is True
+            assert is_regular(t, w, rho * (1.0 + 1e-9)) is False
+
+
+def test_is_regular_on_other_triples():
+    # the classical Henneberg factor 1 - w^-4 vanishes at the fourth roots of unity
+    t = classic_henneberg_phi().triple
+    roots = np.array([1, 1j, -1, -1j])
+    assert not np.any(is_regular(t, roots))
+    assert np.all(is_regular(t, roots * np.exp(0.01j)))
+    # a constant f has no branch points; f = 0 is nowhere regular
+    assert is_regular(WeierstrassTriple(ONE, ZERO, ZERO), 0.0) is True
+    assert not np.any(is_regular(WeierstrassTriple(ZERO, ONE, ZERO), roots))
 
 
 def test_conformal_factor_needs_the_triple():

@@ -43,6 +43,12 @@ _LAMBDA_CHARS = re.compile(r"^[0-9eE+\-.i]+$")
 # plain negative number, so "--point -0.5,0.4" would lose its value.
 _DASH_LED_FLAGS = ("--point", "--lambda")
 _DASH_LED_VALUE = re.compile(r"^-[0-9.i]")
+# The built-in value of every subcommand flag, by dest; --samples by command.
+DEFAULTS = {"m": 1, "n": 1, "lam": "0", "point": None, "out": None, "rmin": 0.5, "rmax": 2.0,
+            "nr": 80, "ntheta": 160, "open_seam": False, "project": "xyz", "fmt": "obj",
+            "seed": 42, "samples": {"verify": 1000, "report": 200}}
+# verify and report draw their samples as whole arrays, so the count is capped.
+MAX_SAMPLES = 1_000_000
 
 
 class UsageError(ValueError):
@@ -64,7 +70,7 @@ def parse_lambda(text: str) -> complex:
 def _params_from(args) -> FamilyParams:
     try:
         return FamilyParams(args.m, args.n, parse_lambda(args.lam))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
@@ -80,23 +86,14 @@ def _poly_json(poly) -> dict:
     return {str(k): [c.real + 0.0, c.imag + 0.0] for k, c in sorted(poly.terms.items())}
 
 
-def _add_member_flags(sub) -> None:
-    sub.add_argument("--m", type=int, default=1, help="first odd order")
-    sub.add_argument("--n", type=int, default=1, help="second odd order")
-    sub.add_argument("--lambda", dest="lam", default="0",
-                     help="complex weight, e.g. 0, 1, 1+1i, 0.5-2i")
-
-
 def _add_grid_flags(sub) -> None:
-    sub.add_argument("--rmin", type=float, default=0.5)
-    sub.add_argument("--rmax", type=float, default=2.0)
-    sub.add_argument("--nr", type=int, default=80)
-    sub.add_argument("--ntheta", type=int, default=160)
+    for flag, kind in (("--rmin", float), ("--rmax", float), ("--nr", int), ("--ntheta", int)):
+        sub.add_argument(flag, type=kind)
     sub.add_argument("--open-seam", action="store_true",
                      help="duplicate the theta seam instead of wrapping faces")
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wep4",
         description="Closed-form Henneberg-type minimal surfaces in R4",
@@ -104,59 +101,64 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     parser.add_argument("--config", help="JSON file with default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="immersion point at one parameter value")
-    _add_member_flags(p_eval)
-    p_eval.add_argument("--point", help="parameter point 'u,v'")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        # absent flags stay absent, so parsing over a namespace keeps its values
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.add_argument("--m", type=int, help="first odd order")
+        p.add_argument("--n", type=int, help="second odd order")
+        p.add_argument("--lambda", dest="lam", help="complex weight, e.g. 0, 1, 1+1i, 0.5-2i")
+        return p
 
-    p_mesh = sub.add_parser("mesh", help="sample, project, and export a mesh")
-    _add_member_flags(p_mesh)
+    command("eval", "immersion point at one parameter value").add_argument(
+        "--point", help="parameter point 'u,v'")
+
+    p_mesh = command("mesh", "sample, project, and export a mesh")
     _add_grid_flags(p_mesh)
-    p_mesh.add_argument("--project", default="xyz",
-                        help=f"three axes from '{AXES}' (obj/ply only)")
-    p_mesh.add_argument("--format", dest="fmt", default="obj",
-                        choices=["obj", "ply", "csv"])
+    p_mesh.add_argument("--project", help=f"three axes from '{AXES}' (obj/ply only)")
+    p_mesh.add_argument("--format", dest="fmt", choices=["obj", "ply", "csv"])
     p_mesh.add_argument("--out", help="output path")
 
-    p_verify = sub.add_parser("verify", help="run the verification suites")
-    _add_member_flags(p_verify)
-    p_verify.add_argument("--samples", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=42)
+    p_verify = command("verify", "run the verification suites")
+    p_verify.add_argument("--samples", type=int)
+    p_verify.add_argument("--seed", type=int)
 
-    p_report = sub.add_parser("report", help="fidelity audit of reference displays")
-    _add_member_flags(p_report)
-    p_report.add_argument("--samples", type=int, default=200)
-    p_report.add_argument("--seed", type=int, default=42)
+    p_report = command("report", "fidelity audit of reference displays")
+    p_report.add_argument("--samples", type=int)
+    p_report.add_argument("--seed", type=int)
     p_report.add_argument("--out", help="write the CSV here instead of stdout")
 
-    p_curv = sub.add_parser("curvature", help="Gauss curvature over a grid to CSV")
-    _add_member_flags(p_curv)
+    p_curv = command("curvature", "Gauss curvature over a grid to CSV")
     _add_grid_flags(p_curv)
     p_curv.add_argument("--out", help="output CSV path")
 
-    p_info = sub.add_parser("info", help="closed-form coefficients as JSON")
-    _add_member_flags(p_info)
-    p_info.add_argument("--out", help="write the JSON here instead of stdout")
-
-    commands = {"eval": p_eval, "mesh": p_mesh, "verify": p_verify,
-                "report": p_report, "curvature": p_curv, "info": p_info}
-    return parser, commands
+    command("info", "closed-form coefficients as JSON").add_argument(
+        "--out", help="write the JSON here instead of stdout")
+    return parser
 
 
-def _apply_config(parser, commands, argv: list[str]) -> argparse.Namespace:
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if known.config:
-        with open(known.config, "r", encoding="utf-8") as fh:
-            defaults = json.load(fh)
-        if not isinstance(defaults, dict):
-            raise UsageError("--config must contain a JSON object")
-        renames = {"lambda": "lam", "format": "fmt", "open-seam": "open_seam"}
-        mapped = {renames.get(k, k): v for k, v in defaults.items()}
-        # subparsers keep their own default tables, so feed every one of them
-        for p in [parser, *commands.values()]:
-            p.set_defaults(**mapped)
-    return parser.parse_args(argv)
+def _config_flags(path: str) -> list[str]:
+    """The --config file's keys as flags: --key=value, or a bare --key for true."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            config = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"--config {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise UsageError("--config must contain a JSON object")
+    return [f"--{key}" if value is True else f"--{key}={value}"
+            for key, value in config.items() if value is not None and value is not False]
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse the --config flags, then argv over them, then fill DEFAULTS."""
+    args = parser.parse_args(argv)
+    if args.config:
+        # keys only other subcommands know come back unparsed and are ignored
+        config, _ = parser.parse_known_args([args.command, *_config_flags(args.config)])
+        args = parser.parse_args(argv, config)
+    for key, value in DEFAULTS.items():
+        vars(args).setdefault(key, value.get(args.command) if key == "samples" else value)
+    return args
 
 
 def _attach_dash_led_values(argv: list[str]) -> list[str]:
@@ -230,15 +232,18 @@ def _cmd_mesh(args) -> int:
     return 0
 
 
-def _samples_from(args) -> int:
-    if args.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {args.samples}")
-    return args.samples
+def _draws_from(args) -> tuple[int, int]:
+    """The --samples count and --seed of verify or report, checked."""
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise UsageError(f"--samples must be from 1 to {MAX_SAMPLES}, got {args.samples}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    return args.samples, args.seed
 
 
 def _cmd_verify(args) -> int:
     params = _params_from(args)
-    results = run_verify(params, _samples_from(args), args.seed)
+    results = run_verify(params, *_draws_from(args))
     for res in results:
         print(res.line())
     failed = sum(not r.skipped and not r.passed for r in results)
@@ -250,8 +255,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     params = _params_from(args)
-    rng_points = sample_annulus(np.random.default_rng(args.seed), _samples_from(args),
-                                r_lo=0.5, r_hi=1.7)
+    samples, seed = _draws_from(args)
+    rng_points = sample_annulus(np.random.default_rng(seed), samples, r_lo=0.5, r_hi=1.7)
     report = fidelity_report(params, rng_points)
     _write_text(args.out, report.to_csv(), f"({len(report.rows)} rows)")
     return 0
@@ -282,21 +287,15 @@ def _cmd_info(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "mesh": _cmd_mesh,
-    "verify": _cmd_verify,
-    "report": _cmd_report,
-    "curvature": _cmd_curvature,
-    "info": _cmd_info,
-}
+_COMMANDS = {"eval": _cmd_eval, "mesh": _cmd_mesh, "verify": _cmd_verify,
+             "report": _cmd_report, "curvature": _cmd_curvature, "info": _cmd_info}
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = _attach_dash_led_values(list(sys.argv[1:] if argv is None else argv))
-    parser, commands = _build_parser()
+    parser = _build_parser()
     try:
-        args = _apply_config(parser, commands, argv)
+        args = _parse_args(parser, argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"wep4: error: {exc}", file=sys.stderr)

@@ -127,8 +127,6 @@ class QuadMesh4D:
     K: np.ndarray
     regular: np.ndarray
     quads: np.ndarray
-    params: FamilyParams
-    grid: PolarGrid
 
     @cached_property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -145,7 +143,6 @@ class Mesh3D:
 
     vertices: np.ndarray
     faces: np.ndarray
-    axes: str
 
 
 def sample_grid(params: FamilyParams, grid: PolarGrid) -> QuadMesh4D:
@@ -165,7 +162,7 @@ def sample_grid(params: FamilyParams, grid: PolarGrid) -> QuadMesh4D:
     return QuadMesh4D(
         uv=np.stack([w.real, w.imag], axis=1), xyzw=xyzw, E=energy,
         K=np.where(regular, curvature, np.nan), regular=regular,
-        quads=quads[regular[quads].all(axis=1)], params=params, grid=grid,
+        quads=quads[regular[quads].all(axis=1)],
     )
 
 
@@ -180,7 +177,7 @@ def projection_columns(axes: str) -> list[int]:
 def project(mesh: QuadMesh4D, axes: str) -> Mesh3D:
     """Keep three of the four coordinate axes; faces are untouched."""
     columns = projection_columns(axes)
-    return Mesh3D(vertices=mesh.xyzw[:, columns], faces=mesh.quads, axes=axes.lower())
+    return Mesh3D(vertices=mesh.xyzw[:, columns], faces=mesh.quads)
 
 
 def format_column(values) -> list[str]:
@@ -285,6 +282,5 @@ def load_obj(path) -> Mesh3D:
     return Mesh3D(
         vertices=np.array(vertices, dtype=float).reshape(-1, 3),
         faces=np.array(faces, dtype=np.int64).reshape(len(faces), -1),
-        axes="xyz",
     )
 

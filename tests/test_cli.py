@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wep4.cli import UsageError, main, parse_lambda
+from wep4.cli import DEFAULTS, UsageError, _build_parser, _parse_args, main, parse_lambda
 
 
 def test_parse_lambda_grammar():
@@ -89,10 +89,15 @@ def test_verify_summary_counts_skipped_suites(capsys):
     ["info", "--lambda", "1e308"],
     ["mesh", "--nr", "1001", "--ntheta", "1000"],
     ["curvature", "--nr", "2", "--ntheta", "500001"],
+    ["verify", "--samples=1000000000000"],
+    ["report", "--samples=1000001"],
+    ["verify", "--seed=-1"],
+    ["report", "--seed=-1"],
 ])
 def test_bad_input_exits_two_with_message(argv, tmp_path, monkeypatch, capsys):
-    # the grid cap must hold before anything is sampled
-    monkeypatch.setattr("wep4.cli.sample_grid", lambda *a: pytest.fail("grid sampled"))
+    # the grid and sample caps must hold before anything is sampled
+    for name in ("sample_grid", "run_verify", "sample_annulus"):
+        monkeypatch.setattr(f"wep4.cli.{name}", lambda *a, **k: pytest.fail("sampled"))
     if argv[0] in ("mesh", "curvature"):
         argv = argv + ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
@@ -198,3 +203,77 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     rc = main(["--config", str(config), "eval", "--lambda", "1"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "-1.3333333333333333 0 2 2"
+
+
+@pytest.mark.parametrize("text, argv", [
+    ('{"point": [1, 0]}', ["eval"]),
+    ('{"project": 5}', ["mesh", "--nr=3", "--ntheta=4"]),
+    ('{"nr": 40.5}', ["curvature", "--ntheta=4"]),
+    ('{"samples": 2.5}', ["verify"]),
+    ('{"format": "stl"}', ["mesh", "--nr=3", "--ntheta=4"]),
+    ('{"m": 1,', ["info"]),
+    ('{"open-seam": "yes"}', ["curvature", "--nr=3", "--ntheta=4"]),
+    ('{"seed": -1}', ["report", "--samples=10"]),
+    ('{"m": true}', ["info"]),
+])
+def test_bad_config_value_exits_two_like_the_flag(text, argv, tmp_path, capsys):
+    # config values go through argparse's type= and choices= and the same
+    # checks as flags; an uncaught exception would fail the test in process
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    if argv[0] in ("mesh", "curvature"):
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(["--config", str(config), *argv]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_one_parser_serves_a_config_call_then_a_plain_call(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"m": 3, "lambda": "1+1i", "samples": 50, "seed": 7}))
+    parser = _build_parser()
+    first = _parse_args(parser, ["--config", str(config), "verify", "--seed=9"])
+    assert (first.m, first.n, first.lam, first.samples, first.seed) == (3, 1, "1+1i", 50, 9)
+    second = _parse_args(parser, ["verify"])
+    assert vars(second) == {**DEFAULTS, "samples": 1000, "command": "verify", "config": None}
+
+
+def test_config_open_seam_true_gives_the_open_seam_grid(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"open-seam": True, "nr": 3, "ntheta": 4, "format": "csv"}))
+    out = tmp_path / "open.csv"
+    assert main(["--config", str(config), "mesh", "--out", str(out)]) == 0
+    # 3 x 4 vertices; the open seam drops one column of cells: 2 x 3 quads, not 2 x 4
+    assert capsys.readouterr().out == f"wrote {out} (12 vertices, 6 quads)\n"
+
+
+def test_one_config_serves_eval_and_verify(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"point": "0.7,-0.3", "samples": 60, "lambda": "0.5-2i"}))
+    member = ["--m=1", "--n=1", "--lambda=0.5-2i"]
+    for argv in (["eval", "--point=0.7,-0.3"], ["verify", "--samples=60", "--seed=42"]):
+        assert main(["--config", str(config), argv[0]]) == 0
+        from_config = capsys.readouterr().out
+        assert main([argv[0], *member, *argv[1:]]) == 0
+        assert capsys.readouterr().out == from_config != ""
+
+
+@pytest.mark.parametrize("config, argv, flags", [
+    ({"lambda": 1, "point": "1,0"}, ["eval"], ["eval", "--lambda=1", "--point=1,0"]),
+    ({"m": 3, "n": 5, "lambda": 0.5, "point": "-0.5,0.4"}, ["eval"],
+     ["eval", "--m=3", "--n=5", "--lambda=0.5", "--point=-0.5,0.4"]),
+    ({"n": 3, "lambda": "1+1i", "samples": 40, "seed": 7}, ["report"],
+     ["report", "--n=3", "--lambda=1+1i", "--samples=40", "--seed=7"]),
+    ({"m": 3, "lambda": "0.5-2i", "samples": 80, "format": "stl"}, ["verify"],
+     ["verify", "--m=3", "--lambda=0.5-2i", "--samples=80"]),
+    ({"n": 3, "lambda": 2e-3}, ["info"], ["info", "--n=3", "--lambda=0.002"]),
+])
+def test_config_call_prints_the_bytes_of_the_same_flags(config, argv, flags, tmp_path, capsys):
+    # a JSON number is its text as a flag value; keys of other commands are ignored
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), *argv]) == 0
+    from_config = capsys.readouterr().out
+    assert main(flags) == 0
+    assert capsys.readouterr().out == from_config != ""

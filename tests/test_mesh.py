@@ -317,7 +317,7 @@ def _reference_bytes(mesh, fmt: str, fields=CSV_FIELDS) -> bytes:
 
 def _assert_exports_match_reference(mesh4, tmp_path):
     mesh3 = project(mesh4, "yzw")
-    triangles = Mesh3D(mesh3.vertices, mesh3.faces[:, :3], "yzw")
+    triangles = Mesh3D(mesh3.vertices, mesh3.faces[:, :3])
     cases = [(mesh4, "csv", CSV_FIELDS), (mesh4, "csv", ("u", "v", "E", "K")),
              (mesh3, "obj", None), (mesh3, "ply", None),
              (triangles, "obj", None), (triangles, "ply", None)]
@@ -339,7 +339,6 @@ def test_block_writer_matches_whole_file_writer_at_block_edges(tmp_path, rows):
     mesh4 = QuadMesh4D(
         uv=full.uv[:rows], xyzw=full.xyzw[:rows], E=full.E[:rows], K=full.K[:rows],
         regular=full.regular[:rows], quads=np.resize(full.quads, (rows, 4)) % rows,
-        params=full.params, grid=full.grid,
     )
     _assert_exports_match_reference(mesh4, tmp_path)
 

@@ -206,15 +206,11 @@ def _cmd_eval(args) -> int:
 
 
 def _sample(args):
-    """The grid of a mesh or curvature command, refused where it overflows."""
+    """The grid of a mesh or curvature command."""
     params = _params_from(args)
     if not args.out:
         raise UsageError("--out is required")
-    with np.errstate(all="ignore"):
-        mesh4 = sample_grid(params, _grid_from(args))
-    if not (np.isfinite(mesh4.xyzw).all() and np.isfinite(mesh4.E).all()):
-        raise UsageError("the surface overflows double precision on this grid")
-    return mesh4
+    return sample_grid(params, _grid_from(args))
 
 
 def _cmd_mesh(args) -> int:
@@ -296,9 +292,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = _parse_args(parser, argv)
-        return _COMMANDS[args.command](args)
+        # values that overflow are refused, never written or printed as inf or nan
+        with np.errstate(over="raise", invalid="raise"):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"wep4: error: {exc}", file=sys.stderr)
+        return 2
+    except FloatingPointError as exc:
+        print(f"wep4: error: the member overflows double precision ({exc})", file=sys.stderr)
         return 2
     except NonFiniteCoefficientError as exc:
         # only an overflowing --lambda makes a member's coefficients non-finite

@@ -144,38 +144,41 @@ def seed_phi(m: int, n: int) -> LaurentPoly:
     return LaurentPoly({N + 1: c, -(N - 1): c})
 
 
-def integral_free_point(seed: LaurentPoly, lam: complex, w: complex):
+def integral_free_point(seed: LaurentPoly, lam: complex, w):
     """Evaluate the curve directly from the seed function, no integration.
 
     Returns the complex 4-vector (k1, k2, k3, k4); the immersion point is
     its componentwise real part.  Corresponds to the data
-    f = seed''', g = w, h = lam w.
+    f = seed''', g = w, h = lam w.  w is a point, an ndarray of points, or
+    IDENTITY, which gives the components as Laurent polynomials.
     """
     lam = complex(lam)
     d1 = seed.derivative()
     d2 = d1.derivative()
-    p0, p1, p2 = seed(w), d1(w), d2(w)
+    p0, p1, p2 = (seed, d1, d2) if w is IDENTITY else (seed(w), d1(w), d2(w))
     a = 1.0 + lam * lam
+    # distributed, so that the same lines serve numbers and polynomials
     radial = w * p1 - p0
     k3 = w * p2 - p1
     return (
-        0.5 * (1.0 - a * w * w) * p2 + a * radial,
-        0.5j * (1.0 + a * w * w) * p2 - 1j * a * radial,
+        0.5 * p2 - 0.5 * a * w * w * p2 + a * radial,
+        0.5j * p2 + 0.5j * a * w * w * p2 - 1j * a * radial,
         k3,
         lam * k3,
     )
 
 
-def recover_seed(k, lam: complex, w: complex) -> complex:
+def recover_seed(k, lam: complex, w):
     """Invert integral_free_point: recover the seed value from the curve.
 
-    Requires lam**2 + 1 bounded away from 0 (lam near +-i is rejected).
+    w and the components of k are points or ndarrays of points.  Requires
+    lam**2 + 1 bounded away from 0 (lam near +-i is rejected).
     """
     lam = complex(lam)
     a = 1.0 + lam * lam
     if abs(a) < 1e-9:
         raise DegenerateParameterError("lam**2 + 1 ~ 0: inversion undefined")
-    k1, k2, k3, k4 = (complex(v) for v in k)
+    k1, k2, k3, k4 = k
     return (
         (a * w * w - 1.0) / (2.0 * a) * k1
         - 1j * (a * w * w + 1.0) / (2.0 * a) * k2

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import conformal_fields
+from .geometry import conformal_fields, immersion_point
 from .henneberg import FamilyParams, family_curve, family_triple
 from .weierstrass import is_regular
 
@@ -155,7 +155,7 @@ def sample_grid(params: FamilyParams, grid: PolarGrid) -> QuadMesh4D:
     triple = family_triple(params)
     curve = family_curve(params)
     w = grid.points()
-    xyzw = np.stack([part(w).real for part in curve.parts], axis=1)
+    xyzw = immersion_point(curve, w)
     energy, curvature = conformal_fields(triple, w)
     regular = is_regular(triple, w)
     quads = grid.quads()

@@ -32,7 +32,17 @@ from wep4.geometry import (
     perp_vectors,
     surface_jet,
 )
-from wep4.henneberg import FamilyParams, family_curve, family_phi
+from wep4.henneberg import (
+    FamilyParams,
+    family_curve,
+    family_phi,
+    family_triple,
+    fixed_gh_curve,
+    fixed_gh_phi,
+    integral_free_point,
+    recover_seed,
+    seed_phi,
+)
 from wep4.verify import run_verify, sample_annulus, sample_regular
 from wep4.weierstrass import is_regular, nullity_residual
 
@@ -49,6 +59,12 @@ VALUE_TOL = 1e-14
 # (1 + max_k |X_k(w)|) / h^2: the two paths round the ring values differently
 # in the last bits (measured up to 7.3 eps over the acceptance grid).
 LAPLACIAN_NOISE = 16 * np.finfo(float).eps
+# Bounds on |array - scalar| of integral_free's worst values: the pointwise
+# curve error, in units of max(1, |curve|) (measured up to 1.4 eps over the
+# acceptance grid), and the round-trip ratio, whose bound is 16 eps times the
+# weighted terms (measured up to 0.035 of it).
+POINT_NOISE = 4 * np.finfo(float).eps
+ROUNDTRIP_NOISE = 2 / 16
 
 
 # -- the scalar references -----------------------------------------------------
@@ -120,6 +136,44 @@ def scalar_frames(params, phi, curve, points, rng):
     return worst_pq, worst_gram, worst_span
 
 
+def scalar_integral_free(params, rng, points=25):
+    """(verdict, point, roundtrip_ratio) of the seed route, one point at a
+    time: the pointwise curve, its central difference at h = 1e-6 held to
+    that stencil's own error bound, and the recover_seed round trip."""
+    seed = seed_phi(params.m, params.n)
+    d3 = seed.derivative().derivative().derivative()
+    seed_ulp = verify._max_coeff_ulp(d3, family_triple(params).f)
+    target = fixed_gh_curve(params)
+    phi_low = fixed_gh_phi(params)
+    seed_derivs = (seed, seed.derivative(), seed.derivative().derivative())
+    phi_curvature = [comp.derivative().derivative() for comp in phi_low.parts]
+    weight = 1.0 + abs(1.0 + params.lam * params.lam)
+    h = 1e-6
+    worst_point = worst_fd = worst_rt = 0.0
+    can_invert = abs(1.0 + params.lam * params.lam) > 1e-3
+    for w in sample_annulus(rng, points, r_lo=0.6, r_hi=1.5):
+        w = complex(w)
+        k = integral_free_point(seed, params.lam, w)
+        ref = [comp(w) for comp in target.parts]
+        scale = max(1.0, max(abs(v) for v in ref))
+        worst_point = max(worst_point, max(abs(a - b) for a, b in zip(k, ref)) / scale)
+        kp = integral_free_point(seed, params.lam, w + h)
+        km = integral_free_point(seed, params.lam, w - h)
+        fd = [(a - b) / (2.0 * h) for a, b in zip(kp, km)]
+        phiv = [comp(w) for comp in phi_low.parts]
+        r = abs(w) + h
+        terms = weight * math.fsum(r**j * d.envelope(r) for j, d in enumerate(seed_derivs))
+        bound = (16.0 * np.finfo(float).eps * terms / h
+                 + h * h * max(p.envelope(r) for p in phi_curvature))
+        worst_fd = max(worst_fd, max(abs(a - b) for a, b in zip(fd, phiv)) / bound)
+        if can_invert:
+            rt = recover_seed(k, params.lam, w)
+            rt_bound = float(verify._roundtrip_bound(seed, params.lam, w))
+            worst_rt = max(worst_rt, abs(rt - seed(w)) / rt_bound)
+    ok = seed_ulp <= 1.0 and worst_point <= 1e-12 and worst_fd <= 1.0 and worst_rt <= 1.0
+    return ok, worst_point, worst_rt
+
+
 def scalar_verify(params, samples, seed):
     """The suites' worst values and lines, replayed through the scalar rules."""
     rng = np.random.default_rng(seed)
@@ -130,7 +184,7 @@ def scalar_verify(params, samples, seed):
     out["harmonicity"] = scalar_harmonicity(curve, 50, rng)
     if params.m == params.n == 1 and params.lam_is_real:
         out["frames"] = scalar_frames(params, phi, curve, 100, rng)
-    out["integral_free"] = verify.check_integral_free(params, rng).line()
+    out["integral_free"] = scalar_integral_free(params, rng)
     out["reductions"] = verify.check_reductions(params).line()
     return out
 
@@ -184,8 +238,17 @@ def test_verify_suites_match_the_scalar_rules(params, samples, seed):
     ref = scalar_verify(params, samples, seed)
 
     # suites whose code is unchanged see the same RNG stream: identical lines
-    for name in ("quadrature", "integral_free", "reductions"):
+    for name in ("quadrature", "reductions"):
         assert results[name].line() == ref[name]
+
+    passed, point, roundtrip = ref["integral_free"]
+    integral_free = results["integral_free"]
+    assert integral_free.passed and passed, integral_free.line()
+    assert integral_free.checks == 9 + 2 * 25
+    # printed to three digits: compare at that precision plus the bound
+    assert abs(_detail(integral_free, "point") - point) <= 0.006 * point + POINT_NOISE
+    assert (abs(_detail(integral_free, "roundtrip_ratio") - roundtrip)
+            <= 0.006 * roundtrip + ROUNDTRIP_NOISE)
 
     nullity = results["nullity"]
     assert nullity.passed and nullity.checks == samples + 1

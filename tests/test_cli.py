@@ -105,6 +105,26 @@ def test_bad_input_exits_two_with_message(argv, tmp_path, monkeypatch, capsys):
     assert captured.err.startswith("wep4: error: ") and captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--m", "2001", "--n", "1", "--samples", "10"],
+    ["verify", "--m", "999", "--n", "1"],
+    ["verify", "--m", "301", "--n", "301"],
+    ["report", "--m", "999", "--n", "1"],
+])
+def test_member_that_overflows_its_samples_exits_two(argv, capsys):
+    # refused with a message: no traceback, no nan verdicts, no RuntimeWarning
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("wep4: error: ") and captured.out == ""
+
+
+def test_member_that_only_loses_precision_still_runs(capsys):
+    rc = main(["verify", "--m", "99", "--n", "99", "--samples", "50"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc in (0, 1) and len(lines) == 9 and lines[-1].startswith("verify: ")
+    assert "integral_free: PASS" in lines[6]
+
+
 def test_grid_that_overflows_is_refused(tmp_path, capsys):
     out = tmp_path / "K.csv"
     rc = main(["curvature", "--rmax", "1e200", "--nr", "3", "--ntheta", "4",

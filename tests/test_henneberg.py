@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wep4.henneberg import (
     DegenerateParameterError,
@@ -14,11 +16,13 @@ from wep4.henneberg import (
     family_phi,
     family_triple,
     fixed_gh_curve,
+    fixed_gh_phi,
     integral_free_point,
     recover_seed,
     seed_phi,
 )
-from wep4.laurent import LaurentPoly
+from wep4.laurent import IDENTITY, LaurentPoly
+from wep4.verify import _max_coeff_ulp
 from wep4.weierstrass import nullity_residual
 
 LAM_GRID = (0, 1, 1 + 1j, 0.5 - 2j)
@@ -238,6 +242,43 @@ def test_integral_free_derivative_reproduces_form():
         for j, comp in enumerate(phi.parts):
             fd = (kp[j] - km[j]) / (2 * h)
             assert abs(fd - comp(w)) <= 1e-8 * max(1.0, abs(comp(w)))
+
+
+_odd_orders = st.integers(0, 49).map(lambda k: 2 * k + 1)
+# parts that keep every coefficient product clear of underflow, where an ulp
+# count stops measuring relative error
+_parts = st.floats(-3.0, 3.0).filter(lambda x: x == 0 or abs(x) > 1e-100)
+_nudges = st.floats(-1e-2, 1e-2).filter(lambda x: x == 0 or abs(x) > 1e-12)
+_lams = st.one_of(
+    st.builds(complex, _parts, _parts),
+    st.builds(lambda sign, x, y: complex(x, sign + y), st.sampled_from([1.0, -1.0]),
+              _nudges, _nudges),
+    st.sampled_from([0.999j, 1j + 1e-9, 1e3, 100 - 100j]),
+)
+_annulus_points = st.tuples(st.floats(0.4, 1.8), st.floats(0.0, 2 * math.pi)).map(
+    lambda rt: complex(rt[0] * math.cos(rt[1]), rt[0] * math.sin(rt[1])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_odd_orders, _odd_orders, _lams, st.lists(_annulus_points, min_size=1, max_size=6))
+def test_integral_free_curve_is_exact_and_one_formula(m, n, lam, points):
+    params = FamilyParams(m, n, lam)
+    seed = seed_phi(m, n)
+    curve = integral_free_point(seed, lam, IDENTITY)
+    for k, x, p in zip(curve, fixed_gh_curve(params).parts, fixed_gh_phi(params).parts):
+        assert _max_coeff_ulp(k, x) <= 4.0 and _max_coeff_ulp(k.derivative(), p) <= 4.0
+    # the array call against one-point calls: numpy and Python round w**k
+    # differently, by up to ~k eps of the terms the curve sums
+    w = np.array(points)
+    stacked = integral_free_point(seed, lam, w)
+    derivs = (seed, seed.derivative(), seed.derivative().derivative())
+    for i, z in enumerate(points):
+        r = abs(z)
+        terms = (1.0 + abs(1.0 + lam * lam)) * (1.0 + abs(lam)) * math.fsum(
+            r**j * d.envelope(r) for j, d in enumerate(derivs))
+        tol = 4.0 * (m + n) * np.finfo(float).eps * terms
+        for got, want in zip(stacked, integral_free_point(seed, lam, z)):
+            assert abs(got[i] - want) <= tol
 
 
 def test_recover_seed_round_trip():

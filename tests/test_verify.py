@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wep4 import verify
-from wep4.henneberg import FamilyParams
+from wep4.henneberg import FamilyParams, integral_free_point, recover_seed, seed_phi
 from wep4.verify import (
     check_back_differentiation,
     check_frames,
@@ -18,6 +18,7 @@ from wep4.verify import (
     sample_regular,
 )
 from wep4.henneberg import family_phi
+from wep4.laurent import IDENTITY, LaurentPoly
 from wep4.weierstrass import PhiForm
 
 
@@ -73,10 +74,14 @@ def test_sample_regular_avoids_branch_ring():
 
 @pytest.mark.parametrize("lam, seed", [(2, 32), (2, 34), (2, 50), (2, 71), (2, 83), (2, 91), (1, 91)])
 def test_integral_free_bound_clears_roundoff(lam, seed):
-    # these seeds put the h = 1e-6 central difference near 2e-9, its own roundoff
+    # an h = 1e-6 central difference of the seed route read ~2e-9 at these seeds
     results = run_verify(FamilyParams(1, 1, lam), samples=1000, seed=seed)
     for r in results:
         assert r.skipped or r.passed, r.line()
+
+
+def _detail(result, key):
+    return float(re.search(rf"{key}=(\S+)", result.detail).group(1))
 
 
 def test_integral_free_detects_perturbed_form(monkeypatch):
@@ -85,4 +90,49 @@ def test_integral_free_detects_perturbed_form(monkeypatch):
     monkeypatch.setattr(verify, "fixed_gh_phi", perturbed)
     res = check_integral_free(FamilyParams(1, 1, 2), np.random.default_rng(34))
     assert not res.passed
-    assert float(re.search(r"fd_ratio=(\S+)", res.detail).group(1)) > 1.0
+    assert _detail(res, "derivative_ulp") > 4.0
+
+
+def _k1_radial_sign_slip(seed, lam, w):
+    k1, k2, k3, k4 = integral_free_point(seed, lam, w)
+    d1 = seed.derivative()
+    p0, p1 = (seed, d1) if w is IDENTITY else (seed(w), d1(w))
+    return k1 - 2.0 * (1.0 + lam * lam) * (w * p1 - p0), k2, k3, k4
+
+
+def _seed_coefficient_nudged(exponent_rank):
+    def seed(m, n):
+        terms = seed_phi(m, n).terms
+        k = sorted(terms)[exponent_rank]
+        return LaurentPoly({**terms, k: terms[k] * (1 + 1e-12)})
+    return seed
+
+
+def _inversion_nudged(k, lam, w):
+    return recover_seed(k, lam, w) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("integral_free_point", _k1_radial_sign_slip),
+    ("seed_phi", _seed_coefficient_nudged(0)),
+    ("seed_phi", _seed_coefficient_nudged(-1)),
+    ("recover_seed", _inversion_nudged),
+])
+@pytest.mark.parametrize("m, n, lam", [(1, 1, 1 + 1j), (7, 11, 0.97j), (3, 5, 0.5 - 2j)])
+def test_integral_free_fails_mutated_routes(name, mutant, m, n, lam, monkeypatch):
+    monkeypatch.setattr(verify, name, mutant)
+    for seed in (42, 34):
+        res = check_integral_free(FamilyParams(m, n, lam), np.random.default_rng(seed))
+        assert not res.passed, res.line()
+
+
+def test_integral_free_round_trip_holds_near_lam_i():
+    # recover_seed divides by 1 + lam^2, so its roundoff grows near lam = +-i
+    res = check_integral_free(FamilyParams(7, 11, 0.97j), np.random.default_rng(42))
+    assert res.passed, res.line()
+    for m in range(1, 16, 2):
+        for n in range(1, 16, 2):
+            for lam in (0.97j, 0.999j, 1.02j, -0.97j):
+                for seed in range(2):
+                    res = check_integral_free(FamilyParams(m, n, lam), np.random.default_rng(seed))
+                    assert res.passed, (m, n, lam, seed, res.line())

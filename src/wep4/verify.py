@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -169,13 +170,22 @@ def check_back_differentiation(params: FamilyParams) -> SuiteResult:
     )
 
 
+@cache
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count
+    and read-only, since every caller shares them."""
+    xs, wts = np.polynomial.legendre.leggauss(nodes)
+    xs.flags.writeable = wts.flags.writeable = False
+    return xs, wts
+
+
 def check_quadrature(params: FamilyParams, rng: np.random.Generator,
                      targets: int = 20, nodes: int = 64) -> SuiteResult:
     """Gauss-Legendre quadrature of the 1-form from the base point 1 against
     curve differences; one array evaluation per component for all targets."""
     phi = family_phi(params)
     curve = family_curve(params)
-    xs, wts = np.polynomial.legendre.leggauss(nodes)
+    xs, wts = _gauss_legendre(nodes)
     base = 1 + 0j
     z = np.array(quadrature_targets(rng, targets))
     zs = base + ((xs + 1.0) / 2.0)[None, :] * (z - base)[:, None]

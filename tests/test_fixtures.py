@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wep4 import fixtures
 from wep4.fixtures import (
+    Fixture,
     FixtureDomainError,
     fidelity_report,
     fixture,
@@ -14,8 +18,21 @@ from wep4.fixtures import (
 )
 from wep4.geometry import immersion_point
 from wep4.henneberg import FamilyParams, family_curve
+from wep4.verify import sample_annulus
 
 RNG = np.random.default_rng(5)
+FIXTURE_IDS = (
+    "h11_general_cart", "h11_real_cart", "h11_example_cart", "h11_example_polar",
+    "h13_example_cart", "h13_example_polar", "h11_real_xu", "h11_real_xv",
+)
+EPS = np.finfo(float).eps
+# Bound on |fixture_eval - fn on Python floats|, in units of eps times
+# 1 + the component's largest magnitude on the circles through the points
+# (32 angles each): Python floats and numpy round powers such as x**3
+# differently in the last bit, and the displays' monomials cancel.  Measured
+# up to 7.6 eps (h13_example_cart, one point at a time, 0.3 <= r <= 2.5,
+# lam in [-3, 3]^2), and at most 2.4 eps for the other displays.
+PYTHON_FLOAT_GAP = 64 * EPS
 
 
 def _polar_samples(count, lo=0.5, hi=1.8):
@@ -26,10 +43,7 @@ def _polar_samples(count, lo=0.5, hi=1.8):
 
 
 def test_registry_round_trip():
-    for fid in (
-        "h11_general_cart", "h11_real_cart", "h11_example_cart", "h11_example_polar",
-        "h13_example_cart", "h13_example_polar", "h11_real_xu", "h11_real_xv",
-    ):
+    for fid in FIXTURE_IDS:
         assert fixture(fid, 1.0).fixture_id == fid
     with pytest.raises(KeyError):
         fixture("nope")
@@ -40,6 +54,61 @@ def test_domain_errors():
         fixture_eval(fixture("h11_example_cart"), (0.0, 0.0))
     with pytest.raises(FixtureDomainError):
         fixture_eval(fixture("h11_example_polar"), (0.0, 1.0))
+    # nan <= 0 is False, so non-finite points need their own test
+    for point in ((math.nan, 0.0), (math.inf, 0.3), (0.3, -math.inf)):
+        for fid in ("h11_example_polar", "h11_example_cart"):
+            with pytest.raises(FixtureDomainError, match="non-finite"):
+                fixture_eval(fixture(fid), point)
+
+
+_RING = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
+
+
+def _coords(fx, r, t):
+    return (r, t) if fx.coords == "polar" else (r * np.cos(t), r * np.sin(t))
+
+
+@st.composite
+def _fixture_and_points(draw):
+    """Any display (random lam for the parametrized ones) and 1 to 40 random
+    annulus points (r, theta)."""
+    lam = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    fx = fixture(draw(st.sampled_from(FIXTURE_IDS)), lam)
+    count = draw(st.integers(1, 40))
+    r = np.array(draw(st.lists(st.floats(0.3, 2.5), min_size=count, max_size=count)))
+    t = np.array(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=count, max_size=count)))
+    return fx, r, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fixture_and_points())
+def test_array_call_is_the_one_point_call(case):
+    fx, r, t = case
+    a, b = _coords(fx, r, t)
+    got = fixture_eval(fx, (a, b))
+    assert got.shape == (r.size, 4)
+    assert fixture_eval(fx, (a[:, None], b[:, None])).tobytes() == got.tobytes()
+    for i in range(r.size):
+        assert fixture_eval(fx, (float(a[i]), float(b[i]))).tobytes() == got[i].tobytes()
+    # the independent reference: the display itself on Python floats
+    python = np.array([fx.fn(float(x), float(y)) for x, y in zip(a, b)], dtype=float)
+    ring = fixture_eval(fx, _coords(fx, r[:, None], _RING[None, :]))
+    bound = PYTHON_FLOAT_GAP * (1.0 + np.max(np.abs(ring), axis=(0, 1)))
+    assert np.all(np.abs(got - python) <= bound), (fx.fixture_id, np.abs(got - python) / bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fixture_and_points(), st.data())
+def test_one_bad_point_makes_the_array_call_raise(case, data):
+    fx, r, t = case
+    a, b = (np.array(c, dtype=float) for c in _coords(fx, r, t))
+    outside = (0.0, 0.0) if fx.coords == "cart" else (data.draw(st.sampled_from((0.0, -0.5))), 0.3)
+    bad = data.draw(st.sampled_from(
+        (outside, (math.nan, 0.3), (0.3, math.nan), (math.inf, 0.3), (0.3, -math.inf))))
+    i = data.draw(st.integers(0, a.size - 1))
+    a[i], b[i] = bad
+    with pytest.raises(FixtureDomainError):
+        fixture_eval(fx, (a, b))
 
 
 def test_example_value_at_r1_theta0():
@@ -158,3 +227,47 @@ def test_report_csv_shape():
     # 2 position fixtures * 3 checks * 4 components
     assert len(lines) == 1 + 24
     assert report.verdict("h13_example_polar") == "DEVIATES"
+
+
+# -- mutation guard --------------------------------------------------------------
+# One term's sign flipped, written as the difference it makes: the
+# -2uv(1 - 1/r^4) term of h11_example_cart's w, and the
+# r^-2 (cos 2 theta + sin 2 theta) term of h13_example_polar's w.
+_FLIPPED_TERM = {
+    "h11_example_cart": lambda u, v: 4.0 * u * v * (1.0 - 1.0 / (u * u + v * v) ** 2),
+    "h13_example_polar": lambda r, th: -2.0 * r**-2 * (np.cos(2 * th) + np.sin(2 * th)),
+}
+
+
+def _mutant(fx, mutation):
+    if mutation == "flip":
+        def fn(a, b):
+            x, y, z, w = fx.fn(a, b)
+            return x, y, z, w + _FLIPPED_TERM[fx.fixture_id](a, b)
+    else:
+        def fn(a, b):
+            return tuple(c * (1.0 + 1e-6) for c in fx.fn(a, b))
+    return Fixture(fx.fixture_id, fx.coords, fx.kind, fn)
+
+
+@pytest.mark.parametrize("seed", (42, 34))
+@pytest.mark.parametrize("mutation", ("flip", "scale"))
+@pytest.mark.parametrize("fid, params", (
+    ("h11_example_cart", FamilyParams(1, 1, 1 + 1j)),
+    ("h13_example_polar", FamilyParams(1, 3, 1 + 1j)),
+))
+def test_report_flags_a_perturbed_display(monkeypatch, fid, params, mutation, seed):
+    samples = sample_annulus(np.random.default_rng(seed), 200, r_lo=0.5, r_hi=1.7)
+    clean = fidelity_report(params, samples)
+    monkeypatch.setattr(fixtures, "fixtures_for", lambda p: [
+        _mutant(fx, mutation) if fx.fixture_id == fid else fx for fx in fixtures_for(p)])
+    report = fidelity_report(params, samples)
+    assert clean.row(fid, "w").verdict == "PASS"
+    perturbed = {"flip": "w", "scale": "xyzw"}[mutation]
+    for before, after in zip(clean.rows, report.rows):
+        if after.fixture_id == fid and after.check == "value" and after.component in perturbed:
+            assert after.verdict == "DEVIATES", after
+        elif after.fixture_id != fid or mutation == "scale":
+            # a flipped term also moves its display's tangents; a 1e-6
+            # scale stays inside the tangent checks' 1e-5 tolerance
+            assert after.verdict == before.verdict, after

@@ -62,6 +62,19 @@ def test_sampling_helpers_are_seeded():
         assert abs(z - 1.0) >= 0.3
 
 
+def test_gauss_legendre_rule_is_built_once_and_shared_read_only(monkeypatch):
+    ref_xs, ref_wts = np.polynomial.legendre.leggauss(64)
+    xs, wts = verify._gauss_legendre(64)
+    assert np.array_equal(xs, ref_xs) and np.array_equal(wts, ref_wts)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: pytest.fail("rebuilt"))
+    assert verify._gauss_legendre(64)[0] is xs
+    assert verify.check_quadrature(FamilyParams(1, 1, 1), np.random.default_rng(0)).passed
+    with pytest.raises(ValueError):
+        xs[0] = 0.0
+    with pytest.raises(ValueError):
+        wts[0] = 0.0
+
+
 def test_sample_regular_avoids_branch_ring():
     phi = family_phi(FamilyParams(1, 1, 0))
     pts = sample_regular(np.random.default_rng(11), 60, phi)

@@ -17,18 +17,19 @@ from .laurent import (
 from .weierstrass import (
     PhiForm,
     WeierstrassTriple,
-    conformal_factor,
     nullity_defect,
     nullity_residual,
     phi_from_triple,
 )
 from .henneberg import (
     DegenerateParameterError,
+    FamilyMember,
     FamilyParams,
     MinimalCurve,
     classic_henneberg_curve,
     classic_henneberg_phi,
     family_curve,
+    family_member,
     family_phi,
     family_triple,
     fixed_gh_curve,

@@ -23,13 +23,7 @@ import sys
 import numpy as np
 
 from .fixtures import fidelity_report
-from .henneberg import (
-    FamilyParams,
-    family_curve,
-    family_phi,
-    family_triple,
-    seed_phi,
-)
+from .henneberg import FamilyParams, family_curve, family_member, seed_phi
 from .geometry import immersion_point
 from .laurent import NonFiniteCoefficientError
 from .mesh import (AXES, PolarGrid, export, export_csv, format_column, project,
@@ -210,7 +204,8 @@ def _sample(args):
     params = _params_from(args)
     if not args.out:
         raise UsageError("--out is required")
-    return sample_grid(params, _grid_from(args))
+    grid = _grid_from(args)
+    return sample_grid(family_member(params), grid)
 
 
 def _cmd_mesh(args) -> int:
@@ -253,7 +248,7 @@ def _cmd_report(args) -> int:
     params = _params_from(args)
     samples, seed = _draws_from(args)
     rng_points = sample_annulus(np.random.default_rng(seed), samples, r_lo=0.5, r_hi=1.7)
-    report = fidelity_report(params, rng_points)
+    report = fidelity_report(family_member(params), rng_points)
     _write_text(args.out, report.to_csv(), f"({len(report.rows)} rows)")
     return 0
 
@@ -267,16 +262,15 @@ def _cmd_curvature(args) -> int:
 
 def _cmd_info(args) -> int:
     params = _params_from(args)
-    triple = family_triple(params)
-    phi = family_phi(params)
-    curve = family_curve(params)
+    member = family_member(params)
+    triple = member.triple
     payload = {
         "m": params.m,
         "n": params.n,
         "lambda": [params.lam.real, params.lam.imag],
         "data": {"f": _poly_json(triple.f), "g": _poly_json(triple.g), "h": _poly_json(triple.h)},
-        "phi": [_poly_json(p) for p in phi.parts],
-        "curve": [_poly_json(p) for p in curve.parts],
+        "phi": [_poly_json(p) for p in member.phi.parts],
+        "curve": [_poly_json(p) for p in member.curve.parts],
         "seed": _poly_json(seed_phi(params.m, params.n)),
     }
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -293,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(parser, argv)
         # values that overflow are refused, never written or printed as inf or nan
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"wep4: error: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import surface_jet
-from .henneberg import FamilyParams, family_curve, family_phi
+from .henneberg import FamilyMember, FamilyParams
 
 __all__ = [
     "Fixture",
@@ -377,17 +377,14 @@ def _fixture_coords(fx: Fixture, w) -> tuple[np.ndarray, np.ndarray]:
 
 def _fd_tangents(fx: Fixture, w) -> tuple[np.ndarray, np.ndarray]:
     """Central differences of a position display along u and v, each point
-    with its own step h = 1e-6 * max(1, |w|)."""
+    with its own step h = 1e-6 * max(1, |w|); the display is called once,
+    on the four shifted copies of w stacked."""
     w = np.asarray(w, dtype=complex)
     h = _FD_STEP * np.maximum(1.0, np.abs(w))
-
-    def val(z: np.ndarray) -> np.ndarray:
-        return fixture_eval(fx, _fixture_coords(fx, z))
-
+    shifted = np.stack([w + h, w - h, w + 1j * h, w - 1j * h])
+    right, left, up, down = fixture_eval(fx, _fixture_coords(fx, shifted))
     two_h = (2.0 * h)[..., None]
-    du = (val(w + h) - val(w - h)) / two_h
-    dv = (val(w + 1j * h) - val(w - 1j * h)) / two_h
-    return du, dv
+    return (right - left) / two_h, (up - down) / two_h
 
 
 def _column_max(values: np.ndarray) -> np.ndarray:
@@ -413,7 +410,7 @@ def _verdict_rows(fixture_id, check, devs, scales, tol_rel) -> list[FidelityRow]
     return rows
 
 
-def fidelity_report(params: FamilyParams, samples) -> FidelityReport:
+def fidelity_report(member: FamilyMember, samples) -> FidelityReport:
     """Audit every applicable display against the pipeline at the samples.
 
     Position displays are compared against Re(curve) directly and, through
@@ -424,9 +421,9 @@ def fidelity_report(params: FamilyParams, samples) -> FidelityReport:
     the displays' bodies stay verbatim.
     """
     w = np.asarray(samples, dtype=complex).reshape(-1)
-    jet = surface_jet(family_phi(params), family_curve(params), w)
+    jet = surface_jet(member.phi, member.curve, w)
     rows: list[FidelityRow] = []
-    for fx in fixtures_for(params):
+    for fx in fixtures_for(member.params):
         ref = fixture_eval(fx, _fixture_coords(fx, w))
         if fx.kind == "position":
             fd_u, fd_v = _fd_tangents(fx, w)
@@ -441,4 +438,4 @@ def fidelity_report(params: FamilyParams, samples) -> FidelityReport:
             tangent = jet.xu if fx.kind == "tangent_u" else jet.xv
             rows += _verdict_rows(fx.fixture_id, fx.kind, _column_max(ref - tangent),
                                   _column_max(tangent), 1e-9)
-    return FidelityReport(params=params, rows=tuple(rows))
+    return FidelityReport(params=member.params, rows=tuple(rows))

@@ -3,8 +3,7 @@
 Tangent vectors come straight from the 1-form (X_u = Re phi, X_v = -Im phi),
 never from finite differences, so the first fundamental form and the frames
 carry no discretization error.  The Gauss curvature is a closed form in the
-Weierstrass data as well.  Finite differences appear in exactly one place,
-the five-point coordinate Laplacian behind verify's minimality check.
+Weierstrass data as well.
 
 Jets, frame scalars and frames take one point or an ndarray of points.  At
 one point the vectors have shape (4,) and the sums are exactly rounded
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .henneberg import FamilyParams, MinimalCurve
-from .laurent import LaurentPoly, accurate_sum
+from .laurent import accurate_sum
 from .weierstrass import PhiForm, WeierstrassTriple, is_regular
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "closed_form_normals",
     "conformal_fields",
     "gauss_curvature",
-    "coordinate_laplacian",
     "curvature_denominator_check",
 ]
 
@@ -269,16 +267,6 @@ def gauss_curvature(phi: PhiForm, w: complex) -> float:
     if not is_regular(triple, w):
         raise UndefinedCurvatureError("curvature undefined at a non-regular point")
     return float(conformal_fields(triple, np.array([complex(w)]))[1][0])
-
-
-def coordinate_laplacian(comp: LaurentPoly, w, h: float):
-    """|Five-point Laplacian| of Re comp at w, step h, ring summed exactly.
-
-    ``w`` may be an ndarray of points, which gives an array of residuals.
-    """
-    center = comp(w).real
-    total = accurate_sum(comp(w + d).real for d in (h, -h, 1j * h, -1j * h)) - 4.0 * center
-    return abs(total) / h**2
 
 
 def curvature_denominator_check() -> tuple[bool, str]:

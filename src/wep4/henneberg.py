@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .laurent import IDENTITY, ZERO, LaurentPoly
 from .weierstrass import PhiForm, WeierstrassTriple, phi_from_triple
@@ -29,7 +30,9 @@ from .weierstrass import PhiForm, WeierstrassTriple, phi_from_triple
 __all__ = [
     "FamilyParams",
     "MinimalCurve",
+    "FamilyMember",
     "DegenerateParameterError",
+    "family_member",
     "family_triple",
     "family_phi",
     "family_curve",
@@ -116,6 +119,34 @@ def fixed_gh_curve(p: FamilyParams) -> MinimalCurve:
     printed reference form suggests.
     """
     return _integrate_phi(fixed_gh_phi(p))
+
+
+@dataclass(frozen=True)
+class FamilyMember:
+    """One member's Laurent data, built once by family_member and handed to
+    every consumer: the parameters, the (f, g, h) data, the null form (one
+    nullity check) and its curve.  The fixed g = w, h = lam w form and curve
+    that only the integral-free audit reads are built on first use."""
+
+    params: FamilyParams
+    triple: WeierstrassTriple
+    phi: PhiForm
+    curve: MinimalCurve
+
+    @cached_property
+    def gh_phi(self) -> PhiForm:
+        return fixed_gh_phi(self.params)
+
+    @cached_property
+    def gh_curve(self) -> MinimalCurve:
+        return _integrate_phi(self.gh_phi)
+
+
+def family_member(p: FamilyParams) -> FamilyMember:
+    """The member's record, with the null form checked once."""
+    triple = family_triple(p)
+    phi = phi_from_triple(triple)
+    return FamilyMember(p, triple, phi, _integrate_phi(phi))
 
 
 def classic_henneberg_phi() -> PhiForm:

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import conformal_fields, immersion_point
-from .henneberg import FamilyParams, family_curve, family_triple
+from .henneberg import FamilyMember
 from .weierstrass import is_regular
 
 __all__ = [
@@ -145,17 +145,16 @@ class Mesh3D:
     faces: np.ndarray
 
 
-def sample_grid(params: FamilyParams, grid: PolarGrid) -> QuadMesh4D:
+def sample_grid(member: FamilyMember, grid: PolarGrid) -> QuadMesh4D:
     """Sample the immersion over the polar grid in one vectorized pass.
 
     Positions, E and the closed-form K come from array evaluation of the
     curve and the Weierstrass data, flags from weierstrass.is_regular; a
     cell becomes a quad only when all four corners are regular.
     """
-    triple = family_triple(params)
-    curve = family_curve(params)
+    triple = member.triple
     w = grid.points()
-    xyzw = immersion_point(curve, w)
+    xyzw = immersion_point(member.curve, w)
     energy, curvature = conformal_fields(triple, w)
     regular = is_regular(triple, w)
     quads = grid.quads()

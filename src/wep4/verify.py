@@ -19,26 +19,22 @@ import numpy as np
 
 from .geometry import (
     closed_form_normals,
-    coordinate_laplacian,
     frame_scalars,
-    immersion_point,
     normal_frame,
     perp_vectors,
     surface_jet,
 )
 from .henneberg import (
+    FamilyMember,
     FamilyParams,
+    MinimalCurve,
     classic_henneberg_curve,
-    family_curve,
-    family_phi,
-    family_triple,
-    fixed_gh_curve,
-    fixed_gh_phi,
+    family_member,
     integral_free_point,
     recover_seed,
     seed_phi,
 )
-from .laurent import IDENTITY, LaurentPoly
+from .laurent import IDENTITY, LaurentPoly, accurate_sum
 from .weierstrass import is_regular, nullity_defect, nullity_residual
 
 __all__ = [
@@ -130,8 +126,8 @@ def _worst(*errors) -> float:
     return max(float(np.max(np.abs(e), initial=0.0)) for e in errors)
 
 
-def check_nullity(params: FamilyParams, samples: int, rng: np.random.Generator) -> SuiteResult:
-    phi = family_phi(params)
+def check_nullity(member: FamilyMember, samples: int, rng: np.random.Generator) -> SuiteResult:
+    phi = member.phi
     defect = nullity_defect(phi.parts)
     structural = defect.is_zero
     worst = _worst(nullity_residual(phi, sample_annulus(rng, samples)))
@@ -155,9 +151,8 @@ def _max_coeff_ulp(a: LaurentPoly, b: LaurentPoly) -> float:
     return worst
 
 
-def check_back_differentiation(params: FamilyParams) -> SuiteResult:
-    phi = family_phi(params)
-    curve = family_curve(params)
+def check_back_differentiation(member: FamilyMember) -> SuiteResult:
+    phi, curve = member.phi, member.curve
     exact = all(x.derivative() == p for x, p in zip(curve.parts, phi.parts))
     worst = max(
         _max_coeff_ulp(x.derivative(), p) for x, p in zip(curve.parts, phi.parts)
@@ -179,12 +174,11 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, wts
 
 
-def check_quadrature(params: FamilyParams, rng: np.random.Generator,
+def check_quadrature(member: FamilyMember, rng: np.random.Generator,
                      targets: int = 20, nodes: int = 64) -> SuiteResult:
     """Gauss-Legendre quadrature of the 1-form from the base point 1 against
     curve differences; one array evaluation per component for all targets."""
-    phi = family_phi(params)
-    curve = family_curve(params)
+    phi, curve = member.phi, member.curve
     xs, wts = _gauss_legendre(nodes)
     base = 1 + 0j
     z = np.array(quadrature_targets(rng, targets))
@@ -198,14 +192,25 @@ def check_quadrature(params: FamilyParams, rng: np.random.Generator,
     return SuiteResult("quadrature", worst <= 1e-9, targets, f"max_rel_err={worst:.3e}")
 
 
-def check_conformality(params: FamilyParams, samples: int, rng: np.random.Generator) -> SuiteResult:
-    phi = family_phi(params)
-    jet = surface_jet(phi, family_curve(params), sample_regular(rng, samples, phi))
+def check_conformality(member: FamilyMember, samples: int, rng: np.random.Generator) -> SuiteResult:
+    phi = member.phi
+    jet = surface_jet(phi, member.curve, sample_regular(rng, samples, phi))
     worst = _worst((jet.E - jet.G) / jet.E, jet.F / jet.E)
     return SuiteResult("conformality", worst <= 1e-12, 2 * samples, f"max_rel={worst:.3e}")
 
 
-def check_harmonicity(params: FamilyParams, points: int, rng: np.random.Generator,
+def _five_point_laplacians(curve: MinimalCurve, w: np.ndarray, steps) -> tuple:
+    """Re X_k at w and |five-point Laplacian| of Re X_k at each step, ring
+    summed exactly: (points, coordinates) arrays.  Each coordinate is
+    evaluated once, over the centres and every step's ring stacked."""
+    rings = [w + d for step in steps for d in (step, -step, 1j * step, -1j * step)]
+    vals = np.stack([comp(np.stack([w, *rings])).real for comp in curve.parts], axis=-1)
+    center = vals[0]
+    return center, *(np.abs(accurate_sum(vals[1 + 4 * i: 5 + 4 * i]) - 4.0 * center) / step**2
+                     for i, step in enumerate(steps))
+
+
+def check_harmonicity(member: FamilyMember, points: int, rng: np.random.Generator,
                       h: float = 1e-3) -> SuiteResult:
     """Five-point Laplacian of each coordinate converges at order ~2.
 
@@ -213,14 +218,12 @@ def check_harmonicity(params: FamilyParams, points: int, rng: np.random.Generato
     roundoff noise (~eps * scale / h^2); coordinates whose residual sits at
     that floor are already harmonic to working precision and are skipped.
     """
-    curve = family_curve(params)
     lo, hi = 1.8, 2.2
     w = sample_annulus(rng, points, r_lo=0.75, r_hi=1.6)
     # (points, coordinates) arrays; a failure reports the last order out of
     # range, taken point by point
-    floor = 1e-7 * (1.0 + np.max(np.abs(immersion_point(curve, w)), axis=1, keepdims=True))
-    res_h, res_h2 = (np.stack([coordinate_laplacian(comp, w, step) for comp in curve.parts],
-                              axis=-1) for step in (h, h / 2.0))
+    center, res_h, res_h2 = _five_point_laplacians(member.curve, w, (h, h / 2.0))
+    floor = 1e-7 * (1.0 + np.max(np.abs(center), axis=1, keepdims=True))
     measurable = (res_h >= floor) & (res_h2 >= floor)
     orders = np.log2(res_h[measurable] / res_h2[measurable])
     outside = orders[(orders < lo) | (orders > hi)]
@@ -232,15 +235,19 @@ def check_harmonicity(params: FamilyParams, points: int, rng: np.random.Generato
     return SuiteResult("harmonicity", ok, checked, detail)
 
 
-def check_frames(params: FamilyParams, points: int, rng: np.random.Generator) -> SuiteResult:
+def _subset(record, keep: np.ndarray):
+    """A jet or frame-scalar record cut down to the points where keep holds."""
+    return type(record)(**{k: v[keep] for k, v in vars(record).items()})
+
+
+def check_frames(member: FamilyMember, points: int, rng: np.random.Generator) -> SuiteResult:
     """Closed-form p, q and normals against direct inner products and
     Gram-Schmidt, for the m = n = 1 real-lam member."""
+    params = member.params
     if params.m != 1 or params.n != 1 or not params.lam_is_real:
         return SuiteResult("frames", True, 0, "not applicable here", skipped=True)
-    phi = family_phi(params)
-    curve = family_curve(params)
-    w = sample_regular(rng, points, phi)
-    jet = surface_jet(phi, curve, w)
+    w = sample_regular(rng, points, member.phi)
+    jet = surface_jet(member.phi, member.curve, w)
     perp1, perp2 = perp_vectors(jet)
     s = frame_scalars(params, w)
     q_direct = np.sum(jet.xu * perp2, axis=1)
@@ -252,7 +259,7 @@ def check_frames(params: FamilyParams, points: int, rng: np.random.Generator) ->
     # the closed forms divide by cross_minus: check them where it is clear of 0
     keep = s.cross_minus > 1e-6
     n1, n2 = frame.n1[keep], frame.n2[keep]
-    normals = closed_form_normals(surface_jet(phi, curve, w[keep]), frame_scalars(params, w[keep]))
+    normals = closed_form_normals(_subset(jet, keep), _subset(s, keep))
     worst_span = _worst(*(
         np.linalg.norm(n - np.sum(n * n1, axis=1, keepdims=True) * n1
                        - np.sum(n * n2, axis=1, keepdims=True) * n2, axis=1)
@@ -277,7 +284,7 @@ def _roundtrip_bound(seed: LaurentPoly, lam: complex, w: np.ndarray) -> np.ndarr
     return 16.0 * np.finfo(float).eps * weighted / abs(a)
 
 
-def check_integral_free(params: FamilyParams, rng: np.random.Generator,
+def check_integral_free(member: FamilyMember, rng: np.random.Generator,
                         points: int = 25) -> SuiteResult:
     """The seed route, exactly and then pointwise in one array pass.
 
@@ -288,10 +295,11 @@ def check_integral_free(params: FamilyParams, rng: np.random.Generator,
     max(1, |curve|) and, where lam^2 + 1 is clear of 0, the recover_seed
     round trip as a fraction of its roundoff bound.
     """
+    params = member.params
     seed = seed_phi(params.m, params.n)
     lam = params.lam
-    seed_ulp = _max_coeff_ulp(seed.derivative().derivative().derivative(), family_triple(params).f)
-    target, phi = fixed_gh_curve(params).parts, fixed_gh_phi(params).parts
+    seed_ulp = _max_coeff_ulp(seed.derivative().derivative().derivative(), member.triple.f)
+    target, phi = member.gh_curve.parts, member.gh_phi.parts
     curve = integral_free_point(seed, lam, IDENTITY)
     curve_ulp = max(map(_max_coeff_ulp, curve, target))
     derivative_ulp = max(_max_coeff_ulp(k.derivative(), p) for k, p in zip(curve, phi))
@@ -314,9 +322,9 @@ def check_integral_free(params: FamilyParams, rng: np.random.Generator,
     )
 
 
-def check_reductions(params: FamilyParams) -> SuiteResult:
+def check_reductions(member: FamilyMember) -> SuiteResult:
     """Degenerate-parameter geometry: lam = 0 planarity, m = n proportionality."""
-    curve = family_curve(params)
+    params, curve = member.params, member.curve
     checks = 0
     ok = True
     notes = []
@@ -343,16 +351,18 @@ def check_reductions(params: FamilyParams) -> SuiteResult:
 
 
 def run_verify(params: FamilyParams, samples: int, seed: int) -> list[SuiteResult]:
-    """Every suite applicable to this member, with one seeded RNG stream."""
+    """Every suite applicable to this member, with one seeded RNG stream and
+    the member's Laurent data built once."""
+    member = family_member(params)
     rng = np.random.default_rng(seed)
     results = [
-        check_nullity(params, samples, rng),
-        check_back_differentiation(params),
-        check_quadrature(params, rng),
-        check_conformality(params, min(samples, 1000), rng),
-        check_harmonicity(params, 50, rng),
-        check_frames(params, 100, rng),
-        check_integral_free(params, rng),
-        check_reductions(params),
+        check_nullity(member, samples, rng),
+        check_back_differentiation(member),
+        check_quadrature(member, rng),
+        check_conformality(member, min(samples, 1000), rng),
+        check_harmonicity(member, 50, rng),
+        check_frames(member, 100, rng),
+        check_integral_free(member, rng),
+        check_reductions(member),
     ]
     return results

@@ -24,7 +24,6 @@ __all__ = [
     "phi_from_triple",
     "nullity_defect",
     "nullity_residual",
-    "conformal_factor",
     "is_regular",
 ]
 
@@ -98,23 +97,6 @@ def nullity_residual(phi: PhiForm, w):
     den = accurate_sum(abs(v) ** 2 for v in vals)
     ratio = np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0.0)
     return ratio if isinstance(w, np.ndarray) else float(ratio)
-
-
-def conformal_factor(phi: PhiForm, w: complex) -> tuple[float, float]:
-    """Return (E, reg_weight) at w, summed from the form's components.
-
-    E = sum |phi_k(w)|^2 / 2, which equals <X_u, X_u> = <X_v, X_v> for the
-    immersion with X_u - i X_v = phi; the regularity weight is
-    |f| (1 + |g|^2 + |h|^2) and needs the form's (f, g, h) data.  The
-    pipeline reads neither (see geometry.conformal_fields and is_regular):
-    both are the tests' independent reference.  ``w`` may be an ndarray.
-    """
-    t = phi.triple
-    if t is None:
-        raise ValueError("the regularity weight needs the (f, g, h) data of the form")
-    energy = 0.5 * accurate_sum(abs(p(w)) ** 2 for p in phi.parts)
-    reg = abs(t.f(w)) * (1.0 + abs(t.g(w)) ** 2 + abs(t.h(w)) ** 2)
-    return energy, reg
 
 
 def is_regular(triple: WeierstrassTriple, w, tol: float = BRANCH_TOL):

@@ -31,6 +31,7 @@ from wep4.henneberg import (
     FamilyParams,
     classic_henneberg_curve,
     family_curve,
+    family_member,
     family_phi,
     family_triple,
     integral_free_point,
@@ -136,9 +137,9 @@ def test_criterion_04_conformality():
 
 def test_criterion_05_harmonicity_convergence():
     rng = np.random.default_rng(SEED)
-    result = check_harmonicity(FamilyParams(1, 1, 1 + 1j), 50, rng, h=1e-3)
+    result = check_harmonicity(family_member(FamilyParams(1, 1, 1 + 1j)), 50, rng, h=1e-3)
     assert result.passed, result.detail
-    result = check_harmonicity(FamilyParams(1, 3, 1 + 1j), 50, rng, h=1e-3)
+    result = check_harmonicity(family_member(FamilyParams(1, 3, 1 + 1j)), 50, rng, h=1e-3)
     assert result.passed, result.detail
     _announce("05", "harmonic coordinates, FD order ~ 2")
 
@@ -173,7 +174,7 @@ def test_criterion_06b_h13_cart_polar_agree():
 def test_criterion_06c_h11_report_and_reference_value():
     rng = np.random.default_rng(SEED)
     samples = list(_annulus(rng, 100, lo=0.5, hi=1.7))
-    report = fidelity_report(FamilyParams(1, 1, 1 + 1j), samples)
+    report = fidelity_report(family_member(FamilyParams(1, 1, 1 + 1j)), samples)
     audited = {r.fixture_id for r in report.rows}
     assert {"h11_example_cart", "h11_example_polar"} <= audited
     expected = np.array([0.0, 4.0 / 3.0, 2.0, 2.0])
@@ -187,7 +188,7 @@ def test_criterion_06c_h11_report_and_reference_value():
 def test_criterion_06d_h13_z_deviates_by_factor_two():
     rng = np.random.default_rng(SEED)
     params = FamilyParams(1, 3, 1 + 1j)
-    report = fidelity_report(params, list(_annulus(rng, 60, lo=0.5, hi=1.7)))
+    report = fidelity_report(family_member(params), list(_annulus(rng, 60, lo=0.5, hi=1.7)))
     assert report.row("h13_example_cart", "z").verdict == "DEVIATES"
     curve = family_curve(params)
     cart = fixture("h13_example_cart")
@@ -220,7 +221,7 @@ def test_criterion_06e_general_cart_display_matches_pipeline_at_real_lam():
             dev = fixture_eval(display, (w.real, w.imag)) - immersion_point(curve, w)
             dev[1] -= slip
             worst = np.maximum(worst, np.abs(dev))
-        report = fidelity_report(params, samples)
+        report = fidelity_report(family_member(params), samples)
         verdicts[lam] = [report.row("h11_general_cart", c).verdict for c in "xyzw"]
     assert float(np.max(worst)) <= 1e-12, (
         "verbatim display is not the pipeline plus the two y sign slips at "
@@ -234,7 +235,7 @@ def test_criterion_06e_general_cart_display_matches_pipeline_at_real_lam():
 def test_criterion_07_frame_suite():
     rng = np.random.default_rng(SEED)
     for lam in (0.0, 1.0, 2.0):
-        result = check_frames(FamilyParams(1, 1, lam), 100, rng)
+        result = check_frames(family_member(FamilyParams(1, 1, lam)), 100, rng)
         assert not result.skipped and result.passed, result.detail
     _announce("07", "frame scalars, Gram matrix, closed-form normal span")
 
@@ -298,7 +299,7 @@ def test_criterion_10_reductions():
         assert curve.parts[k] == classic.parts[k] * 2.0
 
     for m, lam in ((1, 0.5), (3, 2.0)):
-        mesh = sample_grid(FamilyParams(m, m, lam), PolarGrid(0.5, 1.6, 5, 8))
+        mesh = sample_grid(family_member(FamilyParams(m, m, lam)), PolarGrid(0.5, 1.6, 5, 8))
         for v in mesh.vertices:
             assert abs(v.w - lam * v.z) <= 1e-10 * max(1.0, abs(v.z))
     _announce("10", "planar reduction and w = lam z ties")
@@ -317,7 +318,7 @@ def test_criterion_11_mesh_determinism_and_branch_flags(tmp_path):
     assert blobs[0] == blobs[1]
 
     for m, n, n_theta in ((1, 1, 4), (1, 3, 8)):
-        mesh = sample_grid(FamilyParams(m, n, 0), PolarGrid(0.5, 1.5, 3, n_theta))
+        mesh = sample_grid(family_member(FamilyParams(m, n, 0)), PolarGrid(0.5, 1.5, 3, n_theta))
         flagged = [v for v in mesh.vertices if not v.regular]
         assert len(flagged) == 2 * m + 2 * n  # the (2m+2n)-th roots of unity
         for v in flagged:

@@ -25,7 +25,6 @@ from wep4.fixtures import (
 )
 from wep4.geometry import (
     closed_form_normals,
-    coordinate_laplacian,
     frame_scalars,
     immersion_point,
     normal_frame,
@@ -35,6 +34,7 @@ from wep4.geometry import (
 from wep4.henneberg import (
     FamilyParams,
     family_curve,
+    family_member,
     family_phi,
     family_triple,
     fixed_gh_curve,
@@ -45,6 +45,8 @@ from wep4.henneberg import (
 )
 from wep4.verify import run_verify, sample_annulus, sample_regular
 from wep4.weierstrass import is_regular, nullity_residual
+
+from test_geometry import coordinate_laplacian
 
 LAM_GRID = (0, 1, 1 + 1j, 0.5 - 2j)
 MN_GRID = ((1, 1), (1, 3), (3, 1), (3, 3), (3, 5))
@@ -179,13 +181,13 @@ def scalar_verify(params, samples, seed):
     rng = np.random.default_rng(seed)
     phi, curve = family_phi(params), family_curve(params)
     out = {"nullity": scalar_nullity(phi, samples, rng)}
-    out["quadrature"] = verify.check_quadrature(params, rng).line()
+    out["quadrature"] = verify.check_quadrature(family_member(params), rng).line()
     out["conformality"] = scalar_conformality(phi, curve, min(samples, 1000), rng)
     out["harmonicity"] = scalar_harmonicity(curve, 50, rng)
     if params.m == params.n == 1 and params.lam_is_real:
         out["frames"] = scalar_frames(params, phi, curve, 100, rng)
     out["integral_free"] = scalar_integral_free(params, rng)
-    out["reductions"] = verify.check_reductions(params).line()
+    out["reductions"] = verify.check_reductions(family_member(params)).line()
     return out
 
 
@@ -300,6 +302,45 @@ def test_coordinate_laplacian_array_matches_scalar():
             assert np.all(np.abs(got - ref) <= LAPLACIAN_NOISE * scale / h**2)
 
 
+def separate_call_harmonicity(curve, points, rng, h=1e-3):
+    """The suite's rule with every coordinate, ring point and step evaluated
+    by its own coordinate_laplacian call (40 Laurent evaluations, plus 4 for
+    the floor, where the suite makes 4)."""
+    w = sample_annulus(rng, points, r_lo=0.75, r_hi=1.6)
+    floor = 1e-7 * (1.0 + np.max(np.abs(immersion_point(curve, w)), axis=1, keepdims=True))
+    res_h, res_h2 = (np.stack([coordinate_laplacian(comp, w, step) for comp in curve.parts],
+                              axis=-1) for step in (h, h / 2.0))
+    measurable = (res_h >= floor) & (res_h2 >= floor)
+    orders = np.log2(res_h[measurable] / res_h2[measurable])
+    outside = orders[(orders < 1.8) | (orders > 2.2)]
+    return int(orders.size), outside
+
+
+@pytest.mark.parametrize("m, n, lam", MEMBERS)
+def test_stacked_laplacians_equal_the_separate_calls_bit_for_bit(m, n, lam):
+    curve = family_curve(FamilyParams(m, n, lam))
+    w = sample_annulus(np.random.default_rng(5), 50, r_lo=0.75, r_hi=1.6)
+    steps = (1e-3, 5e-4)
+    center, *residuals = verify._five_point_laplacians(curve, w, steps)
+    assert np.array_equal(center, immersion_point(curve, w))
+    for step, got in zip(steps, residuals):
+        ref = np.stack([coordinate_laplacian(comp, w, step) for comp in curve.parts], axis=-1)
+        assert got.shape == ref.shape and np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("m, n, lam", MEMBERS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_harmonicity_counts_equal_the_separate_call_rule(m, n, lam, seed):
+    params = FamilyParams(m, n, lam)
+    got = verify.check_harmonicity(family_member(params), 50, np.random.default_rng(seed))
+    checked, outside = separate_call_harmonicity(family_curve(params), 50,
+                                                 np.random.default_rng(seed))
+    assert got.checks == checked
+    assert got.passed == (outside.size == 0 and checked > 0)
+    if outside.size:
+        assert got.detail == f"order {outside[-1]:.3f} out of range"
+
+
 # -- report --------------------------------------------------------------------
 
 def scalar_report_rows(params, samples):
@@ -333,13 +374,37 @@ def scalar_report_rows(params, samples):
 REPORT_MEMBERS = ((1, 1, 0), (1, 1, 1), (1, 1, 2), (1, 1, 1 + 1j), (1, 3, 1 + 1j))
 
 
+def separate_call_fd_tangents(fx, w):
+    """_fd_tangents with the display called once per shifted copy of w."""
+    w = np.asarray(w, dtype=complex)
+    h = 1e-6 * np.maximum(1.0, np.abs(w))
+
+    def val(z):
+        return fixture_eval(fx, _fixture_coords(fx, z))
+
+    two_h = (2.0 * h)[..., None]
+    return (val(w + h) - val(w - h)) / two_h, (val(w + 1j * h) - val(w - 1j * h)) / two_h
+
+
+@pytest.mark.parametrize("m, n, lam", REPORT_MEMBERS)
+def test_stacked_fd_tangents_equal_the_separate_calls_bit_for_bit(m, n, lam):
+    points = sample_annulus(np.random.default_rng(3), 200, r_lo=0.5, r_hi=1.7)
+    displays = [fx for fx in fixtures_for(FamilyParams(m, n, lam)) if fx.kind == "position"]
+    assert displays
+    for fx in displays:
+        for w in (points, points[:1], points[0], complex(points[1])):
+            got, ref = _fd_tangents(fx, w), separate_call_fd_tangents(fx, w)
+            for a, b in zip(got, ref):
+                assert a.shape == b.shape == np.shape(w) + (4,) and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("m, n, lam", REPORT_MEMBERS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_report_rows_match_the_scalar_loop(m, n, lam, seed):
     params = FamilyParams(m, n, lam)
     points = sample_annulus(np.random.default_rng(seed), 200, r_lo=0.5, r_hi=1.7)
     samples = [complex(w) for w in points]
-    report = fidelity_report(params, samples)
+    report = fidelity_report(family_member(params), samples)
     ref = scalar_report_rows(params, samples)
     assert [(r.fixture_id, r.check, r.component) for r in report.rows] == list(ref)
     for r in report.rows:

@@ -2,9 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from wep4 import henneberg
 from wep4.cli import DEFAULTS, UsageError, _build_parser, _parse_args, main, parse_lambda
+from wep4.fixtures import fidelity_report
+from wep4.henneberg import FamilyParams, family_member
+from wep4.verify import run_verify
 
 
 def test_parse_lambda_grammar():
@@ -110,12 +115,50 @@ def test_bad_input_exits_two_with_message(argv, tmp_path, monkeypatch, capsys):
     ["verify", "--m", "999", "--n", "1"],
     ["verify", "--m", "301", "--n", "301"],
     ["report", "--m", "999", "--n", "1"],
+    # w**-4 divides by zero at these radii: refused like an overflow
+    ["mesh", "--rmin", "1e-100", "--rmax", "1e-99", "--nr", "2", "--ntheta", "2"],
+    ["curvature", "--rmin", "1e-100", "--rmax", "1e-99", "--nr", "2", "--ntheta", "2"],
 ])
-def test_member_that_overflows_its_samples_exits_two(argv, capsys):
+def test_member_that_overflows_its_samples_exits_two(argv, tmp_path, capsys):
     # refused with a message: no traceback, no nan verdicts, no RuntimeWarning
+    out = tmp_path / "out"
+    if argv[0] in ("mesh", "curvature"):
+        argv = argv + ["--out", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("wep4: error: ") and captured.out == ""
+    assert captured.err.count("\n") == 1 and not out.exists()
+    if argv[0] in ("mesh", "curvature"):
+        assert captured.err.startswith("wep4: error: the member overflows")
+
+
+def test_each_command_builds_the_member_once(tmp_path, monkeypatch, capsys):
+    # phi_from_triple runs the nullity check; only the integral-free audit
+    # adds a second form, the fixed g = w, h = lam w one
+    built = []
+    original = henneberg.phi_from_triple
+
+    def counted(triple):
+        built.append("fixed_gh" if triple.h.terms.keys() == {1} else "family")
+        return original(triple)
+
+    monkeypatch.setattr(henneberg, "phi_from_triple", counted)
+    params = FamilyParams(1, 3, 1 + 1j)
+    flags = ["--m", "1", "--n", "3", "--lambda", "1+1i"]
+    grid = ["--nr", "3", "--ntheta", "4", "--out", str(tmp_path / "out")]
+    for run, want in (
+        (lambda: run_verify(params, 50, 42), ["family", "fixed_gh"]),
+        (lambda: fidelity_report(family_member(params), np.array([0.9 + 0.2j])), ["family"]),
+        (lambda: main(["verify", *flags, "--samples", "50"]), ["family", "fixed_gh"]),
+        (lambda: main(["report", *flags, "--samples", "20"]), ["family"]),
+        (lambda: main(["info", *flags]), ["family"]),
+        (lambda: main(["mesh", *flags, *grid]), ["family"]),
+        (lambda: main(["curvature", *flags, *grid]), ["family"]),
+    ):
+        built.clear()
+        run()
+        assert built == want
+    capsys.readouterr()
 
 
 def test_member_that_only_loses_precision_still_runs(capsys):

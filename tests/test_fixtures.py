@@ -17,7 +17,7 @@ from wep4.fixtures import (
     fixtures_for,
 )
 from wep4.geometry import immersion_point
-from wep4.henneberg import FamilyParams, family_curve
+from wep4.henneberg import FamilyParams, family_curve, family_member
 from wep4.verify import sample_annulus
 
 RNG = np.random.default_rng(5)
@@ -162,7 +162,7 @@ def test_fixtures_for_selects_by_member():
 
 def _report(params, count=60):
     samples = [complex(r * math.cos(t), r * math.sin(t)) for r, t in _polar_samples(count)]
-    return fidelity_report(params, samples)
+    return fidelity_report(family_member(params), samples)
 
 
 def test_report_flags_y_and_passes_z_w_for_h11_displays():
@@ -258,10 +258,10 @@ def _mutant(fx, mutation):
 ))
 def test_report_flags_a_perturbed_display(monkeypatch, fid, params, mutation, seed):
     samples = sample_annulus(np.random.default_rng(seed), 200, r_lo=0.5, r_hi=1.7)
-    clean = fidelity_report(params, samples)
+    clean = fidelity_report(family_member(params), samples)
     monkeypatch.setattr(fixtures, "fixtures_for", lambda p: [
         _mutant(fx, mutation) if fx.fixture_id == fid else fx for fx in fixtures_for(p)])
-    report = fidelity_report(params, samples)
+    report = fidelity_report(family_member(params), samples)
     assert clean.row(fid, "w").verdict == "PASS"
     perturbed = {"flip": "w", "scale": "xyzw"}[mutation]
     for before, after in zip(clean.rows, report.rows):

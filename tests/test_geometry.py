@@ -12,7 +12,6 @@ from wep4.geometry import (
     UndefinedCurvatureError,
     closed_form_normals,
     conformal_fields,
-    coordinate_laplacian,
     curvature_denominator_check,
     frame_scalars,
     gauss_curvature,
@@ -22,8 +21,10 @@ from wep4.geometry import (
     surface_jet,
 )
 from wep4.henneberg import FamilyParams, MinimalCurve, family_curve, family_phi
-from wep4.laurent import ONE, ZERO
-from wep4.weierstrass import WeierstrassTriple, conformal_factor, phi_from_triple
+from wep4.laurent import ONE, ZERO, LaurentPoly, accurate_sum
+from wep4.weierstrass import WeierstrassTriple, phi_from_triple
+
+from test_weierstrass import conformal_factor
 
 RNG = np.random.default_rng(31)
 
@@ -259,6 +260,17 @@ def test_scalar_curvature_is_the_array_closed_form():
     _, ks = conformal_fields(phi.triple, ws)
     for w, k in zip(ws, ks):
         assert gauss_curvature(phi, complex(w)) == k
+
+
+def coordinate_laplacian(comp: LaurentPoly, w, h: float):
+    """|Five-point Laplacian| of Re comp at w, step h, ring summed exactly:
+    the reference for verify's harmonicity suite, which evaluates the same
+    stencil in one stacked call.  ``w`` may be an ndarray of points, which
+    gives an array of residuals.
+    """
+    center = comp(w).real
+    total = accurate_sum(comp(w + d).real for d in (h, -h, 1j * h, -1j * h)) - 4.0 * center
+    return abs(total) / h**2
 
 
 def harmonicity_residual(curve: MinimalCurve, w: complex, h: float) -> float:

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wep4.geometry import surface_jet
-from wep4.henneberg import FamilyParams, family_curve, family_phi
+from wep4.henneberg import FamilyParams, family_curve, family_member, family_phi
 from wep4.mesh import (
     _CHUNK_ROWS,
     AXES,
@@ -52,7 +52,7 @@ README_MEMBERS = ((1, 1, 1 + 1j), (1, 3, 1 + 1j), (3, 5, 0.5 - 2j), (5, 7, 0.3j)
 
 def _assert_matches_scalar_path(params, grid, stride=1):
     """Array columns against per-vertex scalar (fsum) jets."""
-    mesh = sample_grid(params, grid)
+    mesh = sample_grid(family_member(params), grid)
     phi, curve = family_phi(params), family_curve(params)
     for i in range(0, mesh.E.size, stride):
         w = complex(*mesh.uv[i])
@@ -83,13 +83,13 @@ def test_array_path_matches_scalar_path_on_readme_grids():
 
 def test_curvature_empty_exactly_off_regular_vertices():
     for m, n, lam in README_MEMBERS:
-        mesh = sample_grid(FamilyParams(m, n, lam), PolarGrid(0.5, 2.0, 40, 80))
+        mesh = sample_grid(family_member(FamilyParams(m, n, lam)), PolarGrid(0.5, 2.0, 40, 80))
         assert np.array_equal(np.isnan(mesh.K), ~mesh.regular)
         assert np.all(mesh.K[mesh.regular] < 0.0)
 
 
 def test_branch_vertices_flagged_and_masked():
-    mesh = sample_grid(FamilyParams(1, 1, 0), PolarGrid(0.5, 1.5, 3, 4))
+    mesh = sample_grid(family_member(FamilyParams(1, 1, 0)), PolarGrid(0.5, 1.5, 3, 4))
     flagged = [(round(v.u, 9), round(v.v, 9)) for v in mesh.vertices if not v.regular]
     # the four fourth roots of unity on the r = 1 ring
     assert len(flagged) == 4
@@ -109,7 +109,7 @@ def _branch_distance(w, order):
 
 def test_high_order_member_flags_only_its_roots_of_unity():
     # 16 of the 32nd roots of unity lie on the r = 1 ring; no other vertex is a branch point
-    mesh = sample_grid(FamilyParams(1, 15, 1e-4), PolarGrid(0.5, 2.0, 40, 80))
+    mesh = sample_grid(family_member(FamilyParams(1, 15, 1e-4)), PolarGrid(0.5, 2.0, 40, 80))
     w = mesh.uv[:, 0] + 1j * mesh.uv[:, 1]
     roots = _branch_distance(w, 32) <= 1e-12
     assert np.count_nonzero(roots) == 16
@@ -119,7 +119,7 @@ def test_high_order_member_flags_only_its_roots_of_unity():
 
 def test_high_order_member_keeps_every_readme_quad():
     # no vertex of the 80 x 160 grid lies on the unit circle
-    mesh = sample_grid(FamilyParams(1, 15, 1e-4), PolarGrid(0.5, 2.0, 80, 160))
+    mesh = sample_grid(family_member(FamilyParams(1, 15, 1e-4)), PolarGrid(0.5, 2.0, 80, 160))
     assert mesh.regular.all()
     assert len(mesh.quads) == 79 * 160 == 12_640
 
@@ -148,7 +148,7 @@ def _members_and_grids(draw):
 @example((FamilyParams(1, 15, 1e-4), PolarGrid(0.5, 2.0, 31, 64)), random.Random(0))
 def test_flags_are_the_roots_of_unity(case, rng):
     params, grid = case
-    mesh = sample_grid(params, grid)
+    mesh = sample_grid(family_member(params), grid)
     w = mesh.uv[:, 0] + 1j * mesh.uv[:, 1]
     distance = _branch_distance(w, 2 * (params.m + params.n))
     assume(not np.any((distance > 1e-12) & (distance < 1e-6)))
@@ -161,7 +161,7 @@ def test_flags_are_the_roots_of_unity(case, rng):
 
 def test_interior_ring_vertices_stay_regular():
     # theta = pi/4 etc. on the unit circle are not branch points
-    mesh = sample_grid(FamilyParams(1, 1, 0), PolarGrid(0.5, 1.5, 3, 8))
+    mesh = sample_grid(family_member(FamilyParams(1, 1, 0)), PolarGrid(0.5, 1.5, 3, 8))
     ring = [v for v in mesh.vertices if abs(math.hypot(v.u, v.v) - 1.0) <= 1e-9]
     diag = [v for v in ring if min(abs(v.u), abs(v.v)) > 1e-6]
     assert diag and all(v.regular for v in diag)
@@ -169,18 +169,18 @@ def test_interior_ring_vertices_stay_regular():
 
 def test_w_equals_lam_z_for_equal_orders():
     for lam in (0.5, 2.0):
-        mesh = sample_grid(FamilyParams(3, 3, lam), PolarGrid(0.6, 1.4, 4, 6))
+        mesh = sample_grid(family_member(FamilyParams(3, 3, lam)), PolarGrid(0.6, 1.4, 4, 6))
         for v in mesh.vertices:
             assert abs(v.w - lam * v.z) <= 1e-10 * max(1.0, abs(v.z))
 
 
 def test_lam_zero_kills_fourth_coordinate():
-    mesh = sample_grid(FamilyParams(1, 3, 0), PolarGrid(0.6, 1.4, 4, 6))
+    mesh = sample_grid(family_member(FamilyParams(1, 3, 0)), PolarGrid(0.6, 1.4, 4, 6))
     assert all(v.w == 0.0 for v in mesh.vertices)
 
 
 def test_projection_axis_selection():
-    mesh = sample_grid(FamilyParams(1, 1, 1.0), PolarGrid(0.6, 1.4, 3, 4))
+    mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)), PolarGrid(0.6, 1.4, 3, 4))
     with pytest.raises(ValueError):
         project(mesh, "xxy")
     with pytest.raises(ValueError):
@@ -193,7 +193,7 @@ def test_projection_axis_selection():
 
 
 def test_projection_drops_nothing_at_lam_zero():
-    mesh = sample_grid(FamilyParams(1, 1, 0), PolarGrid(0.6, 1.4, 3, 4))
+    mesh = sample_grid(family_member(FamilyParams(1, 1, 0)), PolarGrid(0.6, 1.4, 3, 4))
     kept = project(mesh, "xyz")
     assert all(v.w == 0.0 for v in mesh.vertices)
     assert len(kept.vertices) == len(mesh.vertices)
@@ -201,7 +201,8 @@ def test_projection_drops_nothing_at_lam_zero():
 
 def test_open_grid_obj_counts(tmp_path):
     # a single open quad becomes 4 vertex lines and 2 triangles
-    mesh = sample_grid(FamilyParams(1, 1, 1.0), PolarGrid(0.6, 0.8, 2, 2, theta_closed=False))
+    mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)),
+                       PolarGrid(0.6, 0.8, 2, 2, theta_closed=False))
     assert len(mesh.quads) == 1
     path = tmp_path / "patch.obj"
     export(project(mesh, "xyz"), "obj", path)
@@ -212,14 +213,14 @@ def test_open_grid_obj_counts(tmp_path):
 
 def test_closed_grid_wraps_seam():
     grid = PolarGrid(0.6, 0.8, 2, 4, theta_closed=True)
-    mesh = sample_grid(FamilyParams(1, 1, 1.0), grid)
+    mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)), grid)
     assert len(mesh.quads) == 4  # wraps back to theta = 0
     touched = {i for q in mesh.quads for i in q}
     assert touched == set(range(8))
 
 
 def test_csv_contains_expected_vertex_row(tmp_path):
-    mesh = sample_grid(FamilyParams(1, 1, 1 + 1j), PolarGrid(0.5, 1.5, 3, 4))
+    mesh = sample_grid(family_member(FamilyParams(1, 1, 1 + 1j)), PolarGrid(0.5, 1.5, 3, 4))
     path = tmp_path / "mesh.csv"
     export(mesh, "csv", path)
     lines = path.read_text().splitlines()
@@ -235,7 +236,7 @@ def test_exports_are_deterministic(tmp_path):
     grid = PolarGrid(0.5, 2.0, 6, 10)
     blobs = []
     for tag in ("a", "b"):
-        mesh = sample_grid(params, grid)
+        mesh = sample_grid(family_member(params), grid)
         obj = tmp_path / f"{tag}.obj"
         csv = tmp_path / f"{tag}.csv"
         export(project(mesh, "xyz"), "obj", obj)
@@ -245,7 +246,7 @@ def test_exports_are_deterministic(tmp_path):
 
 
 def test_obj_round_trip_is_byte_identical(tmp_path):
-    mesh = sample_grid(FamilyParams(1, 1, 1.0), PolarGrid(0.5, 1.9, 5, 8))
+    mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)), PolarGrid(0.5, 1.9, 5, 8))
     first = tmp_path / "one.obj"
     export(project(mesh, "xyz"), "obj", first)
     loaded = load_obj(first)
@@ -255,7 +256,8 @@ def test_obj_round_trip_is_byte_identical(tmp_path):
 
 
 def test_ply_header_and_counts(tmp_path):
-    mesh = sample_grid(FamilyParams(1, 1, 1.0), PolarGrid(0.6, 0.8, 2, 2, theta_closed=False))
+    mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)),
+                       PolarGrid(0.6, 0.8, 2, 2, theta_closed=False))
     path = tmp_path / "patch.ply"
     export(project(mesh, "xyz"), "ply", path)
     lines = path.read_text().splitlines()
@@ -265,7 +267,7 @@ def test_ply_header_and_counts(tmp_path):
 
 
 def test_export_usage_errors(tmp_path):
-    mesh = sample_grid(FamilyParams(1, 1, 1.0), PolarGrid(0.6, 0.8, 2, 2))
+    mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)), PolarGrid(0.6, 0.8, 2, 2))
     with pytest.raises(ValueError):
         export(mesh, "obj", tmp_path / "x.obj")  # 4D mesh into obj
     with pytest.raises(ValueError):
@@ -335,7 +337,8 @@ def _assert_exports_match_reference(mesh4, tmp_path):
 def test_block_writer_matches_whole_file_writer_at_block_edges(tmp_path, rows):
     # the first `rows` vertices of a sampled grid, with as many faces, so
     # vertex and face sections both end before, at and after a block edge
-    full = sample_grid(FamilyParams(1, 3, 1 + 1j), PolarGrid(0.5, 2.0, 4, _CHUNK_ROWS))
+    full = sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)),
+                       PolarGrid(0.5, 2.0, 4, _CHUNK_ROWS))
     mesh4 = QuadMesh4D(
         uv=full.uv[:rows], xyzw=full.xyzw[:rows], E=full.E[:rows], K=full.K[:rows],
         regular=full.regular[:rows], quads=np.resize(full.quads, (rows, 4)) % rows,
@@ -346,13 +349,14 @@ def test_block_writer_matches_whole_file_writer_at_block_edges(tmp_path, rows):
 @pytest.mark.parametrize("closed", [True, False])
 def test_block_writer_matches_whole_file_writer_on_readme_grid(tmp_path, closed):
     grid = PolarGrid(0.5, 2.0, 80, 160, theta_closed=closed)
-    _assert_exports_match_reference(sample_grid(FamilyParams(1, 3, 1 + 1j), grid), tmp_path)
+    mesh4 = sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)), grid)
+    _assert_exports_match_reference(mesh4, tmp_path)
 
 
 def test_export_memory_is_bounded_by_one_block(tmp_path):
     # 40,000 vertices: the whole-file writer peaked at 25-27 MB (OBJ/PLY)
     # and 46 MB (CSV) here; one block's text stays near 1 MB at any size
-    mesh4 = sample_grid(FamilyParams(1, 3, 1 + 1j), PolarGrid(0.5, 2.0, 100, 400))
+    mesh4 = sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)), PolarGrid(0.5, 2.0, 100, 400))
     mesh3 = project(mesh4, "xyz")
     for mesh, fmt in ((mesh4, "csv"), (mesh3, "obj"), (mesh3, "ply")):
         tracemalloc.start()

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from wep4 import verify
-from wep4.henneberg import FamilyParams, integral_free_point, recover_seed, seed_phi
+from wep4.henneberg import (
+    FamilyParams,
+    family_member,
+    integral_free_point,
+    recover_seed,
+    seed_phi,
+)
 from wep4.verify import (
     check_back_differentiation,
     check_frames,
@@ -43,11 +49,11 @@ def test_suites_applicable_at_lam_zero():
 
 
 def test_result_lines_render_status():
-    res = check_back_differentiation(FamilyParams(3, 5, 0.5 - 2j))
+    res = check_back_differentiation(family_member(FamilyParams(3, 5, 0.5 - 2j)))
     assert res.passed and "back_differentiation: PASS" in res.line()
-    skip = check_frames(FamilyParams(1, 3, 1.0), 10, np.random.default_rng(0))
+    skip = check_frames(family_member(FamilyParams(1, 3, 1.0)), 10, np.random.default_rng(0))
     assert skip.skipped and "SKIP" in skip.line()
-    notapp = check_reductions(FamilyParams(1, 3, 1 + 1j))
+    notapp = check_reductions(family_member(FamilyParams(1, 3, 1 + 1j)))
     assert notapp.skipped
 
 
@@ -68,7 +74,8 @@ def test_gauss_legendre_rule_is_built_once_and_shared_read_only(monkeypatch):
     assert np.array_equal(xs, ref_xs) and np.array_equal(wts, ref_wts)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: pytest.fail("rebuilt"))
     assert verify._gauss_legendre(64)[0] is xs
-    assert verify.check_quadrature(FamilyParams(1, 1, 1), np.random.default_rng(0)).passed
+    member = family_member(FamilyParams(1, 1, 1))
+    assert verify.check_quadrature(member, np.random.default_rng(0)).passed
     with pytest.raises(ValueError):
         xs[0] = 0.0
     with pytest.raises(ValueError):
@@ -78,7 +85,7 @@ def test_gauss_legendre_rule_is_built_once_and_shared_read_only(monkeypatch):
 def test_sample_regular_avoids_branch_ring():
     phi = family_phi(FamilyParams(1, 1, 0))
     pts = sample_regular(np.random.default_rng(11), 60, phi)
-    from wep4.weierstrass import conformal_factor
+    from test_weierstrass import conformal_factor
 
     for w in pts:
         _, reg = conformal_factor(phi, complex(w))
@@ -97,11 +104,13 @@ def _detail(result, key):
     return float(re.search(rf"{key}=(\S+)", result.detail).group(1))
 
 
-def test_integral_free_detects_perturbed_form(monkeypatch):
-    original = verify.fixed_gh_phi
-    perturbed = lambda p: PhiForm(tuple(q * (1 + 1e-6) for q in original(p).parts), original(p).triple)
-    monkeypatch.setattr(verify, "fixed_gh_phi", perturbed)
-    res = check_integral_free(FamilyParams(1, 1, 2), np.random.default_rng(34))
+def test_integral_free_detects_perturbed_form():
+    member = family_member(FamilyParams(1, 1, 2))
+    original = member.gh_phi
+    member.gh_curve  # built from the true form before the form is swapped
+    perturbed = PhiForm(tuple(q * (1 + 1e-6) for q in original.parts), original.triple)
+    object.__setattr__(member, "gh_phi", perturbed)
+    res = check_integral_free(member, np.random.default_rng(34))
     assert not res.passed
     assert _detail(res, "derivative_ulp") > 4.0
 
@@ -134,18 +143,20 @@ def _inversion_nudged(k, lam, w):
 @pytest.mark.parametrize("m, n, lam", [(1, 1, 1 + 1j), (7, 11, 0.97j), (3, 5, 0.5 - 2j)])
 def test_integral_free_fails_mutated_routes(name, mutant, m, n, lam, monkeypatch):
     monkeypatch.setattr(verify, name, mutant)
+    member = family_member(FamilyParams(m, n, lam))
     for seed in (42, 34):
-        res = check_integral_free(FamilyParams(m, n, lam), np.random.default_rng(seed))
+        res = check_integral_free(member, np.random.default_rng(seed))
         assert not res.passed, res.line()
 
 
 def test_integral_free_round_trip_holds_near_lam_i():
     # recover_seed divides by 1 + lam^2, so its roundoff grows near lam = +-i
-    res = check_integral_free(FamilyParams(7, 11, 0.97j), np.random.default_rng(42))
+    res = check_integral_free(family_member(FamilyParams(7, 11, 0.97j)), np.random.default_rng(42))
     assert res.passed, res.line()
     for m in range(1, 16, 2):
         for n in range(1, 16, 2):
             for lam in (0.97j, 0.999j, 1.02j, -0.97j):
                 for seed in range(2):
-                    res = check_integral_free(FamilyParams(m, n, lam), np.random.default_rng(seed))
+                    member = family_member(FamilyParams(m, n, lam))
+                    res = check_integral_free(member, np.random.default_rng(seed))
                     assert res.passed, (m, n, lam, seed, res.line())

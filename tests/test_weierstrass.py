@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from wep4.henneberg import FamilyParams, classic_henneberg_phi, family_phi, family_triple
-from wep4.laurent import IDENTITY, ONE, ZERO, LaurentPoly
+from wep4.laurent import IDENTITY, ONE, ZERO, LaurentPoly, accurate_sum
 from wep4.weierstrass import (
     PhiForm,
     WeierstrassTriple,
     _check_null,
-    conformal_factor,
     is_regular,
     nullity_defect,
     nullity_residual,
@@ -19,6 +18,23 @@ from wep4.weierstrass import (
 )
 
 RNG = np.random.default_rng(99)
+
+
+def conformal_factor(phi: PhiForm, w) -> tuple[float, float]:
+    """Reference (E, reg_weight) at w, summed from the form's components.
+
+    E = sum |phi_k(w)|^2 / 2, which equals <X_u, X_u> = <X_v, X_v> for the
+    immersion with X_u - i X_v = phi; the regularity weight is
+    |f| (1 + |g|^2 + |h|^2) and needs the form's (f, g, h) data.  The
+    pipeline reads neither (see geometry.conformal_fields and is_regular):
+    both are the tests' independent reference.  ``w`` may be an ndarray.
+    """
+    t = phi.triple
+    if t is None:
+        raise ValueError("the regularity weight needs the (f, g, h) data of the form")
+    energy = 0.5 * accurate_sum(abs(p(w)) ** 2 for p in phi.parts)
+    reg = abs(t.f(w)) * (1.0 + abs(t.g(w)) ** 2 + abs(t.h(w)) ** 2)
+    return energy, reg
 
 
 def _annulus(count, lo=0.4, hi=1.8):

@@ -1,8 +1,12 @@
 """Grid sampling, masking, projection, and the export formats."""
 
+import hashlib
 import math
 import random
+import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from wep4.geometry import surface_jet
 from wep4.henneberg import FamilyParams, family_curve, family_member, family_phi
 from wep4.mesh import (
     _CHUNK_ROWS,
+    _texts,
     AXES,
     CSV_FIELDS,
     MAX_VERTICES,
@@ -276,20 +281,78 @@ def test_export_usage_errors(tmp_path):
         export(mesh, "stl", tmp_path / "x.stl")
 
 
+def _repr_column(values) -> list[str]:
+    """The writer's text rule applied by repr, one float at a time: shortest
+    round-trip digits, a trailing '.0' dropped, -0.0 as 0 and nan empty."""
+    texts = map(repr, (np.asarray(values, dtype=float) + 0.0).tolist())
+    return ["" if t == "nan" else t[:-2] if t.endswith(".0") else t for t in texts]
+
+
+def _edge_floats() -> list[float]:
+    """Values at and around the bounds where repr switches to an exponent,
+    the ends of the double range, and integral floats of every size."""
+    edges = []
+    for bound in (1e-4, 1e16):
+        for x in (bound, -bound):
+            edges += [np.nextafter(x, 0.0), x, np.nextafter(x, 2.0 * x)]
+    edges += [5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
+              math.inf, -math.inf, math.nan, -0.0, 0.0]
+    edges += [2.0**k for k in range(-30, 61)]
+    edges += [s * (2.0**53 + d) for s in (1, -1) for d in range(-4, 5)]
+    return [float(x) for x in edges]
+
+
 def test_format_column_shortest_round_trip():
     assert format_column([2.0]) == ["2"]
     assert format_column([-0.0]) == ["0"]
     assert format_column([4 / 3]) == ["1.3333333333333333"]
     assert format_column([1e20]) == ["1e+20"]
+    assert format_column([1e16, 1e-4, np.nextafter(1e-4, 0.0)]) == [
+        "1e+16", "0.0001", "9.999999999999999e-05"]
+    assert format_column([math.inf, -math.inf, math.nan]) == ["inf", "-inf", ""]
+    assert format_column([2.0**53, 5e-324]) == ["9007199254740992", "5e-324"]
     for v in (2.0, 4 / 3, -8 / 3, 1e-7, 123456.75):
         assert float(format_column([v])[0]) == v
+    edges = _edge_floats()
+    assert format_column(edges) == _repr_column(edges)
+    # a value's text does not depend on its neighbours in the column
+    assert [format_column([x])[0] for x in edges] == _repr_column(edges)
+    for text, x in zip(format_column(edges), edges):
+        assert math.isnan(x) and text == "" or float(text) == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=64))
+@example([])
+def test_format_column_matches_repr_rule(xs):
+    assert format_column(xs) == _repr_column(xs)
+
+
+def test_format_column_takes_one_column():
+    assert format_column(np.array([1.0, -0.5, 0.0, 1e-9])) == ["1", "-0.5", "0", "1e-09"]
+    assert format_column(np.zeros(0)) == []
+    for bad in (1.0, np.float64(2.5), np.zeros((2, 2)), [[1.0, 2.0]], np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="1-D"):
+            format_column(bad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
+@example([0, 1, -1, 10, 100, 1023, 1024, 2**53 + 1, 2**63 - 1, -(2**63)])
+def test_integer_column_tokens_are_str(ints):
+    column = np.array(ints, dtype=np.int64)
+    assert _texts(column) == [str(i) for i in ints]
+    # face columns reach the writer as strided rows of a transposed block
+    block = np.stack([column, column[::-1]], axis=1).T
+    assert [_texts(row) for row in block] == [[str(i) for i in ints], [str(i) for i in ints[::-1]]]
+    assert _texts(column % 2 == 0) == ["1" if i % 2 == 0 else "0" for i in ints]
 
 
 def _reference_bytes(mesh, fmt: str, fields=CSV_FIELDS) -> bytes:
     """The whole-file writer the exporters had before streaming: every line
-    is built from whole columns, then joined once."""
+    is built from whole columns, then joined once, each float by repr."""
     def point_lines(vertices, prefix=""):
-        x, y, z = (format_column(c) for c in np.asarray(vertices, dtype=float).reshape(-1, 3).T)
+        x, y, z = (_repr_column(c) for c in np.asarray(vertices, dtype=float).reshape(-1, 3).T)
         return [f"{prefix}{a} {b} {c}" for a, b, c in zip(x, y, z)]
 
     if fmt == "csv":
@@ -297,7 +360,7 @@ def _reference_bytes(mesh, fmt: str, fields=CSV_FIELDS) -> bytes:
         columns.update(zip(AXES, mesh.xyzw.T))
         texts = [
             np.where(mesh.regular, "1", "0").tolist() if name == "regular"
-            else format_column(columns[name])
+            else _repr_column(columns[name])
             for name in fields
         ]
         lines = [",".join(fields), *map(",".join, zip(*texts))]
@@ -366,3 +429,41 @@ def test_export_memory_is_bounded_by_one_block(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak <= 2_000_000, (fmt, peak)
+
+
+# SHA-256 of each file as the repr-based writer wrote it.  The first member
+# spans six decades of radius, so its columns hold exponent forms at both
+# ends; the second grid's r = 1 ring puts empty K fields and masked faces in.
+GOLDEN_SHA256 = {
+    ((1, 1, 0), "obj"): "a60ad6cd32b35bb70a38444978721bfaeb3caa35d7e8115e3b804d208c5564a0",
+    ((1, 1, 0), "ply"): "63b65d977910c61e4cd795477cbde01bad52e14697e6f021497a0915116b3800",
+    ((1, 1, 0), "csv"): "f584661a40ed1836a9bf81e38207e7a35f4219aa70c766ce5a987891eb47c953",
+    ((1, 3, 1 + 1j), "obj"): "31075c3e28806b6408ceefe23085a7bf300273f8f266092304b93b7c075f694c",
+    ((1, 3, 1 + 1j), "ply"): "2007450fa3a7607bb973fccef51a5d1aeedab78c991d81126ed305e2b0513dc8",
+    ((1, 3, 1 + 1j), "csv"): "bb884fb24fd750e8e4aa6b96de2fc34378fed7d562e92990b3ac11da0e3bfc62",
+}
+GOLDEN_GRIDS = {(1, 1, 0): PolarGrid(1e-3, 1e3, 12, 8), (1, 3, 1 + 1j): PolarGrid(0.5, 2.0, 7, 12)}
+
+
+@pytest.mark.parametrize("member, fmt", sorted(GOLDEN_SHA256, key=str))
+def test_export_bytes_match_pinned_digests(tmp_path, member, fmt):
+    mesh4 = sample_grid(family_member(FamilyParams(*member)), GOLDEN_GRIDS[member])
+    path = tmp_path / f"golden.{fmt}"
+    export(mesh4 if fmt == "csv" else project(mesh4, "xyz"), fmt, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[member, fmt]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_members_and_grids(), st.sampled_from(["xyz", "xyw", "zwx", "wyz"]))
+@example((FamilyParams(1, 1, 0), PolarGrid(1.0, 2.0, 2, 4)), "xyz")  # every cell masked
+def test_obj_export_round_trips_through_load_obj(case, axes):
+    params, grid = case
+    mesh3 = project(sample_grid(family_member(params), grid), axes)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.obj"
+        export_obj(mesh3, path)
+        loaded = load_obj(path)
+    # bit for bit, except that the writer prints -0.0 as 0
+    assert np.array_equal(loaded.vertices.view(np.int64), (mesh3.vertices + 0.0).view(np.int64))
+    triangles = mesh3.faces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    assert loaded.faces.dtype == np.int64 and np.array_equal(loaded.faces, triangles)

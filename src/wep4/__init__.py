@@ -28,11 +28,8 @@ from .henneberg import (
     MinimalCurve,
     classic_henneberg_curve,
     classic_henneberg_phi,
-    family_curve,
     family_member,
-    family_phi,
     family_triple,
-    fixed_gh_curve,
     integral_free_point,
     recover_seed,
     seed_phi,
@@ -44,13 +41,12 @@ from .geometry import (
     closed_form_normals,
     curvature_denominator_check,
     frame_scalars,
-    gauss_curvature,
     immersion_point,
     normal_frame,
     perp_vectors,
     surface_jet,
 )
-from .fixtures import Fixture, fidelity_report, fixture, fixture_eval, fixtures_for
+from .fixtures import Fixture, fidelity_report, fixture_eval, fixtures_for
 from .mesh import Mesh3D, PolarGrid, QuadMesh4D, Vertex, export, load_obj, project, sample_grid
 
 __version__ = "0.1.0"

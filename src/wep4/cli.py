@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .fixtures import fidelity_report
-from .henneberg import FamilyParams, family_curve, family_member, seed_phi
+from .henneberg import FamilyParams, family_member, seed_phi
 from .geometry import immersion_point
 from .laurent import NonFiniteCoefficientError
 from .mesh import (AXES, PolarGrid, export, export_csv, format_column, project,
@@ -135,7 +135,7 @@ def _config_flags(path: str) -> list[str]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # nesting too deep for the decoder
             raise UsageError(f"--config {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError("--config must contain a JSON object")
@@ -190,7 +190,7 @@ def _cmd_eval(args) -> int:
     if w == 0:
         raise UsageError("the point 0,0 is the puncture")
     try:
-        point = immersion_point(family_curve(params), w)
+        point = immersion_point(family_member(params).curve, w)
     except (OverflowError, ZeroDivisionError):  # |w|**k out of range either way
         point = None
     if point is None or not np.isfinite(point).all():

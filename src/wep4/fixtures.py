@@ -8,7 +8,8 @@ is the point, because the audit in fidelity_report documents exactly where
 each display and the algebra pipeline disagree.  The pipeline (data -> null
 form -> antiderivative) is the authoritative side of every comparison.
 
-Fixture identifiers are stable strings used by the command line interface:
+Each display carries a stable identifier, the key of its rows in the audit
+report (fixtures_for picks the displays that describe a member):
 
     h11_general_cart   (1,1) member, general complex lam, Cartesian
     h11_real_cart      (1,1) member, real lam, Cartesian
@@ -35,7 +36,6 @@ __all__ = [
     "FixtureDomainError",
     "FidelityRow",
     "FidelityReport",
-    "fixture",
     "fixtures_for",
     "fixture_eval",
     "fidelity_report",
@@ -284,25 +284,6 @@ def _h11_real_xv(lam: float) -> Fixture:
     return Fixture("h11_real_xv", "cart", "tangent_v", fn)
 
 
-def fixture(fixture_id: str, lam: complex = _EXAMPLE_LAM) -> Fixture:
-    """Look up one fixture by its stable id; lam feeds the parametrized ones."""
-    lam = complex(lam)
-    table: dict[str, Callable[[], Fixture]] = {
-        "h11_general_cart": lambda: _h11_general_cart(lam),
-        "h11_real_cart": lambda: _h11_real_cart(lam.real),
-        "h11_example_cart": _h11_example_cart,
-        "h11_example_polar": _h11_example_polar,
-        "h13_example_cart": _h13_example_cart,
-        "h13_example_polar": _h13_example_polar,
-        "h11_real_xu": lambda: _h11_real_xu(lam.real),
-        "h11_real_xv": lambda: _h11_real_xv(lam.real),
-    }
-    try:
-        return table[fixture_id]()
-    except KeyError:
-        raise KeyError(f"unknown fixture id {fixture_id!r}") from None
-
-
 def fixtures_for(params: FamilyParams) -> list[Fixture]:
     """Displays that claim to describe the given family member."""
     out: list[Fixture] = []
@@ -421,7 +402,7 @@ def fidelity_report(member: FamilyMember, samples) -> FidelityReport:
     the displays' bodies stay verbatim.
     """
     w = np.asarray(samples, dtype=complex).reshape(-1)
-    jet = surface_jet(member.phi, member.curve, w)
+    jet = surface_jet(member, w)
     rows: list[FidelityRow] = []
     for fx in fixtures_for(member.params):
         ref = fixture_eval(fx, _fixture_coords(fx, w))

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .henneberg import FamilyParams, MinimalCurve
+from .henneberg import FamilyMember, FamilyParams, MinimalCurve
 from .laurent import accurate_sum
-from .weierstrass import PhiForm, WeierstrassTriple, is_regular
+from .weierstrass import WeierstrassTriple, is_regular
 
 __all__ = [
     "SurfaceJet",
@@ -28,7 +28,6 @@ __all__ = [
     "NormalFrame",
     "DegenerateFrameError",
     "FormulaDegenerateError",
-    "UndefinedCurvatureError",
     "immersion_point",
     "surface_jet",
     "perp_vectors",
@@ -36,7 +35,6 @@ __all__ = [
     "normal_frame",
     "closed_form_normals",
     "conformal_fields",
-    "gauss_curvature",
     "curvature_denominator_check",
 ]
 
@@ -47,10 +45,6 @@ class DegenerateFrameError(ValueError):
 
 class FormulaDegenerateError(ValueError):
     """The closed-form normal expressions divide by a vanishing scalar here."""
-
-
-class UndefinedCurvatureError(ValueError):
-    """Gauss curvature requested at a non-regular (branch) point."""
 
 
 @dataclass(frozen=True)
@@ -116,16 +110,10 @@ def immersion_point(curve: MinimalCurve, w) -> np.ndarray:
     return np.stack([comp(w).real for comp in curve.parts], axis=-1)
 
 
-def _triple(phi: PhiForm) -> WeierstrassTriple:
-    if phi.triple is None:
-        raise ValueError("branch flags and curvature need the (f, g, h) data of the form")
-    return phi.triple
-
-
-def surface_jet(phi: PhiForm, curve: MinimalCurve, w) -> SurfaceJet:
+def surface_jet(member: FamilyMember, w) -> SurfaceJet:
     """Position, analytic tangents, first fundamental form, is_regular flag."""
-    position = immersion_point(curve, w)
-    vals = np.stack([comp(w) for comp in phi.parts], axis=-1)
+    position = immersion_point(member.curve, w)
+    vals = np.stack([comp(w) for comp in member.phi.parts], axis=-1)
     xu, xv = vals.real, -vals.imag
     return SurfaceJet(
         position=position,
@@ -134,7 +122,7 @@ def surface_jet(phi: PhiForm, curve: MinimalCurve, w) -> SurfaceJet:
         E=_dot(xu, xu),
         F=_dot(xu, xv),
         G=_dot(xv, xv),
-        regular=is_regular(_triple(phi), w),
+        regular=is_regular(member.triple, w),
     )
 
 
@@ -254,19 +242,6 @@ def conformal_fields(triple: WeierstrassTriple, w: np.ndarray) -> tuple[np.ndarr
     with np.errstate(divide="ignore", invalid="ignore"):
         curvature = -2.0 * wedge / energy
     return energy, curvature
-
-
-def gauss_curvature(phi: PhiForm, w: complex) -> float:
-    """Gauss curvature of the conformal metric E (du^2 + dv^2) at w.
-
-    The closed form of conformal_fields at one point; needs the (f, g, h)
-    data the form was built from.  Raises UndefinedCurvatureError where
-    weierstrass.is_regular flags a branch point.
-    """
-    triple = _triple(phi)
-    if not is_regular(triple, w):
-        raise UndefinedCurvatureError("curvature undefined at a non-regular point")
-    return float(conformal_fields(triple, np.array([complex(w)]))[1][0])
 
 
 def curvature_denominator_check() -> tuple[bool, str]:

@@ -34,10 +34,6 @@ __all__ = [
     "DegenerateParameterError",
     "family_member",
     "family_triple",
-    "family_phi",
-    "family_curve",
-    "fixed_gh_phi",
-    "fixed_gh_curve",
     "classic_henneberg_phi",
     "classic_henneberg_curve",
     "seed_phi",
@@ -90,35 +86,10 @@ def family_triple(p: FamilyParams) -> WeierstrassTriple:
     return WeierstrassTriple(f, g, h)
 
 
-def family_phi(p: FamilyParams) -> PhiForm:
-    return phi_from_triple(family_triple(p))
-
-
 def _integrate_phi(phi: PhiForm) -> MinimalCurve:
     # No integrand of this family carries exponent -1 (parity for the first two
     # components, positivity for the last two); antiderivative raises if one does.
     return MinimalCurve(tuple(comp.antiderivative() for comp in phi.parts))
-
-
-def family_curve(p: FamilyParams) -> MinimalCurve:
-    """Termwise antiderivative of the family 1-form (integration constants 0)."""
-    return _integrate_phi(family_phi(p))
-
-
-def fixed_gh_phi(p: FamilyParams) -> PhiForm:
-    """Null form of the same f with the low-order data g = w, h = lam w."""
-    h = LaurentPoly.monomial(1, p.lam)
-    return phi_from_triple(WeierstrassTriple(family_triple(p).f, IDENTITY, h))
-
-
-def fixed_gh_curve(p: FamilyParams) -> MinimalCurve:
-    """Curve of fixed_gh_phi: the same f, but g = w, h = lam w.
-
-    Coincides with family_curve at m = n = 1.  The third component comes out
-    as (2/(m+n)) (w**(m+n) + w**(-(m+n))): both terms positive, whatever the
-    printed reference form suggests.
-    """
-    return _integrate_phi(fixed_gh_phi(p))
 
 
 @dataclass(frozen=True)
@@ -135,10 +106,15 @@ class FamilyMember:
 
     @cached_property
     def gh_phi(self) -> PhiForm:
-        return fixed_gh_phi(self.params)
+        """Null form of the same f with the low-order data g = w, h = lam w."""
+        h = LaurentPoly.monomial(1, self.params.lam)
+        return phi_from_triple(WeierstrassTriple(self.triple.f, IDENTITY, h))
 
     @cached_property
     def gh_curve(self) -> MinimalCurve:
+        """Curve of gh_phi.  Coincides with curve at m = n = 1.  The third
+        component comes out as (2/(m+n)) (w**(m+n) + w**(-(m+n))): both terms
+        positive, whatever the printed reference form suggests."""
         return _integrate_phi(self.gh_phi)
 
 

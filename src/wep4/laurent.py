@@ -105,9 +105,6 @@ class LaurentPoly:
     def __iter__(self):
         return iter(self._terms.items())
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -150,14 +147,6 @@ class LaurentPoly:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only non-negative integer powers are defined")
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- calculus -----------------------------------------------------------
 

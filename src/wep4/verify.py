@@ -35,7 +35,7 @@ from .henneberg import (
     seed_phi,
 )
 from .laurent import IDENTITY, LaurentPoly, accurate_sum
-from .weierstrass import is_regular, nullity_defect, nullity_residual
+from .weierstrass import WeierstrassTriple, is_regular, nullity_defect, nullity_residual
 
 __all__ = [
     "SuiteResult",
@@ -72,6 +72,12 @@ class SuiteResult:
 # is_regular tolerance of the sampled suites, a distance in units of 1/N that
 # keeps every sample clear of the branch points and their degenerate metric.
 SAMPLE_MARGIN = 1e-4
+# Sizes of the fixed-size suites: quadrature targets and Gauss-Legendre
+# nodes, the harmonicity stencil's step, and the integral-free points.
+QUADRATURE_TARGETS = 20
+QUADRATURE_NODES = 64
+HARMONICITY_STEP = 1e-3
+INTEGRAL_FREE_POINTS = 25
 
 
 def sample_annulus(rng: np.random.Generator, count: int,
@@ -81,7 +87,7 @@ def sample_annulus(rng: np.random.Generator, count: int,
     return r * np.exp(1j * t)
 
 
-def sample_regular(rng: np.random.Generator, count: int, phi,
+def sample_regular(rng: np.random.Generator, count: int, triple: WeierstrassTriple,
                    r_lo: float = 0.4, r_hi: float = 1.8) -> np.ndarray:
     """Annulus samples kept only where is_regular holds with SAMPLE_MARGIN.
 
@@ -92,7 +98,7 @@ def sample_regular(rng: np.random.Generator, count: int, phi,
     found = 0
     while found < count:
         w = sample_annulus(rng, count, r_lo, r_hi)
-        healthy = w[is_regular(phi.triple, w, SAMPLE_MARGIN)][: count - found]
+        healthy = w[is_regular(triple, w, SAMPLE_MARGIN)][: count - found]
         kept.append(healthy)
         found += healthy.size
     return np.concatenate(kept)
@@ -174,14 +180,13 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, wts
 
 
-def check_quadrature(member: FamilyMember, rng: np.random.Generator,
-                     targets: int = 20, nodes: int = 64) -> SuiteResult:
+def check_quadrature(member: FamilyMember, rng: np.random.Generator) -> SuiteResult:
     """Gauss-Legendre quadrature of the 1-form from the base point 1 against
     curve differences; one array evaluation per component for all targets."""
     phi, curve = member.phi, member.curve
-    xs, wts = _gauss_legendre(nodes)
+    xs, wts = _gauss_legendre(QUADRATURE_NODES)
     base = 1 + 0j
-    z = np.array(quadrature_targets(rng, targets))
+    z = np.array(quadrature_targets(rng, QUADRATURE_TARGETS))
     zs = base + ((xs + 1.0) / 2.0)[None, :] * (z - base)[:, None]
     integral = np.stack(
         [(z - base) / 2.0 * np.sum(wts * comp(zs), axis=1) for comp in phi.parts], axis=1
@@ -189,12 +194,12 @@ def check_quadrature(member: FamilyMember, rng: np.random.Generator,
     diff = np.stack([comp(z) - comp(base) for comp in curve.parts], axis=1)
     err = np.linalg.norm(integral - diff, axis=1) / np.maximum(np.linalg.norm(diff, axis=1), 1e-30)
     worst = float(np.max(err))
-    return SuiteResult("quadrature", worst <= 1e-9, targets, f"max_rel_err={worst:.3e}")
+    return SuiteResult("quadrature", worst <= 1e-9, QUADRATURE_TARGETS,
+                       f"max_rel_err={worst:.3e}")
 
 
 def check_conformality(member: FamilyMember, samples: int, rng: np.random.Generator) -> SuiteResult:
-    phi = member.phi
-    jet = surface_jet(phi, member.curve, sample_regular(rng, samples, phi))
+    jet = surface_jet(member, sample_regular(rng, samples, member.triple))
     worst = _worst((jet.E - jet.G) / jet.E, jet.F / jet.E)
     return SuiteResult("conformality", worst <= 1e-12, 2 * samples, f"max_rel={worst:.3e}")
 
@@ -210,8 +215,7 @@ def _five_point_laplacians(curve: MinimalCurve, w: np.ndarray, steps) -> tuple:
                      for i, step in enumerate(steps))
 
 
-def check_harmonicity(member: FamilyMember, points: int, rng: np.random.Generator,
-                      h: float = 1e-3) -> SuiteResult:
+def check_harmonicity(member: FamilyMember, points: int, rng: np.random.Generator) -> SuiteResult:
     """Five-point Laplacian of each coordinate converges at order ~2.
 
     The order is only measurable where the truncation term clears the FD
@@ -222,7 +226,8 @@ def check_harmonicity(member: FamilyMember, points: int, rng: np.random.Generato
     w = sample_annulus(rng, points, r_lo=0.75, r_hi=1.6)
     # (points, coordinates) arrays; a failure reports the last order out of
     # range, taken point by point
-    center, res_h, res_h2 = _five_point_laplacians(member.curve, w, (h, h / 2.0))
+    steps = (HARMONICITY_STEP, HARMONICITY_STEP / 2.0)
+    center, res_h, res_h2 = _five_point_laplacians(member.curve, w, steps)
     floor = 1e-7 * (1.0 + np.max(np.abs(center), axis=1, keepdims=True))
     measurable = (res_h >= floor) & (res_h2 >= floor)
     orders = np.log2(res_h[measurable] / res_h2[measurable])
@@ -246,8 +251,8 @@ def check_frames(member: FamilyMember, points: int, rng: np.random.Generator) ->
     params = member.params
     if params.m != 1 or params.n != 1 or not params.lam_is_real:
         return SuiteResult("frames", True, 0, "not applicable here", skipped=True)
-    w = sample_regular(rng, points, member.phi)
-    jet = surface_jet(member.phi, member.curve, w)
+    w = sample_regular(rng, points, member.triple)
+    jet = surface_jet(member, w)
     perp1, perp2 = perp_vectors(jet)
     s = frame_scalars(params, w)
     q_direct = np.sum(jet.xu * perp2, axis=1)
@@ -284,12 +289,11 @@ def _roundtrip_bound(seed: LaurentPoly, lam: complex, w: np.ndarray) -> np.ndarr
     return 16.0 * np.finfo(float).eps * weighted / abs(a)
 
 
-def check_integral_free(member: FamilyMember, rng: np.random.Generator,
-                        points: int = 25) -> SuiteResult:
+def check_integral_free(member: FamilyMember, rng: np.random.Generator) -> SuiteResult:
     """The seed route, exactly and then pointwise in one array pass.
 
-    The route fixes g = w, h = lam w, so it is held to fixed_gh_curve and
-    fixed_gh_phi.  Exact, in coefficient ulps: seed''' against f, and the
+    The route fixes g = w, h = lam w, so it is held to the member's gh_curve
+    and gh_phi.  Exact, in coefficient ulps: seed''' against f, and the
     seed-built curve (integral_free_point at IDENTITY) and its derivative
     against those two.  Pointwise: the evaluated curve relative to
     max(1, |curve|) and, where lam^2 + 1 is clear of 0, the recover_seed
@@ -304,7 +308,7 @@ def check_integral_free(member: FamilyMember, rng: np.random.Generator,
     curve_ulp = max(map(_max_coeff_ulp, curve, target))
     derivative_ulp = max(_max_coeff_ulp(k.derivative(), p) for k, p in zip(curve, phi))
 
-    w = sample_annulus(rng, points, r_lo=0.6, r_hi=1.5)
+    w = sample_annulus(rng, INTEGRAL_FREE_POINTS, r_lo=0.6, r_hi=1.5)
     k = np.stack(integral_free_point(seed, lam, w))
     ref = np.stack([comp(w) for comp in target])
     worst_point = _worst((k - ref) / np.maximum(1.0, np.abs(ref).max(axis=0)))
@@ -316,7 +320,7 @@ def check_integral_free(member: FamilyMember, rng: np.random.Generator,
     ok = (seed_ulp <= 1.0 and curve_ulp <= 4.0 and derivative_ulp <= 4.0
           and worst_point <= 1e-12 and worst_rt <= 1.0)
     return SuiteResult(
-        "integral_free", ok, 9 + points * (1 + can_invert),
+        "integral_free", ok, 9 + INTEGRAL_FREE_POINTS * (1 + can_invert),
         f"seed_ulp={seed_ulp:g} curve_ulp={curve_ulp:g} derivative_ulp={derivative_ulp:g} "
         f"point={worst_point:.2e} roundtrip_ratio={worst_rt:.2e}",
     )

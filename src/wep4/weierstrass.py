@@ -42,14 +42,9 @@ class WeierstrassTriple:
 
 @dataclass(frozen=True)
 class PhiForm:
-    """The 4-vector of holomorphic 1-form components.
-
-    ``triple`` is retained when the form was built from (f, g, h) data;
-    the branch flags and the curvature are read from it.
-    """
+    """The 4-vector of holomorphic 1-form components."""
 
     parts: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
-    triple: WeierstrassTriple | None = None
 
 
 def nullity_defect(parts) -> LaurentPoly:
@@ -84,7 +79,7 @@ def phi_from_triple(t: WeierstrassTriple) -> PhiForm:
         t.f * t.h,
     )
     _check_null(parts)
-    return PhiForm(parts, triple=t)
+    return PhiForm(parts)
 
 
 def nullity_residual(phi: PhiForm, w):

@@ -21,19 +21,12 @@ import numpy as np
 import pytest
 
 from wep4.cli import main
-from wep4.fixtures import fidelity_report, fixture, fixture_eval
-from wep4.geometry import (
-    curvature_denominator_check,
-    gauss_curvature,
-    immersion_point,
-)
+from wep4.fixtures import fidelity_report, fixture_eval
+from wep4.geometry import curvature_denominator_check, immersion_point
 from wep4.henneberg import (
     FamilyParams,
     classic_henneberg_curve,
-    family_curve,
     family_member,
-    family_phi,
-    family_triple,
     integral_free_point,
     recover_seed,
     seed_phi,
@@ -42,6 +35,9 @@ from wep4.laurent import LaurentPoly
 from wep4.mesh import PolarGrid, sample_grid
 from wep4.verify import check_frames, check_harmonicity, quadrature_targets
 from wep4.weierstrass import nullity_defect
+
+from test_fixtures import display
+from test_geometry import curvature_at
 
 LAM_GRID = (0, 1, 1 + 1j, 0.5 - 2j)
 MN_GRID = ((1, 1), (1, 3), (3, 1), (3, 3), (3, 5))
@@ -70,7 +66,7 @@ def test_criterion_01_nullity():
     rng = np.random.default_rng(SEED)
     for m, n in MN_GRID:
         for lam in LAM_GRID:
-            phi = family_phi(FamilyParams(m, n, lam))
+            phi = family_member(FamilyParams(m, n, lam)).phi
             assert nullity_defect(phi.parts).is_zero, f"structural defect at {(m, n, lam)}"
             ws = _annulus(rng, 1000)
             vals = [comp(ws) for comp in phi.parts]
@@ -85,8 +81,8 @@ def test_criterion_02_back_differentiation():
     for m, n in MN_GRID:
         for lam in LAM_GRID:
             p = FamilyParams(m, n, lam)
-            phi = family_phi(p)
-            curve = family_curve(p)
+            member = family_member(p)
+            phi, curve = member.phi, member.curve
             for x, comp in zip(curve.parts, phi.parts):
                 assert x.derivative() == comp, f"inexact at {(m, n, lam)}"
     _announce("02", "back-differentiation, coefficient-exact")
@@ -99,7 +95,8 @@ def test_criterion_03_quadrature_cross_check():
     for m, n in MN_GRID:
         for lam in LAM_GRID:
             p = FamilyParams(m, n, lam)
-            phi, curve = family_phi(p), family_curve(p)
+            member = family_member(p)
+            phi, curve = member.phi, member.curve
             for z in quadrature_targets(rng, 20):
                 t = (nodes + 1.0) / 2.0
                 zs = base + t * (z - base)
@@ -117,8 +114,8 @@ def test_criterion_04_conformality():
     for m, n in MN_GRID:
         for lam in LAM_GRID:
             p = FamilyParams(m, n, lam)
-            phi = family_phi(p)
-            triple = family_triple(p)
+            member = family_member(p)
+            phi, triple = member.phi, member.triple
             ws = _regular_annulus(rng, 1000)
             reg = np.abs(triple.f(ws)) * (
                 1.0 + np.abs(triple.g(ws)) ** 2 + np.abs(triple.h(ws)) ** 2
@@ -137,9 +134,9 @@ def test_criterion_04_conformality():
 
 def test_criterion_05_harmonicity_convergence():
     rng = np.random.default_rng(SEED)
-    result = check_harmonicity(family_member(FamilyParams(1, 1, 1 + 1j)), 50, rng, h=1e-3)
+    result = check_harmonicity(family_member(FamilyParams(1, 1, 1 + 1j)), 50, rng)
     assert result.passed, result.detail
-    result = check_harmonicity(family_member(FamilyParams(1, 3, 1 + 1j)), 50, rng, h=1e-3)
+    result = check_harmonicity(family_member(FamilyParams(1, 3, 1 + 1j)), 50, rng)
     assert result.passed, result.detail
     _announce("05", "harmonic coordinates, FD order ~ 2")
 
@@ -151,8 +148,8 @@ def _matched_samples(rng, count):
 
 def test_criterion_06a_h11_cart_polar_agree():
     rng = np.random.default_rng(SEED)
-    cart = fixture("h11_example_cart")
-    polar = fixture("h11_example_polar")
+    cart = display("h11_example_cart")
+    polar = display("h11_example_polar")
     for r, t in _matched_samples(rng, 200):
         u, v = r * math.cos(t), r * math.sin(t)
         dev = np.max(np.abs(fixture_eval(cart, (u, v)) - fixture_eval(polar, (r, t))))
@@ -162,8 +159,8 @@ def test_criterion_06a_h11_cart_polar_agree():
 
 def test_criterion_06b_h13_cart_polar_agree():
     rng = np.random.default_rng(SEED)
-    cart = fixture("h13_example_cart")
-    polar = fixture("h13_example_polar")
+    cart = display("h13_example_cart")
+    polar = display("h13_example_polar")
     for r, t in _matched_samples(rng, 200):
         u, v = r * math.cos(t), r * math.sin(t)
         dev = np.max(np.abs(fixture_eval(cart, (u, v)) - fixture_eval(polar, (r, t))))
@@ -180,7 +177,7 @@ def test_criterion_06c_h11_report_and_reference_value():
     expected = np.array([0.0, 4.0 / 3.0, 2.0, 2.0])
     for fid in ("h11_example_cart", "h11_example_polar"):
         coords = (1.0, 0.0)
-        got = fixture_eval(fixture(fid), coords)
+        got = fixture_eval(display(fid), coords)
         assert np.max(np.abs(got - expected)) <= 1e-12
     _announce("06c", "report generated; displays reproduce (0, 4/3, 2, 2) at (1, 0)")
 
@@ -190,8 +187,8 @@ def test_criterion_06d_h13_z_deviates_by_factor_two():
     params = FamilyParams(1, 3, 1 + 1j)
     report = fidelity_report(family_member(params), list(_annulus(rng, 60, lo=0.5, hi=1.7)))
     assert report.row("h13_example_cart", "z").verdict == "DEVIATES"
-    curve = family_curve(params)
-    cart = fixture("h13_example_cart")
+    curve = family_member(params).curve
+    cart = display("h13_example_cart")
     for w in _annulus(rng, 100, lo=0.5, hi=1.7):
         w = complex(w)
         pipe_z = immersion_point(curve, w)[2]
@@ -212,13 +209,13 @@ def test_criterion_06e_general_cart_display_matches_pipeline_at_real_lam():
     for lam in (0.0, 1.0, 2.0):
         a = 1.0 + lam * lam
         params = FamilyParams(1, 1, lam)
-        display = fixture("h11_general_cart", lam)
-        curve = family_curve(params)
+        general = display("h11_general_cart", lam)
+        curve = family_member(params).curve
         samples = [complex(w) for w in _annulus(rng, 100, lo=0.5, hi=1.7)]
         for w in samples:
             r2 = abs(w) ** 2
             slip = -2.0 * (a * w.imag / r2 + (w**3).imag / (3.0 * r2**3))
-            dev = fixture_eval(display, (w.real, w.imag)) - immersion_point(curve, w)
+            dev = fixture_eval(general, (w.real, w.imag)) - immersion_point(curve, w)
             dev[1] -= slip
             worst = np.maximum(worst, np.abs(dev))
         report = fidelity_report(family_member(params), samples)
@@ -254,11 +251,11 @@ def test_criterion_08_curvature():
     per_config = 500 // (len(MN_GRID) * len(LAM_GRID))
     for m, n in MN_GRID:
         for lam in LAM_GRID:
-            phi = family_phi(FamilyParams(m, n, lam))
+            triple = family_member(FamilyParams(m, n, lam)).triple
             for w in _regular_annulus(rng, per_config):
-                assert gauss_curvature(phi, complex(w)) <= 1e-8
+                assert curvature_at(triple, complex(w)) <= 1e-8
 
-    flat = gauss_curvature(family_phi(FamilyParams(1, 1, 0)), 10 + 0j)
+    flat = curvature_at(family_member(FamilyParams(1, 1, 0)).triple, 10 + 0j)
     assert abs(flat) <= 1e-6
     _announce("08", "octic identity, K <= 0, asymptotic flatness")
 
@@ -268,7 +265,7 @@ def test_criterion_09_integral_free():
     assert d3 == LaurentPoly({0: 2.0, -4: -2.0})
 
     rng = np.random.default_rng(SEED)
-    curve = family_curve(FamilyParams(1, 1, 0))
+    curve = family_member(FamilyParams(1, 1, 0)).curve
     seed = seed_phi(1, 1)
     for w in _annulus(rng, 50, lo=0.5, hi=1.6):
         w = complex(w)
@@ -291,9 +288,9 @@ def test_criterion_09_integral_free():
 
 def test_criterion_10_reductions():
     for m, n in MN_GRID:
-        curve = family_curve(FamilyParams(m, n, 0))
+        curve = family_member(FamilyParams(m, n, 0)).curve
         assert curve.parts[3].is_zero
-    curve = family_curve(FamilyParams(1, 1, 0))
+    curve = family_member(FamilyParams(1, 1, 0)).curve
     classic = classic_henneberg_curve()
     for k in range(3):
         assert curve.parts[k] == classic.parts[k] * 2.0

@@ -33,12 +33,7 @@ from wep4.geometry import (
 )
 from wep4.henneberg import (
     FamilyParams,
-    family_curve,
     family_member,
-    family_phi,
-    family_triple,
-    fixed_gh_curve,
-    fixed_gh_phi,
     integral_free_point,
     recover_seed,
     seed_phi,
@@ -71,13 +66,13 @@ ROUNDTRIP_NOISE = 2 / 16
 
 # -- the scalar references -----------------------------------------------------
 
-def scalar_sample_regular(rng, count, phi, r_lo=0.4, r_hi=1.8):
+def scalar_sample_regular(rng, count, triple, r_lo=0.4, r_hi=1.8):
     """The one-point rule: draw batches of `count`, keep healthy points in order."""
     out = []
     while len(out) < count:
         for w in verify.sample_annulus(rng, count, r_lo, r_hi):
             w = complex(w)
-            if is_regular(phi.triple, w, verify.SAMPLE_MARGIN):
+            if is_regular(triple, w, verify.SAMPLE_MARGIN):
                 out.append(w)
                 if len(out) == count:
                     break
@@ -88,10 +83,10 @@ def scalar_nullity(phi, samples, rng):
     return max([0.0] + [nullity_residual(phi, complex(w)) for w in sample_annulus(rng, samples)])
 
 
-def scalar_conformality(phi, curve, samples, rng):
+def scalar_conformality(member, samples, rng):
     worst = 0.0
-    for w in scalar_sample_regular(rng, samples, phi):
-        jet = surface_jet(phi, curve, complex(w))
+    for w in scalar_sample_regular(rng, samples, member.triple):
+        jet = surface_jet(member, complex(w))
         worst = max(worst, abs(jet.E - jet.G) / jet.E, abs(jet.F) / jet.E)
     return worst
 
@@ -118,13 +113,13 @@ def scalar_harmonicity(curve, points, rng, h=1e-3):
     return checked, bad, near_floor
 
 
-def scalar_frames(params, phi, curve, points, rng):
+def scalar_frames(member, points, rng):
     worst_pq = worst_gram = worst_span = 0.0
-    for w in scalar_sample_regular(rng, points, phi):
+    for w in scalar_sample_regular(rng, points, member.triple):
         w = complex(w)
-        jet = surface_jet(phi, curve, w)
+        jet = surface_jet(member, w)
         perp1, perp2 = perp_vectors(jet)
-        s = frame_scalars(params, w)
+        s = frame_scalars(member.params, w)
         worst_pq = max(worst_pq, abs(s.p - jet.E) / s.p,
                        abs(s.q - float(np.dot(jet.xu, perp2))) / s.p,
                        abs(s.q + float(np.dot(jet.xv, perp1))) / s.p)
@@ -138,15 +133,16 @@ def scalar_frames(params, phi, curve, points, rng):
     return worst_pq, worst_gram, worst_span
 
 
-def scalar_integral_free(params, rng, points=25):
+def scalar_integral_free(member, rng, points=25):
     """(verdict, point, roundtrip_ratio) of the seed route, one point at a
     time: the pointwise curve, its central difference at h = 1e-6 held to
     that stencil's own error bound, and the recover_seed round trip."""
+    params = member.params
     seed = seed_phi(params.m, params.n)
     d3 = seed.derivative().derivative().derivative()
-    seed_ulp = verify._max_coeff_ulp(d3, family_triple(params).f)
-    target = fixed_gh_curve(params)
-    phi_low = fixed_gh_phi(params)
+    seed_ulp = verify._max_coeff_ulp(d3, member.triple.f)
+    target = member.gh_curve
+    phi_low = member.gh_phi
     seed_derivs = (seed, seed.derivative(), seed.derivative().derivative())
     phi_curvature = [comp.derivative().derivative() for comp in phi_low.parts]
     weight = 1.0 + abs(1.0 + params.lam * params.lam)
@@ -179,15 +175,15 @@ def scalar_integral_free(params, rng, points=25):
 def scalar_verify(params, samples, seed):
     """The suites' worst values and lines, replayed through the scalar rules."""
     rng = np.random.default_rng(seed)
-    phi, curve = family_phi(params), family_curve(params)
-    out = {"nullity": scalar_nullity(phi, samples, rng)}
-    out["quadrature"] = verify.check_quadrature(family_member(params), rng).line()
-    out["conformality"] = scalar_conformality(phi, curve, min(samples, 1000), rng)
-    out["harmonicity"] = scalar_harmonicity(curve, 50, rng)
+    member = family_member(params)
+    out = {"nullity": scalar_nullity(member.phi, samples, rng)}
+    out["quadrature"] = verify.check_quadrature(member, rng).line()
+    out["conformality"] = scalar_conformality(member, min(samples, 1000), rng)
+    out["harmonicity"] = scalar_harmonicity(member.curve, 50, rng)
     if params.m == params.n == 1 and params.lam_is_real:
-        out["frames"] = scalar_frames(params, phi, curve, 100, rng)
-    out["integral_free"] = scalar_integral_free(params, rng)
-    out["reductions"] = verify.check_reductions(family_member(params)).line()
+        out["frames"] = scalar_frames(member, 100, rng)
+    out["integral_free"] = scalar_integral_free(member, rng)
+    out["reductions"] = verify.check_reductions(member).line()
     return out
 
 
@@ -208,11 +204,11 @@ def _cases():
 @pytest.mark.parametrize("m, n, lam", MEMBERS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sample_regular_keeps_the_scalar_rule_points_and_stream(m, n, lam, seed):
-    phi = family_phi(FamilyParams(m, n, lam))
+    triple = family_member(FamilyParams(m, n, lam)).triple
     for count, r_lo, r_hi in ((1000, 0.4, 1.8), (100, 0.95, 1.05)):
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ref = scalar_sample_regular(ref_rng, count, phi, r_lo, r_hi)
-        got = sample_regular(rng, count, phi, r_lo, r_hi)
+        ref = scalar_sample_regular(ref_rng, count, triple, r_lo, r_hi)
+        got = sample_regular(rng, count, triple, r_lo, r_hi)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -220,14 +216,14 @@ def test_sample_regular_keeps_the_scalar_rule_points_and_stream(m, n, lam, seed)
 def test_sample_regular_cuts_where_the_scalar_rule_cuts(monkeypatch):
     # draws closing in on the branch point w = 1 of (1, 1, 0) across the
     # cutoff, then a batch clear of every branch point
-    phi = family_phi(FamilyParams(1, 1, 0))
+    triple = family_member(FamilyParams(1, 1, 0)).triple
     near = 1.0 + np.geomspace(1e-9, 1e-1, 64) * np.exp(0.3j)
     clear = 1.5 * np.exp(1j * np.linspace(0.1, 6.0, 64))
     picked = []
     for rule in (scalar_sample_regular, sample_regular):
         batches = iter((near, clear))
         monkeypatch.setattr(verify, "sample_annulus", lambda *args: next(batches))
-        picked.append(rule(None, 64, phi))
+        picked.append(rule(None, 64, triple))
     assert np.array_equal(picked[0], picked[1])
     assert 0 < np.sum(np.isin(near, picked[1])) < 64
 
@@ -283,7 +279,7 @@ def test_verify_suites_match_the_scalar_rules(params, samples, seed):
 
 def test_nullity_residual_array_matches_scalar():
     for m, n, lam in AUDIT_MEMBERS:
-        phi = family_phi(FamilyParams(m, n, lam))
+        phi = family_member(FamilyParams(m, n, lam)).phi
         w = sample_annulus(np.random.default_rng(7), 500)
         got = nullity_residual(phi, w)
         ref = np.array([nullity_residual(phi, complex(z)) for z in w])
@@ -292,7 +288,7 @@ def test_nullity_residual_array_matches_scalar():
 
 
 def test_coordinate_laplacian_array_matches_scalar():
-    curve = family_curve(FamilyParams(3, 5, 0.5 - 2j))
+    curve = family_member(FamilyParams(3, 5, 0.5 - 2j)).curve
     w = sample_annulus(np.random.default_rng(8), 200, r_lo=0.75, r_hi=1.6)
     for h in (1e-3, 5e-4):
         for comp in curve.parts:
@@ -318,7 +314,7 @@ def separate_call_harmonicity(curve, points, rng, h=1e-3):
 
 @pytest.mark.parametrize("m, n, lam", MEMBERS)
 def test_stacked_laplacians_equal_the_separate_calls_bit_for_bit(m, n, lam):
-    curve = family_curve(FamilyParams(m, n, lam))
+    curve = family_member(FamilyParams(m, n, lam)).curve
     w = sample_annulus(np.random.default_rng(5), 50, r_lo=0.75, r_hi=1.6)
     steps = (1e-3, 5e-4)
     center, *residuals = verify._five_point_laplacians(curve, w, steps)
@@ -332,8 +328,9 @@ def test_stacked_laplacians_equal_the_separate_calls_bit_for_bit(m, n, lam):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_harmonicity_counts_equal_the_separate_call_rule(m, n, lam, seed):
     params = FamilyParams(m, n, lam)
-    got = verify.check_harmonicity(family_member(params), 50, np.random.default_rng(seed))
-    checked, outside = separate_call_harmonicity(family_curve(params), 50,
+    member = family_member(params)
+    got = verify.check_harmonicity(member, 50, np.random.default_rng(seed))
+    checked, outside = separate_call_harmonicity(member.curve, 50,
                                                  np.random.default_rng(seed))
     assert got.checks == checked
     assert got.passed == (outside.size == 0 and checked > 0)
@@ -345,13 +342,14 @@ def test_harmonicity_counts_equal_the_separate_call_rule(m, n, lam, seed):
 
 def scalar_report_rows(params, samples):
     """(fixture, check, component) -> (max_abs_dev, scale), one point at a time."""
-    phi, curve = family_phi(params), family_curve(params)
+    member = family_member(params)
+    curve = member.curve
     rows = {}
     for fx in fixtures_for(params):
         dev = {c: np.zeros(4) for c in ("value", "tangent_u", "tangent_v")}
         scale = np.zeros(4)
         for w in samples:
-            jet = surface_jet(phi, curve, w)
+            jet = surface_jet(member, w)
             ref = fixture_eval(fx, _fixture_coords(fx, w))
             if fx.kind == "position":
                 pipe = immersion_point(curve, w)

@@ -1,9 +1,15 @@
 """Command line surface: parsing, dispatch, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wep4 import henneberg
 from wep4.cli import DEFAULTS, UsageError, _build_parser, _parse_args, main, parse_lambda
@@ -152,6 +158,7 @@ def test_each_command_builds_the_member_once(tmp_path, monkeypatch, capsys):
         (lambda: main(["verify", *flags, "--samples", "50"]), ["family", "fixed_gh"]),
         (lambda: main(["report", *flags, "--samples", "20"]), ["family"]),
         (lambda: main(["info", *flags]), ["family"]),
+        (lambda: main(["eval", *flags, "--point", "0.7,0.2"]), ["family"]),
         (lambda: main(["mesh", *flags, *grid]), ["family"]),
         (lambda: main(["curvature", *flags, *grid]), ["family"]),
     ):
@@ -278,6 +285,9 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     ('{"open-seam": "yes"}', ["curvature", "--nr=3", "--ntheta=4"]),
     ('{"seed": -1}', ["report", "--samples=10"]),
     ('{"m": true}', ["info"]),
+    # nested too deep for the JSON decoder, which raises RecursionError
+    pytest.param('{"m": ' + "[" * 100_000 + "]" * 100_000 + "}", ["eval", "--point", "1,0"],
+                 id="deep-nesting"),
 ])
 def test_bad_config_value_exits_two_like_the_flag(text, argv, tmp_path, capsys):
     # config values go through argparse's type= and choices= and the same
@@ -340,3 +350,86 @@ def test_config_call_prints_the_bytes_of_the_same_flags(config, argv, flags, tmp
     from_config = capsys.readouterr().out
     assert main(flags) == 0
     assert capsys.readouterr().out == from_config != ""
+
+
+# Good and bad values of every valued flag; the bad ones are dash-led, nan,
+# inf, empty, huge or of the wrong type.  A valid grid has at most 8 x 8
+# vertices and a valid sample count is at most 50, so every accepted draw is
+# cheap; the huge counts are far past their caps and refused before any work.
+_ORDERS = (["1", "3"], ["-1", "2", "", "x", "1.5", "99999999999999999999"])
+_FUZZ_VALUES = {
+    "m": _ORDERS,
+    "n": _ORDERS,
+    "lambda": (["0", "1+1i", "-0.5-2i", "-2i"],
+               ["nan", "inf", "", "1e400", "-x", "1e308+1e308i"]),
+    "point": (["0.7,0.2", "-0.5,0.4", "-.5,-1e-1"],
+              ["0,0", "nan,0", "inf,1", "", "1", "a,b", "1e400,0", "1e300,0"]),
+    "rmin": (["0.5", "0.9"], ["1e-300", "-1", "0", "nan", "inf", "", "x"]),
+    "rmax": (["2", "1.5"], ["1e308", "0.1", "nan", "-inf", ""]),
+    "nr": (["2", "8"], ["0", "-3", "2.5", "", "10000000"]),
+    "ntheta": (["2", "8"], ["1", "-8", "x", "", "10000000"]),
+    "open-seam": ([True], ["yes"]),
+    "project": (["xyz", "wzy"], ["xxy", "xyzw", "-x", "5", ""]),
+    "format": (["obj", "ply", "csv"], ["stl", ""]),
+    "samples": (["1", "50"], ["0", "-5", "1e3", "", "10000000000"]),
+    "seed": (["0", "42"], ["-1", "x", "", "99999999999999999999999"]),
+    "out": (["file"], ["dir", ""]),  # resolved under a temporary directory
+}
+# The flags of each subcommand.  --nr, --ntheta and --samples are always
+# given, since their defaults would make a draw expensive, and so is --out;
+# any other flag may be left out.
+_FUZZ_COMMANDS = {
+    "eval": ("m", "n", "lambda", "point"),
+    "mesh": ("m", "n", "lambda", "rmin", "rmax", "nr", "ntheta", "open-seam", "project",
+             "format", "out"),
+    "verify": ("m", "n", "lambda", "samples", "seed"),
+    "report": ("m", "n", "lambda", "samples", "seed", "out"),
+    "curvature": ("m", "n", "lambda", "rmin", "rmax", "nr", "ntheta", "open-seam", "out"),
+    "info": ("m", "n", "lambda", "out"),
+}
+_ALWAYS = ("nr", "ntheta", "samples", "out")
+
+
+@st.composite
+def _command_and_values(draw):
+    """A subcommand and a value for some of its flags: at most two of them
+    bad, so that about a third of the draws are valid command lines."""
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    flags = _FUZZ_COMMANDS[command]
+    bad = draw(st.sets(st.sampled_from(flags), max_size=2))
+    values = {}
+    for flag in flags:
+        good, wrong = _FUZZ_VALUES[flag]
+        pool = wrong if flag in bad else good + ([] if flag in _ALWAYS else [None])
+        value = draw(st.sampled_from(pool))
+        if value is not None:
+            values[flag] = value
+    return command, values
+
+
+def _run_main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_command_and_values())
+def test_any_flags_or_config_exit_zero_one_or_two(case):
+    # an escaped exception fails the test, and pytest makes an escaped
+    # RuntimeWarning an error (pyproject.toml)
+    command, values = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"file": str(Path(tmp) / "out.txt"), "dir": tmp, "": ""}
+        if "out" in values:
+            values = {**values, "out": paths[values["out"]]}
+        argv = [command]
+        for flag, value in values.items():
+            argv += [f"--{flag}"] if value is True else [f"--{flag}", value]
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(values))
+        for args in (argv, ["--config", str(config), command]):
+            rc, err = _run_main(args)
+            assert rc in (0, 1, 2), (args, rc, err)
+            assert "Traceback" not in err, (args, err)

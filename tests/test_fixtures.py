@@ -12,12 +12,11 @@ from wep4.fixtures import (
     Fixture,
     FixtureDomainError,
     fidelity_report,
-    fixture,
     fixture_eval,
     fixtures_for,
 )
 from wep4.geometry import immersion_point
-from wep4.henneberg import FamilyParams, family_curve, family_member
+from wep4.henneberg import FamilyParams, family_member
 from wep4.verify import sample_annulus
 
 RNG = np.random.default_rng(5)
@@ -42,23 +41,32 @@ def _polar_samples(count, lo=0.5, hi=1.8):
     ]
 
 
+def display(fixture_id: str, lam: complex = 1 + 1j) -> Fixture:
+    """The display with this id among those fixtures_for picks for the member
+    it describes: (1, 3) or (1, 1) at lam = 1 + i for the example displays,
+    (1, 1) at lam's real part for the real-lam ones, (1, 1) at lam otherwise."""
+    if "_example_" in fixture_id:
+        params = FamilyParams(1, 3 if fixture_id.startswith("h13") else 1, 1 + 1j)
+    else:
+        params = FamilyParams(1, 1, complex(lam).real if "_real_" in fixture_id else lam)
+    return next(fx for fx in fixtures_for(params) if fx.fixture_id == fixture_id)
+
+
 def test_registry_round_trip():
     for fid in FIXTURE_IDS:
-        assert fixture(fid, 1.0).fixture_id == fid
-    with pytest.raises(KeyError):
-        fixture("nope")
+        assert display(fid, 1.0).fixture_id == fid
 
 
 def test_domain_errors():
     with pytest.raises(FixtureDomainError):
-        fixture_eval(fixture("h11_example_cart"), (0.0, 0.0))
+        fixture_eval(display("h11_example_cart"), (0.0, 0.0))
     with pytest.raises(FixtureDomainError):
-        fixture_eval(fixture("h11_example_polar"), (0.0, 1.0))
+        fixture_eval(display("h11_example_polar"), (0.0, 1.0))
     # nan <= 0 is False, so non-finite points need their own test
     for point in ((math.nan, 0.0), (math.inf, 0.3), (0.3, -math.inf)):
         for fid in ("h11_example_polar", "h11_example_cart"):
             with pytest.raises(FixtureDomainError, match="non-finite"):
-                fixture_eval(fixture(fid), point)
+                fixture_eval(display(fid), point)
 
 
 _RING = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
@@ -73,7 +81,7 @@ def _fixture_and_points(draw):
     """Any display (random lam for the parametrized ones) and 1 to 40 random
     annulus points (r, theta)."""
     lam = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
-    fx = fixture(draw(st.sampled_from(FIXTURE_IDS)), lam)
+    fx = display(draw(st.sampled_from(FIXTURE_IDS)), lam)
     count = draw(st.integers(1, 40))
     r = np.array(draw(st.lists(st.floats(0.3, 2.5), min_size=count, max_size=count)))
     t = np.array(draw(st.lists(st.floats(0.0, 2.0 * math.pi), min_size=count, max_size=count)))
@@ -113,8 +121,8 @@ def test_one_bad_point_makes_the_array_call_raise(case, data):
 
 def test_example_value_at_r1_theta0():
     # the much-quoted sample point: both displays give (0, 4/3, 2, 2)
-    polar = fixture_eval(fixture("h11_example_polar"), (1.0, 0.0))
-    cart = fixture_eval(fixture("h11_example_cart"), (1.0, 0.0))
+    polar = fixture_eval(display("h11_example_polar"), (1.0, 0.0))
+    cart = fixture_eval(display("h11_example_cart"), (1.0, 0.0))
     expected = np.array([0.0, 4.0 / 3.0, 2.0, 2.0])
     assert np.max(np.abs(polar - expected)) <= 1e-12
     assert np.max(np.abs(cart - expected)) <= 1e-12
@@ -122,29 +130,29 @@ def test_example_value_at_r1_theta0():
 
 def test_real_display_value_at_one():
     for lam in (0.5, 1.0, 2.0):
-        got = fixture_eval(fixture("h11_real_cart", lam), (1.0, 0.0))
+        got = fixture_eval(display("h11_real_cart", lam), (1.0, 0.0))
         expected = np.array([-4.0 / 3.0 * lam * lam, 0.0, 2.0, 2.0 * lam])
         assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 def test_general_display_reduces_to_real_display():
-    gen = fixture("h11_general_cart", 1.5)
-    real = fixture("h11_real_cart", 1.5)
+    gen = display("h11_general_cart", 1.5)
+    real = display("h11_real_cart", 1.5)
     for u, v in ((0.8, 0.3), (1.2, -0.9), (0.4, 1.3)):
         assert np.allclose(fixture_eval(gen, (u, v)), fixture_eval(real, (u, v)), atol=1e-13)
 
 
 def test_h11_cart_polar_agree():
-    cart = fixture("h11_example_cart")
-    polar = fixture("h11_example_polar")
+    cart = display("h11_example_cart")
+    polar = display("h11_example_polar")
     for r, t in _polar_samples(200):
         u, v = r * math.cos(t), r * math.sin(t)
         assert np.max(np.abs(fixture_eval(cart, (u, v)) - fixture_eval(polar, (r, t)))) <= 1e-10
 
 
 def test_h13_cart_polar_agree():
-    cart = fixture("h13_example_cart")
-    polar = fixture("h13_example_polar")
+    cart = display("h13_example_cart")
+    polar = display("h13_example_polar")
     for r, t in _polar_samples(200):
         u, v = r * math.cos(t), r * math.sin(t)
         assert np.max(np.abs(fixture_eval(cart, (u, v)) - fixture_eval(polar, (r, t)))) <= 1e-10
@@ -191,8 +199,8 @@ def test_report_h13_z_scale_finding():
     assert report.row("h13_example_cart", "z").verdict == "DEVIATES"
     assert report.row("h13_example_cart", "w").verdict == "PASS"
     # the deviation is exactly a factor 2 on the third component
-    curve = family_curve(params)
-    cart = fixture("h13_example_cart")
+    curve = family_member(params).curve
+    cart = display("h13_example_cart")
     for r, t in _polar_samples(50):
         w = complex(r * math.cos(t), r * math.sin(t))
         pipe_z = immersion_point(curve, w)[2]

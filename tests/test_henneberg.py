@@ -12,11 +12,8 @@ from wep4.henneberg import (
     FamilyParams,
     classic_henneberg_curve,
     classic_henneberg_phi,
-    family_curve,
-    family_phi,
+    family_member,
     family_triple,
-    fixed_gh_curve,
-    fixed_gh_phi,
     integral_free_point,
     recover_seed,
     seed_phi,
@@ -89,21 +86,21 @@ def test_expanded_f_equals_two_term_form():
 def test_family_curve_lowest_member_components():
     for lam in LAM_GRID:
         lam = complex(lam)
-        curve = family_curve(FamilyParams(1, 1, lam))
+        curve = family_member(FamilyParams(1, 1, lam)).curve
         a = 1 + lam * lam
         assert curve.parts[0] == LaurentPoly({1: 1.0, 3: -a / 3, -3: 1 / 3, -1: -a})
         assert curve.parts[3] == LaurentPoly({2: lam, -2: lam})
 
 
 def test_family_curve_one_three_third_component():
-    curve = family_curve(FamilyParams(1, 3, 1 + 1j))
+    curve = family_member(FamilyParams(1, 3, 1 + 1j)).curve
     assert curve.parts[2] == LaurentPoly({4: 0.5, -4: 0.5})
 
 
 def test_no_integrand_carries_exponent_minus_one():
     for m in range(1, 100, 2):
         for n in range(1, 100, 2):
-            phi = family_phi(FamilyParams(m, n, 1 + 1j))
+            phi = family_member(FamilyParams(m, n, 1 + 1j)).phi
             for comp in phi.parts:
                 assert all(k != -1 for k, _ in comp)
 
@@ -111,8 +108,8 @@ def test_no_integrand_carries_exponent_minus_one():
 def test_back_differentiation_exact_on_grid():
     for m, n in MN_GRID:
         for lam in LAM_GRID:
-            phi = family_phi(FamilyParams(m, n, lam))
-            curve = family_curve(FamilyParams(m, n, lam))
+            member = family_member(FamilyParams(m, n, lam))
+            phi, curve = member.phi, member.curve
             for x, p in zip(curve.parts, phi.parts):
                 assert x.derivative() == p
 
@@ -123,8 +120,8 @@ def test_back_differentiation_sweep_within_one_ulp():
     for m in range(1, 10, 2):
         for n in range(1, 10, 2):
             for lam in LAM_GRID:
-                phi = family_phi(FamilyParams(m, n, lam))
-                curve = family_curve(FamilyParams(m, n, lam))
+                member = family_member(FamilyParams(m, n, lam))
+                phi, curve = member.phi, member.curve
                 for x, p in zip(curve.parts, phi.parts):
                     back = x.derivative()
                     for k, c in p:
@@ -136,19 +133,20 @@ def test_back_differentiation_sweep_within_one_ulp():
 def test_fixed_gh_matches_family_at_lowest_member():
     for lam in LAM_GRID:
         p = FamilyParams(1, 1, lam)
-        assert fixed_gh_curve(p).parts == family_curve(p).parts
+        member = family_member(p)
+        assert member.gh_curve.parts == member.curve.parts
 
 
 def test_fixed_gh_third_component_sign():
     # termwise antiderivative of f*w gives (2/(m+n)) (w**(m+n) + w**(-(m+n))):
     # both terms positive
-    curve = fixed_gh_curve(FamilyParams(1, 3, 1 + 1j))
+    curve = family_member(FamilyParams(1, 3, 1 + 1j)).gh_curve
     assert curve.parts[2] == LaurentPoly({4: 0.5, -4: 0.5})
 
 
 def test_fixed_gh_first_component_one_three():
     # hand integration of f(1 - w^2)/2 at (m, n) = (1, 3), lam = 0
-    curve = fixed_gh_curve(FamilyParams(1, 3, 0))
+    curve = family_member(FamilyParams(1, 3, 0)).gh_curve
     assert curve.parts[0] == LaurentPoly({3: 1 / 3, 5: -0.2, -5: 0.2, -3: -1 / 3})
 
 
@@ -160,7 +158,7 @@ def test_classic_phi_components():
 
 
 def test_family_is_twice_classic_at_lam_zero():
-    curve = family_curve(FamilyParams(1, 1, 0))
+    curve = family_member(FamilyParams(1, 1, 0)).curve
     classic = classic_henneberg_curve()
     for k in range(3):
         assert curve.parts[k] == classic.parts[k] * 2.0
@@ -170,7 +168,7 @@ def test_family_is_twice_classic_at_lam_zero():
 def test_equal_orders_tie_fourth_to_third_component():
     for m in (1, 3, 5):
         for lam in (0.0, 1.0, 2.0, 0.5):
-            curve = family_curve(FamilyParams(m, m, lam))
+            curve = family_member(FamilyParams(m, m, lam)).curve
             assert curve.parts[3] == curve.parts[2] * lam
 
 
@@ -197,7 +195,7 @@ def test_seed_third_derivative_sweep_within_one_ulp():
 
 
 def test_integral_free_matches_curve_at_lam_zero():
-    curve = family_curve(FamilyParams(1, 1, 0))
+    curve = family_member(FamilyParams(1, 1, 0)).curve
     seed = seed_phi(1, 1)
     for w in _points(40):
         k = integral_free_point(seed, 0.0, w)
@@ -208,7 +206,7 @@ def test_integral_free_matches_curve_at_lam_zero():
 def test_integral_free_matches_fixed_gh_generally():
     for m, n in ((1, 3), (3, 3)):
         for lam in (1.0, 1 + 1j):
-            curve = fixed_gh_curve(FamilyParams(m, n, lam))
+            curve = family_member(FamilyParams(m, n, lam)).gh_curve
             seed = seed_phi(m, n)
             for w in _points(20):
                 k = integral_free_point(seed, lam, w)
@@ -265,7 +263,8 @@ def test_integral_free_curve_is_exact_and_one_formula(m, n, lam, points):
     params = FamilyParams(m, n, lam)
     seed = seed_phi(m, n)
     curve = integral_free_point(seed, lam, IDENTITY)
-    for k, x, p in zip(curve, fixed_gh_curve(params).parts, fixed_gh_phi(params).parts):
+    member = family_member(params)
+    for k, x, p in zip(curve, member.gh_curve.parts, member.gh_phi.parts):
         assert _max_coeff_ulp(k, x) <= 4.0 and _max_coeff_ulp(k.derivative(), p) <= 4.0
     # the array call against one-point calls: numpy and Python round w**k
     # differently, by up to ~k eps of the terms the curve sums

@@ -130,13 +130,6 @@ def test_envelope_bounds_value():
     assert abs(p(complex(r, 0))) <= p.envelope(r) + 1e-12
 
 
-def test_pow_and_scale():
-    sq = (IDENTITY * 2.0) ** 2
-    assert sq == LaurentPoly({2: 4.0})
-    with pytest.raises(ValueError):
-        IDENTITY ** -1
-
-
 def test_eval_distributes_at_seeded_points():
     rng = np.random.default_rng(42)
     p = LaurentPoly({-4: 2.0, -1: -1 + 3j, 0: 0.25, 3: 5j, 6: -2.5})

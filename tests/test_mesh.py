@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wep4.geometry import surface_jet
-from wep4.henneberg import FamilyParams, family_curve, family_member, family_phi
+from wep4.henneberg import FamilyParams, family_member
 from wep4.mesh import (
     _CHUNK_ROWS,
     _texts,
@@ -57,11 +57,11 @@ README_MEMBERS = ((1, 1, 1 + 1j), (1, 3, 1 + 1j), (3, 5, 0.5 - 2j), (5, 7, 0.3j)
 
 def _assert_matches_scalar_path(params, grid, stride=1):
     """Array columns against per-vertex scalar (fsum) jets."""
-    mesh = sample_grid(family_member(params), grid)
-    phi, curve = family_phi(params), family_curve(params)
+    member = family_member(params)
+    mesh = sample_grid(member, grid)
     for i in range(0, mesh.E.size, stride):
         w = complex(*mesh.uv[i])
-        jet = surface_jet(phi, curve, w)
+        jet = surface_jet(member, w)
         scale = max(1.0, float(np.max(np.abs(jet.position))))
         assert np.max(np.abs(mesh.xyzw[i] - jet.position)) <= 1e-13 * scale, (params, w)
         energy = 0.5 * (jet.E + jet.G)
@@ -152,16 +152,26 @@ def _members_and_grids(draw):
 # high order, small lam: at r = 2 the weight |f|(1+|g|^2+|h|^2) is ~1e-8 |w|^44, the form's top power
 @example((FamilyParams(1, 15, 1e-4), PolarGrid(0.5, 2.0, 31, 64)), random.Random(0))
 def test_flags_are_the_roots_of_unity(case, rng):
+    # at the picked vertices the grid's columns are also the one-point
+    # (fsum) jet's: positions to 16 eps of each component's envelope, E to
+    # 16 eps of the sum of the form's squared envelopes
     params, grid = case
-    mesh = sample_grid(family_member(params), grid)
+    member = family_member(params)
+    mesh = sample_grid(member, grid)
     w = mesh.uv[:, 0] + 1j * mesh.uv[:, 1]
     distance = _branch_distance(w, 2 * (params.m + params.n))
     assume(not np.any((distance > 1e-12) & (distance < 1e-6)))
     assert np.array_equal(~mesh.regular, distance <= 1e-12)
-    phi, curve = family_phi(params), family_curve(params)
     picked = set(np.flatnonzero(~mesh.regular).tolist()) | set(rng.sample(range(w.size), min(8, w.size)))
+    eps = np.finfo(float).eps
     for i in picked:
-        assert surface_jet(phi, curve, complex(w[i])).regular == bool(mesh.regular[i])
+        jet = surface_jet(member, complex(w[i]))
+        assert jet.regular == bool(mesh.regular[i])
+        r = abs(w[i])
+        position_scale = 1.0 + np.array([comp.envelope(r) for comp in member.curve.parts])
+        assert np.all(np.abs(mesh.xyzw[i] - jet.position) <= 16 * eps * position_scale), i
+        energy_scale = 1.0 + sum(comp.envelope(r) ** 2 for comp in member.phi.parts)
+        assert abs(mesh.E[i] - jet.E) <= 16 * eps * energy_scale, i
 
 
 def test_interior_ring_vertices_stay_regular():

@@ -23,7 +23,6 @@ from wep4.verify import (
     sample_annulus,
     sample_regular,
 )
-from wep4.henneberg import family_phi
 from wep4.laurent import IDENTITY, LaurentPoly
 from wep4.weierstrass import PhiForm
 
@@ -83,12 +82,12 @@ def test_gauss_legendre_rule_is_built_once_and_shared_read_only(monkeypatch):
 
 
 def test_sample_regular_avoids_branch_ring():
-    phi = family_phi(FamilyParams(1, 1, 0))
-    pts = sample_regular(np.random.default_rng(11), 60, phi)
+    triple = family_member(FamilyParams(1, 1, 0)).triple
+    pts = sample_regular(np.random.default_rng(11), 60, triple)
     from test_weierstrass import conformal_factor
 
     for w in pts:
-        _, reg = conformal_factor(phi, complex(w))
+        _, reg = conformal_factor(triple, complex(w))
         assert reg > 1e-3
 
 
@@ -108,7 +107,7 @@ def test_integral_free_detects_perturbed_form():
     member = family_member(FamilyParams(1, 1, 2))
     original = member.gh_phi
     member.gh_curve  # built from the true form before the form is swapped
-    perturbed = PhiForm(tuple(q * (1 + 1e-6) for q in original.parts), original.triple)
+    perturbed = PhiForm(tuple(q * (1 + 1e-6) for q in original.parts))
     object.__setattr__(member, "gh_phi", perturbed)
     res = check_integral_free(member, np.random.default_rng(34))
     assert not res.passed

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wep4.henneberg import FamilyParams, classic_henneberg_phi, family_phi, family_triple
+from wep4.henneberg import FamilyParams, family_member, family_triple
 from wep4.laurent import IDENTITY, ONE, ZERO, LaurentPoly, accurate_sum
 from wep4.weierstrass import (
     PhiForm,
@@ -20,19 +20,17 @@ from wep4.weierstrass import (
 RNG = np.random.default_rng(99)
 
 
-def conformal_factor(phi: PhiForm, w) -> tuple[float, float]:
-    """Reference (E, reg_weight) at w, summed from the form's components.
+def conformal_factor(t: WeierstrassTriple, w) -> tuple[float, float]:
+    """Reference (E, reg_weight) at w from the (f, g, h) data t.
 
-    E = sum |phi_k(w)|^2 / 2, which equals <X_u, X_u> = <X_v, X_v> for the
-    immersion with X_u - i X_v = phi; the regularity weight is
-    |f| (1 + |g|^2 + |h|^2) and needs the form's (f, g, h) data.  The
-    pipeline reads neither (see geometry.conformal_fields and is_regular):
-    both are the tests' independent reference.  ``w`` may be an ndarray.
+    E = sum |phi_k(w)|^2 / 2, summed from the components of t's null form
+    phi, which equals <X_u, X_u> = <X_v, X_v> for the immersion with
+    X_u - i X_v = phi; the regularity weight is |f| (1 + |g|^2 + |h|^2).
+    The pipeline reads neither (see geometry.conformal_fields and
+    is_regular): both are the tests' independent reference.  ``w`` may be
+    an ndarray.
     """
-    t = phi.triple
-    if t is None:
-        raise ValueError("the regularity weight needs the (f, g, h) data of the form")
-    energy = 0.5 * accurate_sum(abs(p(w)) ** 2 for p in phi.parts)
+    energy = 0.5 * accurate_sum(abs(p(w)) ** 2 for p in phi_from_triple(t).parts)
     reg = abs(t.f(w)) * (1.0 + abs(t.g(w)) ** 2 + abs(t.h(w)) ** 2)
     return energy, reg
 
@@ -44,13 +42,13 @@ def _annulus(count, lo=0.4, hi=1.8):
 
 
 def test_phi_third_component_for_lowest_member():
-    phi = family_phi(FamilyParams(1, 1, 0))
+    phi = family_member(FamilyParams(1, 1, 0)).phi
     assert phi.parts[2] == LaurentPoly({1: 2.0, -3: -2.0})
 
 
 def test_phi_nullity_is_structural():
     for lam in (0, 1, 1 + 1j, 0.5 - 2j):
-        phi = family_phi(FamilyParams(1, 1, lam))
+        phi = family_member(FamilyParams(1, 1, lam)).phi
         assert nullity_defect(phi.parts).is_zero
 
 
@@ -66,13 +64,13 @@ def test_phi_for_plane():
 
 def test_nullity_residual_small_on_members():
     for m, n, lam in ((1, 1, 1 + 1j), (3, 5, 0.5 - 2j)):
-        phi = family_phi(FamilyParams(m, n, lam))
+        phi = family_member(FamilyParams(m, n, lam)).phi
         for w in _annulus(200):
             assert nullity_residual(phi, w) <= 1e-13
 
 
 def test_nullity_residual_detects_corruption():
-    phi = family_phi(FamilyParams(1, 1, 1 + 1j))
+    phi = family_member(FamilyParams(1, 1, 1 + 1j)).phi
     parts = list(phi.parts)
     parts[3] = parts[3] * 2.0
     corrupted = PhiForm(tuple(parts))
@@ -108,7 +106,7 @@ def test_is_regular_compares_f_with_its_envelope():
 
 def test_is_regular_on_other_triples():
     # the classical Henneberg factor 1 - w^-4 vanishes at the fourth roots of unity
-    t = classic_henneberg_phi().triple
+    t = WeierstrassTriple(LaurentPoly({0: 1.0, -4: -1.0}), IDENTITY, ZERO)
     roots = np.array([1, 1j, -1, -1j])
     assert not np.any(is_regular(t, roots))
     assert np.all(is_regular(t, roots * np.exp(0.01j)))
@@ -117,21 +115,14 @@ def test_is_regular_on_other_triples():
     assert not np.any(is_regular(WeierstrassTriple(ZERO, ONE, ZERO), roots))
 
 
-def test_conformal_factor_needs_the_triple():
-    bare = PhiForm(family_phi(FamilyParams(1, 1, 1.0)).parts)
-    with pytest.raises(ValueError):
-        conformal_factor(bare, 0.5 + 0.25j)
-
-
 def test_conformal_factor_at_branch_point():
-    phi = family_phi(FamilyParams(1, 1, 0))
-    energy, reg = conformal_factor(phi, 1 + 0j)
+    t = family_triple(FamilyParams(1, 1, 0))
+    energy, reg = conformal_factor(t, 1 + 0j)
     assert energy == 0.0 and reg == 0.0
 
 
 def test_conformal_factor_plane():
-    phi = phi_from_triple(WeierstrassTriple(ONE, ZERO, ZERO))
-    energy, reg = conformal_factor(phi, 0.3 + 0.2j)
+    energy, reg = conformal_factor(WeierstrassTriple(ONE, ZERO, ZERO), 0.3 + 0.2j)
     # E = |1/2|^2 / 2 + |i/2|^2 / 2 = 1/4, the squared tangent norm
     assert energy == pytest.approx(0.25, abs=1e-15)
     assert reg == pytest.approx(1.0, abs=1e-15)
@@ -141,10 +132,10 @@ def test_real_lambda_metric_identity():
     # E = |f|^2 / 4 * (1 + (1 + lam^2) |w|^2)^2 for g = w, h = lam w, lam real
     for lam in (0.0, 1.0, 2.0):
         params = FamilyParams(1, 1, lam)
-        phi = family_phi(params)
-        f = family_triple(params).f
+        t = family_triple(params)
+        f = t.f
         for w in _annulus(100):
-            energy, _ = conformal_factor(phi, w)
+            energy, _ = conformal_factor(t, w)
             closed = abs(f(w)) ** 2 / 4.0 * (1 + (1 + lam * lam) * abs(w) ** 2) ** 2
             assert abs(energy - closed) <= 1e-12 * max(1.0, closed)
 
@@ -158,10 +149,9 @@ def test_reg_weight_energy_ratio():
         (FamilyParams(1, 1, 1j * 0.7), False),  # imaginary lam: strict
     ]
     for params, equality in cases:
-        phi = family_phi(params)
         t = family_triple(params)
         for w in _annulus(50):
-            energy, reg = conformal_factor(phi, w)
+            energy, reg = conformal_factor(t, w)
             s = abs(t.g(w)) ** 2 + abs(t.h(w)) ** 2
             gsq = abs((t.g * t.g + t.h * t.h)(w)) ** 2
             ratio = (1 + s) ** 2 / (1 + 2 * s + gsq)

@@ -219,7 +219,7 @@ def _cmd_mesh(args) -> int:
         export(mesh4, "csv", args.out)
     else:
         export(project(mesh4, args.project), args.fmt, args.out)
-    print(f"wrote {args.out} ({mesh4.E.size} vertices, {len(mesh4.quads)} quads)")
+    print(f"wrote {args.out} ({mesh4.regular.size} vertices, {len(mesh4.quads)} quads)")
     return 0
 
 
@@ -256,7 +256,7 @@ def _cmd_report(args) -> int:
 def _cmd_curvature(args) -> int:
     mesh4 = _sample(args)
     export_csv(mesh4, args.out, fields=("u", "v", "E", "K"))
-    print(f"wrote {args.out} ({mesh4.E.size} rows)")
+    print(f"wrote {args.out} ({mesh4.regular.size} rows)")
     return 0
 
 

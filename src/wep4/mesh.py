@@ -5,9 +5,11 @@ around the puncture.  Vertices at a branch point (weierstrass.is_regular)
 are kept but flagged non-regular; faces never reference a flagged
 vertex, and the curvature field is simply left empty there.
 
-A grid is sampled in one vectorized pass and stored as columns (one row
-per vertex); the exporters format and write _CHUNK_ROWS rows at a time, so
-only one block's text is alive at once, never the whole file.
+A sampled grid keeps its member and sample points; each column (one row
+per vertex) is computed in one vectorized pass the first time it is read,
+so an export computes only the columns it writes.  The exporters format
+and write _CHUNK_ROWS rows at a time, so only one block's text is alive at
+once, never the whole file.
 
 Exports are plain ASCII with LF line endings and floats printed in their
 shortest round-trip form, the text repr gives, so identical inputs give
@@ -48,11 +50,13 @@ __all__ = [
 
 AXES = "xyzw"
 CSV_FIELDS = ("u", "v", "x", "y", "z", "w", "E", "K", "regular")
-# A grid is sampled in one pass over whole arrays, so its size is capped.
-# Sampling peaks at about 0.33 kB per vertex (+32.6 MB RSS at 100,000
-# vertices), about 330 MB at the cap.  Exports stream in blocks of
-# _CHUNK_ROWS rows and add no memory per vertex: about 1.3 MB traced peak
-# for CSV and 0.72 MB for OBJ/PLY, the same at 40,000 and 100,000 vertices.
+# A grid's columns are computed in one pass over whole arrays, so its size
+# is capped.  Computing E and K peaks at about 0.30 kB per vertex (+30.3 MB
+# RSS at 100,000 vertices), about 300 MB at the cap; the positions alone,
+# all an OBJ/PLY export computes, at about 0.25 kB (+25.0 MB).  Exports
+# stream in blocks of _CHUNK_ROWS rows and add no memory per vertex: about
+# 1.1-1.6 MB traced peak for CSV and 0.42 MB for OBJ/PLY, at 40,000 and
+# 100,000 vertices alike.
 MAX_VERTICES = 1_000_000
 _CHUNK_ROWS = 1024
 
@@ -116,19 +120,40 @@ class Vertex:
 
 @dataclass(frozen=True, eq=False)
 class QuadMesh4D:
-    """A sampled grid as columns, one row per vertex (radius-major).
+    """A sampled grid, one row per vertex (radius-major).
 
-    uv (n, 2) parameters, xyzw (n, 4) positions, E (n,) metric energy,
-    K (n,) Gauss curvature (NaN exactly where the vertex is not regular),
-    regular (n,) flags, and quads (q, 4) vertex indices of the kept cells.
+    Built with the member, its (n,) complex sample points, the (n,) regular
+    flags and quads (q, 4), the vertex indices of the kept cells.  The
+    columns uv (n, 2) parameters, xyzw (n, 4) positions, E (n,) metric
+    energy and K (n,) Gauss curvature (NaN exactly where the vertex is not
+    regular) are computed on first read, E and K by one call.
     """
 
-    uv: np.ndarray
-    xyzw: np.ndarray
-    E: np.ndarray
-    K: np.ndarray
+    member: FamilyMember
+    points: np.ndarray
     regular: np.ndarray
     quads: np.ndarray
+
+    @cached_property
+    def uv(self) -> np.ndarray:
+        return np.stack([self.points.real, self.points.imag], axis=1)
+
+    @cached_property
+    def xyzw(self) -> np.ndarray:
+        return immersion_point(self.member.curve, self.points)
+
+    @cached_property
+    def _fields(self) -> tuple[np.ndarray, np.ndarray]:
+        energy, curvature = conformal_fields(self.member.triple, self.points)
+        return energy, np.where(self.regular, curvature, np.nan)
+
+    @property
+    def E(self) -> np.ndarray:
+        return self._fields[0]
+
+    @property
+    def K(self) -> np.ndarray:
+        return self._fields[1]
 
     @cached_property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -148,23 +173,17 @@ class Mesh3D:
 
 
 def sample_grid(member: FamilyMember, grid: PolarGrid) -> QuadMesh4D:
-    """Sample the immersion over the polar grid in one vectorized pass.
+    """Sample the immersion over the polar grid.
 
-    Positions, E and the closed-form K come from array evaluation of the
-    curve and the Weierstrass data, flags from weierstrass.is_regular; a
-    cell becomes a quad only when all four corners are regular.
+    Flags come from weierstrass.is_regular, and a cell becomes a quad only
+    when all four corners are regular.  Positions, E and the closed-form K
+    are left to the mesh's first read of them (array evaluation of the
+    curve and the Weierstrass data).
     """
-    triple = member.triple
-    w = grid.points()
-    xyzw = immersion_point(member.curve, w)
-    energy, curvature = conformal_fields(triple, w)
-    regular = is_regular(triple, w)
+    points = grid.points()
+    regular = is_regular(member.triple, points)
     quads = grid.quads()
-    return QuadMesh4D(
-        uv=np.stack([w.real, w.imag], axis=1), xyzw=xyzw, E=energy,
-        K=np.where(regular, curvature, np.nan), regular=regular,
-        quads=quads[regular[quads].all(axis=1)],
-    )
+    return QuadMesh4D(member, points, regular, quads[regular[quads].all(axis=1)])
 
 
 def projection_columns(axes: str) -> list[int]:
@@ -219,8 +238,8 @@ def format_column(values) -> list[str]:
 
 
 def _texts(column) -> list[str]:
-    """One block of a column as text: floats by format_column, flags and
-    face indices as integers."""
+    """One block of a column as text: floats by format_column, the regular
+    flags as integers."""
     if column.dtype.kind == "f":
         return format_column(column)
     return _dumps(column.astype(np.int64)).split(",")
@@ -228,10 +247,19 @@ def _texts(column) -> list[str]:
 
 def _write_rows(fh, count, block, prefix: str = "", sep: str = " ") -> None:
     """Write count rows, _CHUNK_ROWS at a time: block(rows) gives the columns
-    of a slice of rows, and each line is prefix plus one row joined by sep."""
+    of a slice of rows, and each line is prefix plus one row joined by sep.
+
+    An integer block (face indices, never negative) is written by one
+    orjson call, with a -1 column marking where each line ends."""
     for start in range(0, count, _CHUNK_ROWS):
-        lines = map(sep.join, zip(*map(_texts, block(slice(start, start + _CHUNK_ROWS)))))
-        fh.writelines((prefix, ("\n" + prefix).join(lines), "\n"))
+        columns = block(slice(start, start + _CHUNK_ROWS))
+        if isinstance(columns, np.ndarray) and columns.dtype.kind == "i":
+            rows = np.full((columns.shape[1], len(columns) + 1), -1, dtype=np.int64)
+            rows[:, :-1] = columns.T
+            text = _dumps(rows.ravel())[:-3].replace(",-1,", "\n" + prefix).replace(",", sep)
+        else:
+            text = ("\n" + prefix).join(map(sep.join, zip(*map(_texts, columns))))
+        fh.writelines((prefix, text, "\n"))
 
 
 def _mesh3d_parts(mesh, fmt: str):
@@ -241,6 +269,8 @@ def _mesh3d_parts(mesh, fmt: str):
     faces = np.asarray(mesh.faces, dtype=np.int64)
     if faces.ndim != 2 or faces.shape[1] not in (3, 4):
         raise ValueError("only triangle and quad faces are supported")
+    if faces.size and faces.min() < 0:
+        raise ValueError("face indices must be non-negative")
     return np.asarray(mesh.vertices, dtype=float).reshape(-1, 3), faces
 
 
@@ -281,12 +311,17 @@ def export_csv(mesh: QuadMesh4D, path, fields=CSV_FIELDS) -> None:
     """Vertex table of the named CSV_FIELDS; K is empty at non-regular vertices."""
     if not isinstance(mesh, QuadMesh4D):
         raise ValueError("CSV export needs the full 4D mesh")
-    named = {"u": mesh.uv[:, 0], "v": mesh.uv[:, 1], "E": mesh.E, "K": mesh.K,
-             "regular": mesh.regular, **dict(zip(AXES, mesh.xyzw.T))}
-    columns = [named[name] for name in fields]
+    # Only the named columns are computed, all before the file is opened;
+    # E and K first, since their evaluation needs the most temporary memory.
+    if {"E", "K"} & set(fields):
+        mesh.E
+    named = {"u": lambda: mesh.points.real, "v": lambda: mesh.points.imag, "E": lambda: mesh.E,
+             "K": lambda: mesh.K, "regular": lambda: mesh.regular}
+    named.update((axis, lambda i=i: mesh.xyzw[:, i]) for i, axis in enumerate(AXES))
+    columns = [named[name]() for name in fields]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(fields) + "\n")
-        _write_rows(fh, len(mesh.E), lambda rows: [c[rows] for c in columns], sep=",")
+        _write_rows(fh, len(mesh.regular), lambda rows: [c[rows] for c in columns], sep=",")
 
 
 def export(mesh, fmt: str, path) -> None:

@@ -15,6 +15,7 @@ from wep4 import henneberg
 from wep4.cli import DEFAULTS, UsageError, _build_parser, _parse_args, main, parse_lambda
 from wep4.fixtures import fidelity_report
 from wep4.henneberg import FamilyParams, family_member
+from wep4.mesh import CSV_FIELDS
 from wep4.verify import run_verify
 
 
@@ -166,6 +167,27 @@ def test_each_command_builds_the_member_once(tmp_path, monkeypatch, capsys):
         run()
         assert built == want
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["mesh", "--format", "obj"], "conformal_fields"),
+    (["mesh", "--format", "ply"], "conformal_fields"),
+    (["curvature"], "immersion_point"),
+    (["mesh", "--format", "csv"], None),
+])
+def test_grid_commands_compute_only_the_columns_they_write(argv, unread, tmp_path, monkeypatch,
+                                                           capsys):
+    # obj and ply write positions only, curvature E and K only
+    if unread:
+        monkeypatch.setattr(f"wep4.mesh.{unread}", lambda *a: pytest.fail(f"{unread} was computed"))
+    out = tmp_path / "out"
+    flags = ["--m", "1", "--n", "3", "--lambda", "1+1i", "--nr", "3", "--ntheta", "4"]
+    assert main([*argv, *flags, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out} (12 ")
+    if unread is None:
+        header, *rows = out.read_text().splitlines()
+        assert header == ",".join(CSV_FIELDS) and len(rows) == 12
+        assert all(len(row.split(",")) == 9 and "" not in row.split(",") for row in rows)
 
 
 def test_member_that_only_loses_precision_still_runs(capsys):

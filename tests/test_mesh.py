@@ -1,6 +1,7 @@
 """Grid sampling, masking, projection, and the export formats."""
 
 import hashlib
+import io
 import math
 import random
 import sys
@@ -18,6 +19,7 @@ from wep4.henneberg import FamilyParams, family_member
 from wep4.mesh import (
     _CHUNK_ROWS,
     _texts,
+    _write_rows,
     AXES,
     CSV_FIELDS,
     MAX_VERTICES,
@@ -147,14 +149,39 @@ def _members_and_grids(draw):
     return FamilyParams(m, n, lam), PolarGrid(r_min, r_max, n_r, n_theta, draw(st.booleans()))
 
 
+def _cancellation(x: complex, y: complex) -> float:
+    """(|x| + |y|) / |x + y|: how much a rounding error in x or y grows in the sum."""
+    total = abs(x + y)
+    return (abs(x) + abs(y)) / total if total else math.inf
+
+
+def _split_curvature(triple, w: complex) -> tuple[float, float]:
+    """K at one point from the CP1 x CP1 split of the Gauss map, in scalar
+    complex arithmetic, and the condition of that sum of squares: the
+    cancellation in a = g + ih, b = g - ih, their derivatives and f."""
+    f, g, h = triple.f(w), triple.g(w), triple.h(w)
+    dg, dh = triple.g.derivative()(w), triple.h.derivative()(w)
+    a, b, da, db = g + 1j * h, g - 1j * h, dg + 1j * dh, dg - 1j * dh
+    weight_a, weight_b = 1 + abs(a) ** 2, 1 + abs(b) ** 2
+    energy = abs(f) ** 2 * weight_a * weight_b / 4
+    curvature = -2 * (abs(da) ** 2 / weight_a**2 + abs(db) ** 2 / weight_b**2) / energy
+    split = max(_cancellation(x, sign * 1j * y) for x, y in ((g, h), (dg, dh)) for sign in (1, -1))
+    return curvature, split + triple.f.envelope(abs(w)) / abs(f)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_members_and_grids(), st.randoms(use_true_random=False))
 # high order, small lam: at r = 2 the weight |f|(1+|g|^2+|h|^2) is ~1e-8 |w|^44, the form's top power
 @example((FamilyParams(1, 15, 1e-4), PolarGrid(0.5, 2.0, 31, 64)), random.Random(0))
+# lam near -i with m = n: a = (1 + i lam) w^m and g^2 + h^2 = (1 + lam^2) w^2m cancel
+@example((FamilyParams(15, 15, 0.0229 - 0.99974j), PolarGrid(1.0, 2.0, 29, 29, False)),
+         random.Random(0))
 def test_flags_are_the_roots_of_unity(case, rng):
     # at the picked vertices the grid's columns are also the one-point
     # (fsum) jet's: positions to 16 eps of each component's envelope, E to
-    # 16 eps of the sum of the form's squared envelopes
+    # 16 eps of the sum of the form's squared envelopes; and at the regular
+    # ones K is the split form's to 32 eps of its condition (the worst of
+    # 3,000 random cases and 250 members with lam at and near +-i read 8.1)
     params, grid = case
     member = family_member(params)
     mesh = sample_grid(member, grid)
@@ -172,6 +199,9 @@ def test_flags_are_the_roots_of_unity(case, rng):
         assert np.all(np.abs(mesh.xyzw[i] - jet.position) <= 16 * eps * position_scale), i
         energy_scale = 1.0 + sum(comp.envelope(r) ** 2 for comp in member.phi.parts)
         assert abs(mesh.E[i] - jet.E) <= 16 * eps * energy_scale, i
+        if jet.regular:
+            curvature, condition = _split_curvature(member.triple, complex(w[i]))
+            assert abs(mesh.K[i] - curvature) <= 32 * eps * condition * abs(curvature), i
 
 
 def test_interior_ring_vertices_stay_regular():
@@ -289,6 +319,10 @@ def test_export_usage_errors(tmp_path):
         export_csv(project(mesh, "xyz"), tmp_path / "x.csv")
     with pytest.raises(ValueError):
         export(mesh, "stl", tmp_path / "x.stl")
+    negative = Mesh3D(np.zeros((3, 3)), np.array([[0, 1, -1]]))
+    for fmt in ("obj", "ply"):
+        with pytest.raises(ValueError, match="non-negative"):
+            export(negative, fmt, tmp_path / f"x.{fmt}")
 
 
 def _repr_column(values) -> list[str]:
@@ -356,6 +390,11 @@ def test_integer_column_tokens_are_str(ints):
     block = np.stack([column, column[::-1]], axis=1).T
     assert [_texts(row) for row in block] == [[str(i) for i in ints], [str(i) for i in ints[::-1]]]
     assert _texts(column % 2 == 0) == ["1" if i % 2 == 0 else "0" for i in ints]
+    # an integer block is written as face rows: non-negative indices only
+    faces = np.abs(np.stack([column, column[::-1]]) // 2)
+    out = io.StringIO()
+    _write_rows(out, len(ints), lambda rows: faces[:, rows], "f ")
+    assert out.getvalue() == "".join(f"f {a} {b}\n" for a, b in faces.T.tolist())
 
 
 def _reference_bytes(mesh, fmt: str, fields=CSV_FIELDS) -> bytes:
@@ -413,8 +452,8 @@ def test_block_writer_matches_whole_file_writer_at_block_edges(tmp_path, rows):
     full = sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)),
                        PolarGrid(0.5, 2.0, 4, _CHUNK_ROWS))
     mesh4 = QuadMesh4D(
-        uv=full.uv[:rows], xyzw=full.xyzw[:rows], E=full.E[:rows], K=full.K[:rows],
-        regular=full.regular[:rows], quads=np.resize(full.quads, (rows, 4)) % rows,
+        member=full.member, points=full.points[:rows], regular=full.regular[:rows],
+        quads=np.resize(full.quads, (rows, 4)) % rows,
     )
     _assert_exports_match_reference(mesh4, tmp_path)
 
@@ -431,6 +470,7 @@ def test_export_memory_is_bounded_by_one_block(tmp_path):
     # and 46 MB (CSV) here; one block's text stays near 1 MB at any size
     mesh4 = sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)), PolarGrid(0.5, 2.0, 100, 400))
     mesh3 = project(mesh4, "xyz")
+    mesh4.E  # E and K are computed on first read: read them before tracing
     for mesh, fmt in ((mesh4, "csv"), (mesh3, "obj"), (mesh3, "ply")):
         tracemalloc.start()
         try:

@@ -39,7 +39,6 @@ from .geometry import (
     NormalFrame,
     SurfaceJet,
     closed_form_normals,
-    curvature_denominator_check,
     frame_scalars,
     immersion_point,
     normal_frame,

@@ -307,7 +307,6 @@ def fixtures_for(params: FamilyParams) -> list[Fixture]:
 # -- fidelity audit -----------------------------------------------------------
 
 _COMPONENTS = ("x", "y", "z", "w")
-_FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -356,16 +355,23 @@ def _fixture_coords(fx: Fixture, w) -> tuple[np.ndarray, np.ndarray]:
     return np.real(w), np.imag(w)
 
 
-def _fd_tangents(fx: Fixture, w) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences of a position display along u and v, each point
-    with its own step h = 1e-6 * max(1, |w|); the display is called once,
-    on the four shifted copies of w stacked."""
-    w = np.asarray(w, dtype=complex)
-    h = _FD_STEP * np.maximum(1.0, np.abs(w))
-    shifted = np.stack([w + h, w - h, w + 1j * h, w - 1j * h])
-    right, left, up, down = fixture_eval(fx, _fixture_coords(fx, shifted))
-    two_h = (2.0 * h)[..., None]
-    return (right - left) / two_h, (up - down) / two_h
+def _tangents(fx: Fixture, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A position display's derivatives along u and v by the complex step
+    d/ds = Im fn(s + i h) / h (Squire & Trapp, SIAM Rev. 40, 1998).  The
+    display bodies use only + - * / ** and cos/sin, so nothing cancels and
+    h = 1e-100 leaves no truncation.  One call of fn on both steps stacked
+    (fixture_eval has checked the domain); polar displays by the chain rule.
+    """
+    a, b = _fixture_coords(fx, w)
+    h = 1e-100
+    d = np.stack(fx.fn(np.concatenate([a + 1j * h, a]), np.concatenate([b, b + 1j * h])),
+                 axis=-1).imag / h
+    da, db = d[:a.size], d[a.size:]
+    if fx.coords == "cart":
+        return da, db
+    r = a[:, None]
+    cos, sin = np.real(w)[:, None] / r, np.imag(w)[:, None] / r
+    return cos * da - sin / r * db, sin * da + cos / r * db
 
 
 def _column_max(values: np.ndarray) -> np.ndarray:
@@ -395,7 +401,7 @@ def fidelity_report(member: FamilyMember, samples) -> FidelityReport:
     """Audit every applicable display against the pipeline at the samples.
 
     Position displays are compared against Re(curve) directly and, through
-    central differences, against the analytic tangents; tangent displays are
+    complex-step derivatives, against the analytic tangents; tangent displays are
     compared against the analytic tangents componentwise.  A DEVIATES
     verdict is an audit finding about the display, not a pipeline failure.
     The pipeline and every display are evaluated at all samples at once;
@@ -407,14 +413,11 @@ def fidelity_report(member: FamilyMember, samples) -> FidelityReport:
     for fx in fixtures_for(member.params):
         ref = fixture_eval(fx, _fixture_coords(fx, w))
         if fx.kind == "position":
-            fd_u, fd_v = _fd_tangents(fx, w)
+            xu, xv = _tangents(fx, w)
             scale = _column_max(jet.position)
-            rows += _verdict_rows(fx.fixture_id, "value", _column_max(ref - jet.position),
-                                  scale, 1e-9)
-            rows += _verdict_rows(fx.fixture_id, "tangent_u", _column_max(fd_u - jet.xu),
-                                  scale, 1e-5)
-            rows += _verdict_rows(fx.fixture_id, "tangent_v", _column_max(fd_v - jet.xv),
-                                  scale, 1e-5)
+            for check, got in (("value", ref - jet.position), ("tangent_u", xu - jet.xu),
+                               ("tangent_v", xv - jet.xv)):
+                rows += _verdict_rows(fx.fixture_id, check, _column_max(got), scale, 1e-9)
         else:
             tangent = jet.xu if fx.kind == "tangent_u" else jet.xv
             rows += _verdict_rows(fx.fixture_id, fx.kind, _column_max(ref - tangent),

@@ -35,7 +35,6 @@ __all__ = [
     "normal_frame",
     "closed_form_normals",
     "conformal_fields",
-    "curvature_denominator_check",
 ]
 
 
@@ -242,42 +241,3 @@ def conformal_fields(triple: WeierstrassTriple, w: np.ndarray) -> tuple[np.ndarr
     with np.errstate(divide="ignore", invalid="ignore"):
         curvature = -2.0 * wedge / energy
     return energy, curvature
-
-
-def curvature_denominator_check() -> tuple[bool, str]:
-    """Verify the octic identity inside the curvature denominator.
-
-    The middle factor ((u^2+v^2)^2 - 1)^2 + (4uv)^2 = |w^4 - 1|^2 is compared
-    with the reference octic in exact integer arithmetic on the grid
-    {-4..4}^2; two polynomials of degree at most 8 in each variable that
-    agree on 9 x 9 points are identical.  The full denominator is then
-    sampled for strict positivity away from the branch points (where the
-    middle factor legitimately vanishes), for both stated exponents of the
-    trailing factor.
-    """
-    octic = {
-        (8, 0): 1, (6, 2): 4, (4, 4): 6, (2, 6): 4, (0, 8): 1,
-        (4, 0): -2, (0, 4): -2, (2, 2): 12, (0, 0): 1,
-    }
-
-    def middle(u, v):
-        r = u * u + v * v
-        return (r * r - 1) ** 2 + (4 * u * v) ** 2
-
-    identity_ok = all(
-        middle(u, v) == sum(c * u**i * v**j for (i, j), c in octic.items())
-        for u in range(-4, 5) for v in range(-4, 5)
-    )
-
-    def denom(u: float, v: float, k: int) -> float:
-        r = u * u + v * v
-        return (r + 1.0) * middle(u, v) * (2.0 * r + 1.0) ** k
-
-    branch = {(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)}
-    grid = [x / 4.0 for x in range(-8, 9)]
-    positive_ok = all(
-        denom(u, v, k) == 0.0 if (u, v) in branch else denom(u, v, k) > 0.0
-        for k in (1, 2) for u in grid for v in grid if (u, v) != (0.0, 0.0)
-    )
-    factored = "(u^2+v^2+1) * (((u^2+v^2)^2-1)^2 + (4uv)^2) * (2(u^2+v^2)+1)^k, k in {1, 2}"
-    return identity_ok and positive_ok, factored

@@ -185,7 +185,10 @@ class LaurentPoly:
 
     def envelope(self, radius):
         """Upper bound sum(|c_k| * radius**k) on |self| at that radius, a scale
-        for error tolerances; ``radius`` may be an ndarray."""
+        for error tolerances; ``radius`` may be an ndarray, whose shape the
+        result keeps (zeros for the zero polynomial)."""
+        if not self._terms:
+            return 0.0 * radius
         return accurate_sum(abs(c) * radius**k for k, c in self._terms.items())
 
 

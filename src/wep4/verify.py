@@ -72,12 +72,11 @@ class SuiteResult:
 # is_regular tolerance of the sampled suites, a distance in units of 1/N that
 # keeps every sample clear of the branch points and their degenerate metric.
 SAMPLE_MARGIN = 1e-4
-# Sizes of the fixed-size suites: quadrature targets and Gauss-Legendre
-# nodes, the harmonicity stencil's step, and the integral-free points.
+# Sizes of the fixed-size suites; quadrature nodes and harmonicity rings
+# are sized by the member's exponents (_quadrature_nodes, _ring_points).
 QUADRATURE_TARGETS = 20
-QUADRATURE_NODES = 64
-HARMONICITY_STEP = 1e-3
 INTEGRAL_FREE_POINTS = 25
+EPS = np.finfo(float).eps
 
 
 def sample_annulus(rng: np.random.Generator, count: int,
@@ -180,22 +179,49 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, wts
 
 
+def _quadrature_nodes(curve: MinimalCurve) -> int:
+    """At least 32 nodes, and a power of two >= 2K for the curve's largest
+    |exponent| K, so the rule follows the member's order."""
+    top = max(abs(k) for part in curve.parts for k, _ in part)
+    return max(32, 1 << (2 * top - 1).bit_length())
+
+
 def check_quadrature(member: FamilyMember, rng: np.random.Generator) -> SuiteResult:
     """Gauss-Legendre quadrature of the 1-form from the base point 1 against
-    curve differences; one array evaluation per component for all targets."""
+    curve differences, per component; one array evaluation per component of
+    the form (all targets and nodes) and of the curve (targets and base).
+
+    With n >= 2K nodes the rule is exact for phi's positive powers and below
+    rounding for its negative ones, so the error is rounding.  Recursive
+    summation of the n terms w_i phi(z_i) errs by at most (n-1) eps times
+    their magnitudes, which sum to at most 2 max(env_phi(near), env_phi(far))
+    (an envelope is convex in log r, so an end of the segment bounds it);
+    the curve difference errs by about eps (env_X(|z|) + env_X(1)).  So each
+    component is held to n eps S, with
+    S = |z-1| max(env_phi(near), env_phi(far)) + env_X(|z|) + env_X(1).
+    """
     phi, curve = member.phi, member.curve
-    xs, wts = _gauss_legendre(QUADRATURE_NODES)
+    nodes = _quadrature_nodes(curve)
+    xs, wts = _gauss_legendre(nodes)
     base = 1 + 0j
     z = np.array(quadrature_targets(rng, QUADRATURE_TARGETS))
     zs = base + ((xs + 1.0) / 2.0)[None, :] * (z - base)[:, None]
-    integral = np.stack(
-        [(z - base) / 2.0 * np.sum(wts * comp(zs), axis=1) for comp in phi.parts], axis=1
-    )
-    diff = np.stack([comp(z) - comp(base) for comp in curve.parts], axis=1)
-    err = np.linalg.norm(integral - diff, axis=1) / np.maximum(np.linalg.norm(diff, axis=1), 1e-30)
-    worst = float(np.max(err))
-    return SuiteResult("quadrature", worst <= 1e-9, QUADRATURE_TARGETS,
-                       f"max_rel_err={worst:.3e}")
+    ends = np.append(z, base)
+    near = np.array([_segment_origin_distance(t) for t in z])
+    radii = np.stack([near, np.maximum(np.abs(z), 1.0)])
+    err, size = [], []
+    for p, x in zip(phi.parts, curve.parts):
+        at_ends, env_ends = x(ends), x.envelope(np.abs(ends))
+        err.append(np.abs((z - base) / 2.0 * np.sum(wts * p(zs), axis=1)
+                          - (at_ends[:-1] - at_ends[-1])))
+        size.append(np.abs(z - base) * np.max(p.envelope(radii), axis=0)
+                    + env_ends[:-1] + env_ends[-1])
+    err, size = np.array(err), np.array(size)
+    # a zero component gives zero on both sides and S = 0
+    ratio = np.divide(err, EPS * size, out=np.zeros_like(err), where=size > 0)
+    worst = float(np.max(ratio))
+    return SuiteResult("quadrature", worst <= nodes, err.size,
+                       f"nodes={nodes} max_eps_ratio={worst:.2f}")
 
 
 def check_conformality(member: FamilyMember, samples: int, rng: np.random.Generator) -> SuiteResult:
@@ -204,40 +230,44 @@ def check_conformality(member: FamilyMember, samples: int, rng: np.random.Genera
     return SuiteResult("conformality", worst <= 1e-12, 2 * samples, f"max_rel={worst:.3e}")
 
 
-def _five_point_laplacians(curve: MinimalCurve, w: np.ndarray, steps) -> tuple:
-    """Re X_k at w and |five-point Laplacian| of Re X_k at each step, ring
-    summed exactly: (points, coordinates) arrays.  Each coordinate is
-    evaluated once, over the centres and every step's ring stacked."""
-    rings = [w + d for step in steps for d in (step, -step, 1j * step, -1j * step)]
-    vals = np.stack([comp(np.stack([w, *rings])).real for comp in curve.parts], axis=-1)
-    center = vals[0]
-    return center, *(np.abs(accurate_sum(vals[1 + 4 * i: 5 + 4 * i]) - 4.0 * center) / step**2
-                     for i, step in enumerate(steps))
+def _ring_points(curve: MinimalCurve) -> int:
+    """Points M of a ring |w - w0| = |w0|/4 whose trapezoid mean is exact for
+    every term of the curve, to 2^-53 of its size: M > K+, the largest
+    exponent, and the j = M term of w^-k's expansion in (w - w0)/w0,
+    4^-M C(M+k-1, k-1), is below 2^-53 at the largest negative exponent K-."""
+    exponents = [k for part in curve.parts for k, _ in part]
+    top, low = max(exponents), -min(exponents)
+    m = top + 1
+    while math.comb(m + low - 1, low - 1) * 2**53 > 4**m:
+        m += 1
+    return m
+
+
+def _ring_defects(curve: MinimalCurve, w: np.ndarray, size: int) -> np.ndarray:
+    """|trapezoid mean of Re X_k on the ring - Re X_k(w0)|, (points, coordinates);
+    each coordinate is evaluated once over the centres and rings stacked."""
+    ring = np.exp(2j * math.pi * np.arange(size) / size)
+    pts = np.concatenate([w[None, :], w + (np.abs(w) / 4.0) * ring[:, None]])
+    vals = np.stack([comp(pts).real for comp in curve.parts], axis=-1)
+    return np.abs(accurate_sum(vals[1:]) / size - vals[0])
 
 
 def check_harmonicity(member: FamilyMember, points: int, rng: np.random.Generator) -> SuiteResult:
-    """Five-point Laplacian of each coordinate converges at order ~2.
+    """Mean-value property of every coordinate Re X_k at every centre w0.
 
-    The order is only measurable where the truncation term clears the FD
-    roundoff noise (~eps * scale / h^2); coordinates whose residual sits at
-    that floor are already harmonic to working precision and are skipped.
+    The trapezoid mean on |w - w0| = |w0|/4 is exact for the curve's terms
+    (Trefethen & Weideman, SIAM Rev. 56, 2014), so only rounding is left:
+    each defect is held to 16 eps (1 + env), env the coordinate's envelope
+    at the ring's outer or inner radius, whichever is larger.
     """
-    lo, hi = 1.8, 2.2
     w = sample_annulus(rng, points, r_lo=0.75, r_hi=1.6)
-    # (points, coordinates) arrays; a failure reports the last order out of
-    # range, taken point by point
-    steps = (HARMONICITY_STEP, HARMONICITY_STEP / 2.0)
-    center, res_h, res_h2 = _five_point_laplacians(member.curve, w, steps)
-    floor = 1e-7 * (1.0 + np.max(np.abs(center), axis=1, keepdims=True))
-    measurable = (res_h >= floor) & (res_h2 >= floor)
-    orders = np.log2(res_h[measurable] / res_h2[measurable])
-    outside = orders[(orders < lo) | (orders > hi)]
-    checked = int(orders.size)
-    ok = outside.size == 0 and checked > 0
-    worst_order = outside[-1] if outside.size else 2.0
-    detail = (f"{checked} measurable orders within [{lo}, {hi}]"
-              if ok else f"order {worst_order:.3f} out of range")
-    return SuiteResult("harmonicity", ok, checked, detail)
+    size = _ring_points(member.curve)
+    defects = _ring_defects(member.curve, w, size)
+    radii = np.stack([1.25 * np.abs(w), 0.75 * np.abs(w)])
+    env = np.stack([np.max(comp.envelope(radii), axis=0) for comp in member.curve.parts], axis=-1)
+    worst = _worst(defects / (EPS * (1.0 + env)))
+    return SuiteResult("harmonicity", worst <= 16.0, defects.size,
+                       f"ring_points={size} max_eps_ratio={worst:.2f}")
 
 
 def _subset(record, keep: np.ndarray):
@@ -286,7 +316,7 @@ def _roundtrip_bound(seed: LaurentPoly, lam: complex, w: np.ndarray) -> np.ndarr
     k12 = 0.5 * (1.0 + abs(a) * r * r) * p2 + abs(a) * (r * p1 + p0)  # k1's and k2's terms
     k34 = (1.0 + abs(lam) ** 2) * (r * p2 + p1)  # k3's, plus lam times k4's
     weighted = (np.abs(a * w * w - 1.0) + np.abs(a * w * w + 1.0)) / 2.0 * k12 + r * k34
-    return 16.0 * np.finfo(float).eps * weighted / abs(a)
+    return 16.0 * EPS * weighted / abs(a)
 
 
 def check_integral_free(member: FamilyMember, rng: np.random.Generator) -> SuiteResult:

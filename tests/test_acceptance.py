@@ -22,7 +22,7 @@ import pytest
 
 from wep4.cli import main
 from wep4.fixtures import fidelity_report, fixture_eval
-from wep4.geometry import curvature_denominator_check, immersion_point
+from wep4.geometry import immersion_point
 from wep4.henneberg import (
     FamilyParams,
     classic_henneberg_curve,
@@ -37,7 +37,7 @@ from wep4.verify import check_frames, check_harmonicity, quadrature_targets
 from wep4.weierstrass import nullity_defect
 
 from test_fixtures import display
-from test_geometry import curvature_at
+from test_geometry import curvature_at, curvature_denominator_check
 
 LAM_GRID = (0, 1, 1 + 1j, 0.5 - 2j)
 MN_GRID = ((1, 1), (1, 3), (3, 1), (3, 3), (3, 5))
@@ -138,7 +138,7 @@ def test_criterion_05_harmonicity_convergence():
     assert result.passed, result.detail
     result = check_harmonicity(family_member(FamilyParams(1, 3, 1 + 1j)), 50, rng)
     assert result.passed, result.detail
-    _announce("05", "harmonic coordinates, FD order ~ 2")
+    _announce("05", "harmonic coordinates, mean-value property to rounding")
 
 
 def _matched_samples(rng, count):

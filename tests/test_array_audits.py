@@ -17,8 +17,8 @@ import pytest
 from wep4 import verify
 from wep4.cli import main
 from wep4.fixtures import (
-    _fd_tangents,
     _fixture_coords,
+    _tangents,
     fidelity_report,
     fixture_eval,
     fixtures_for,
@@ -38,10 +38,9 @@ from wep4.henneberg import (
     recover_seed,
     seed_phi,
 )
+from wep4.laurent import accurate_sum
 from wep4.verify import run_verify, sample_annulus, sample_regular
 from wep4.weierstrass import is_regular, nullity_residual
-
-from test_geometry import coordinate_laplacian
 
 LAM_GRID = (0, 1, 1 + 1j, 0.5 - 2j)
 MN_GRID = ((1, 1), (1, 3), (3, 1), (3, 3), (3, 5))
@@ -52,10 +51,10 @@ MEMBERS = sorted({(m, n, complex(lam)) for m, n in MN_GRID for lam in LAM_GRID} 
                  key=lambda t: (t[0], t[1], t[2].real, t[2].imag))
 SEEDS = (42, 34)
 VALUE_TOL = 1e-14
-# Bound on |array - scalar| of a five-point residual, in units of
-# (1 + max_k |X_k(w)|) / h^2: the two paths round the ring values differently
-# in the last bits (measured up to 7.3 eps over the acceptance grid).
-LAPLACIAN_NOISE = 16 * np.finfo(float).eps
+# Bound on |array - scalar| of harmonicity's max_eps_ratio, in its own units
+# of eps (1 + env): the two paths round the centre and ring values
+# differently in the last bits (measured up to 0.12 over the acceptance grid).
+RING_NOISE = 0.5
 # Bounds on |array - scalar| of integral_free's worst values: the pointwise
 # curve error, in units of max(1, |curve|) (measured up to 1.4 eps over the
 # acceptance grid), and the round-trip ratio, whose bound is 16 eps times the
@@ -91,26 +90,21 @@ def scalar_conformality(member, samples, rng):
     return worst
 
 
-def scalar_harmonicity(curve, points, rng, h=1e-3):
-    """(checked, orders out of [1.8, 2.2], coordinates within the evaluation
-    noise of the floor) of the five-point stencil."""
-    checked, bad, near_floor = 0, [], 0
+def scalar_harmonicity(curve, points, rng):
+    """(checks, worst |ring mean - centre| / (eps (1 + env))) of the ring
+    rule, one point and one coordinate at a time, each ring summed by fsum."""
+    size = verify._ring_points(curve)
+    ring = np.exp(2j * math.pi * np.arange(size) / size)
+    checks, worst = 0, 0.0
     for w in sample_annulus(rng, points, r_lo=0.75, r_hi=1.6):
         w = complex(w)
-        scale = 1.0 + max(abs(comp(w).real) for comp in curve.parts)
-        floor = 1e-7 * scale
+        rho = abs(w) / 4.0
         for comp in curve.parts:
-            res_h = coordinate_laplacian(comp, w, h)
-            res_h2 = coordinate_laplacian(comp, w, h / 2.0)
-            near_floor += (abs(res_h - floor) <= LAPLACIAN_NOISE * scale / h**2
-                           or abs(res_h2 - floor) <= 4 * LAPLACIAN_NOISE * scale / h**2)
-            if res_h < floor or res_h2 < floor:
-                continue
-            order = math.log2(res_h / res_h2)
-            checked += 1
-            if not 1.8 <= order <= 2.2:
-                bad.append(order)
-    return checked, bad, near_floor
+            mean = math.fsum(comp(w + rho * complex(z)).real for z in ring) / size
+            env = max(comp.envelope(1.25 * abs(w)), comp.envelope(0.75 * abs(w)))
+            worst = max(worst, abs(mean - comp(w).real) / (np.finfo(float).eps * (1.0 + env)))
+            checks += 1
+    return checks, worst
 
 
 def scalar_frames(member, points, rng):
@@ -257,13 +251,11 @@ def test_verify_suites_match_the_scalar_rules(params, samples, seed):
     assert conformality.checks == 2 * min(samples, 1000)
     assert abs(_detail(conformality, "max_rel") - ref["conformality"]) <= VALUE_TOL
 
-    # A coordinate is measured where its residual clears a floor; one whose
-    # residual sits within the evaluation noise of that floor may be counted
-    # by one path and not the other.  Every other coordinate counts alike.
-    checked, bad, near_floor = ref["harmonicity"]
+    checks, worst = ref["harmonicity"]
     harmonicity = results["harmonicity"]
-    assert abs(harmonicity.checks - checked) <= near_floor
-    assert harmonicity.passed == (not bad and checked > 0)
+    assert harmonicity.checks == checks == 200
+    assert harmonicity.passed == (worst <= 16.0)
+    assert abs(_detail(harmonicity, "max_eps_ratio") - worst) <= RING_NOISE
 
     frames = results["frames"]
     if "frames" not in ref:
@@ -287,55 +279,49 @@ def test_nullity_residual_array_matches_scalar():
         assert np.max(np.abs(got - ref)) <= VALUE_TOL
 
 
-def test_coordinate_laplacian_array_matches_scalar():
-    curve = family_member(FamilyParams(3, 5, 0.5 - 2j)).curve
-    w = sample_annulus(np.random.default_rng(8), 200, r_lo=0.75, r_hi=1.6)
-    for h in (1e-3, 5e-4):
-        for comp in curve.parts:
-            got = coordinate_laplacian(comp, w, h)
-            ref = np.array([coordinate_laplacian(comp, complex(z), h) for z in w])
-            scale = 1.0 + np.max(np.abs(immersion_point(curve, w)), axis=1)
-            assert np.all(np.abs(got - ref) <= LAPLACIAN_NOISE * scale / h**2)
+def separate_call_ring_defects(curve, w):
+    """verify._ring_defects with each coordinate evaluated by its own call
+    at the centres and at each ring point (points + 1 calls per coordinate,
+    where the suite makes one)."""
+    size = verify._ring_points(curve)
+    ring = np.exp(2j * math.pi * np.arange(size) / size)
+    rho = np.abs(w) / 4.0
+    return np.stack([
+        np.abs(accurate_sum([comp(w + rho * z).real for z in ring]) / size - comp(w).real)
+        for comp in curve.parts
+    ], axis=-1)
 
 
-def separate_call_harmonicity(curve, points, rng, h=1e-3):
-    """The suite's rule with every coordinate, ring point and step evaluated
-    by its own coordinate_laplacian call (40 Laurent evaluations, plus 4 for
-    the floor, where the suite makes 4)."""
+def separate_call_harmonicity(curve, points, rng):
+    """The suite's rule with separate calls for the defects and for each
+    envelope radius: (checks, worst |mean - centre| / (eps (1 + env)))."""
     w = sample_annulus(rng, points, r_lo=0.75, r_hi=1.6)
-    floor = 1e-7 * (1.0 + np.max(np.abs(immersion_point(curve, w)), axis=1, keepdims=True))
-    res_h, res_h2 = (np.stack([coordinate_laplacian(comp, w, step) for comp in curve.parts],
-                              axis=-1) for step in (h, h / 2.0))
-    measurable = (res_h >= floor) & (res_h2 >= floor)
-    orders = np.log2(res_h[measurable] / res_h2[measurable])
-    outside = orders[(orders < 1.8) | (orders > 2.2)]
-    return int(orders.size), outside
+    defects = separate_call_ring_defects(curve, w)
+    env = np.stack([np.maximum(comp.envelope(1.25 * np.abs(w)), comp.envelope(0.75 * np.abs(w)))
+                    for comp in curve.parts], axis=-1)
+    return defects.size, float(np.max(defects / (np.finfo(float).eps * (1.0 + env))))
 
 
 @pytest.mark.parametrize("m, n, lam", MEMBERS)
 def test_stacked_laplacians_equal_the_separate_calls_bit_for_bit(m, n, lam):
+    # the ring defect mean - centre is rho^2 / 4 times the ring's discrete
+    # Laplacian (the five-point stencil is its four-point case)
     curve = family_member(FamilyParams(m, n, lam)).curve
     w = sample_annulus(np.random.default_rng(5), 50, r_lo=0.75, r_hi=1.6)
-    steps = (1e-3, 5e-4)
-    center, *residuals = verify._five_point_laplacians(curve, w, steps)
-    assert np.array_equal(center, immersion_point(curve, w))
-    for step, got in zip(steps, residuals):
-        ref = np.stack([coordinate_laplacian(comp, w, step) for comp in curve.parts], axis=-1)
-        assert got.shape == ref.shape and np.array_equal(got, ref)
+    got = verify._ring_defects(curve, w, verify._ring_points(curve))
+    ref = separate_call_ring_defects(curve, w)
+    assert got.shape == ref.shape == (50, 4) and np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("m, n, lam", MEMBERS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_harmonicity_counts_equal_the_separate_call_rule(m, n, lam, seed):
-    params = FamilyParams(m, n, lam)
-    member = family_member(params)
+    member = family_member(FamilyParams(m, n, lam))
     got = verify.check_harmonicity(member, 50, np.random.default_rng(seed))
-    checked, outside = separate_call_harmonicity(member.curve, 50,
-                                                 np.random.default_rng(seed))
-    assert got.checks == checked
-    assert got.passed == (outside.size == 0 and checked > 0)
-    if outside.size:
-        assert got.detail == f"order {outside[-1]:.3f} out of range"
+    checks, worst = separate_call_harmonicity(member.curve, 50, np.random.default_rng(seed))
+    assert got.checks == checks == 200
+    assert got.passed == (worst <= 16.0)
+    assert _detail(got, "max_eps_ratio") == float(f"{worst:.2f}")
 
 
 # -- report --------------------------------------------------------------------
@@ -353,10 +339,10 @@ def scalar_report_rows(params, samples):
             ref = fixture_eval(fx, _fixture_coords(fx, w))
             if fx.kind == "position":
                 pipe = immersion_point(curve, w)
-                fd_u, fd_v = _fd_tangents(fx, w)
+                xu, xv = (t[0] for t in _tangents(fx, np.array([w])))
                 dev["value"] = np.maximum(dev["value"], np.abs(ref - pipe))
-                dev["tangent_u"] = np.maximum(dev["tangent_u"], np.abs(fd_u - jet.xu))
-                dev["tangent_v"] = np.maximum(dev["tangent_v"], np.abs(fd_v - jet.xv))
+                dev["tangent_u"] = np.maximum(dev["tangent_u"], np.abs(xu - jet.xu))
+                dev["tangent_v"] = np.maximum(dev["tangent_v"], np.abs(xv - jet.xv))
                 scale = np.maximum(scale, np.abs(pipe))
             else:
                 tangent = jet.xu if fx.kind == "tangent_u" else jet.xv
@@ -373,15 +359,18 @@ REPORT_MEMBERS = ((1, 1, 0), (1, 1, 1), (1, 1, 2), (1, 1, 1 + 1j), (1, 3, 1 + 1j
 
 
 def separate_call_fd_tangents(fx, w):
-    """_fd_tangents with the display called once per shifted copy of w."""
-    w = np.asarray(w, dtype=complex)
-    h = 1e-6 * np.maximum(1.0, np.abs(w))
-
-    def val(z):
-        return fixture_eval(fx, _fixture_coords(fx, z))
-
-    two_h = (2.0 * h)[..., None]
-    return (val(w + h) - val(w - h)) / two_h, (val(w + 1j * h) - val(w - 1j * h)) / two_h
+    """_tangents with the display called once per coordinate's complex step:
+    Im fn(s + i h) / h is the difference quotient (fn(s + i h) - fn(s)) / (i h)
+    of a display real on the real axis."""
+    a, b = _fixture_coords(fx, w)
+    h = 1e-100
+    da = np.stack(fx.fn(a + 1j * h, b + 0j), axis=-1).imag / h
+    db = np.stack(fx.fn(a + 0j, b + 1j * h), axis=-1).imag / h
+    if fx.coords == "cart":
+        return da, db
+    r = a[:, None]
+    cos, sin = np.real(w)[:, None] / r, np.imag(w)[:, None] / r
+    return cos * da - sin / r * db, sin * da + cos / r * db
 
 
 @pytest.mark.parametrize("m, n, lam", REPORT_MEMBERS)
@@ -390,10 +379,10 @@ def test_stacked_fd_tangents_equal_the_separate_calls_bit_for_bit(m, n, lam):
     displays = [fx for fx in fixtures_for(FamilyParams(m, n, lam)) if fx.kind == "position"]
     assert displays
     for fx in displays:
-        for w in (points, points[:1], points[0], complex(points[1])):
-            got, ref = _fd_tangents(fx, w), separate_call_fd_tangents(fx, w)
+        for w in (points, points[:1]):
+            got, ref = _tangents(fx, w), separate_call_fd_tangents(fx, w)
             for a, b in zip(got, ref):
-                assert a.shape == b.shape == np.shape(w) + (4,) and np.array_equal(a, b)
+                assert a.shape == b.shape == w.shape + (4,) and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("m, n, lam", REPORT_MEMBERS)

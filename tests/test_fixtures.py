@@ -252,14 +252,20 @@ def _mutant(fx, mutation):
         def fn(a, b):
             x, y, z, w = fx.fn(a, b)
             return x, y, z, w + _FLIPPED_TERM[fx.fixture_id](a, b)
-    else:
+    elif mutation == "scale":
         def fn(a, b):
             return tuple(c * (1.0 + 1e-6) for c in fx.fn(a, b))
+    else:
+        # a ripple of amplitude 1e-12 and slope 1e-8 along both coordinates,
+        # relative to each component: the values stay inside their 1e-9
+        # tolerance, and a 1e-5 tangent tolerance would miss it
+        def fn(a, b):
+            return tuple(c * (1.0 + 1e-8 * np.sin(1e4 * (a + b)) / 1e4) for c in fx.fn(a, b))
     return Fixture(fx.fixture_id, fx.coords, fx.kind, fn)
 
 
 @pytest.mark.parametrize("seed", (42, 34))
-@pytest.mark.parametrize("mutation", ("flip", "scale"))
+@pytest.mark.parametrize("mutation", ("flip", "scale", "tangent"))
 @pytest.mark.parametrize("fid, params", (
     ("h11_example_cart", FamilyParams(1, 1, 1 + 1j)),
     ("h13_example_polar", FamilyParams(1, 3, 1 + 1j)),
@@ -271,11 +277,12 @@ def test_report_flags_a_perturbed_display(monkeypatch, fid, params, mutation, se
         _mutant(fx, mutation) if fx.fixture_id == fid else fx for fx in fixtures_for(p)])
     report = fidelity_report(family_member(params), samples)
     assert clean.row(fid, "w").verdict == "PASS"
-    perturbed = {"flip": "w", "scale": "xyzw"}[mutation]
+    perturbed = {"flip": {"value": "w"},
+                 "scale": {"value": "xyzw", "tangent_u": "xyzw", "tangent_v": "xyzw"},
+                 "tangent": {"tangent_u": "xyzw", "tangent_v": "xyzw"}}[mutation]
     for before, after in zip(clean.rows, report.rows):
-        if after.fixture_id == fid and after.check == "value" and after.component in perturbed:
+        if after.fixture_id == fid and after.component in perturbed.get(after.check, ""):
             assert after.verdict == "DEVIATES", after
-        elif after.fixture_id != fid or mutation == "scale":
-            # a flipped term also moves its display's tangents; a 1e-6
-            # scale stays inside the tangent checks' 1e-5 tolerance
+        elif after.fixture_id != fid or mutation != "flip":
+            # a flipped term also moves its display's tangents
             assert after.verdict == before.verdict, after

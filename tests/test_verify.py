@@ -1,6 +1,7 @@
 """The verification suite layer the CLI builds on."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from wep4 import verify
 from wep4.henneberg import (
     FamilyParams,
+    MinimalCurve,
     family_member,
     integral_free_point,
     recover_seed,
@@ -68,17 +70,68 @@ def test_sampling_helpers_are_seeded():
 
 
 def test_gauss_legendre_rule_is_built_once_and_shared_read_only(monkeypatch):
-    ref_xs, ref_wts = np.polynomial.legendre.leggauss(64)
-    xs, wts = verify._gauss_legendre(64)
+    member = family_member(FamilyParams(1, 1, 1))
+    nodes = verify._quadrature_nodes(member.curve)
+    ref_xs, ref_wts = np.polynomial.legendre.leggauss(nodes)
+    xs, wts = verify._gauss_legendre(nodes)
     assert np.array_equal(xs, ref_xs) and np.array_equal(wts, ref_wts)
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: pytest.fail("rebuilt"))
-    assert verify._gauss_legendre(64)[0] is xs
-    member = family_member(FamilyParams(1, 1, 1))
+    assert verify._gauss_legendre(nodes)[0] is xs
     assert verify.check_quadrature(member, np.random.default_rng(0)).passed
     with pytest.raises(ValueError):
         xs[0] = 0.0
     with pytest.raises(ValueError):
         wts[0] = 0.0
+
+
+@pytest.mark.parametrize("m, n, nodes, ring", [
+    (1, 1, 32, 32), (1, 3, 32, 35), (3, 5, 64, 41), (31, 31, 256, 124), (99, 99, 1024, 396),
+])
+def test_rule_sizes_follow_the_exponents(m, n, nodes, ring):
+    curve = family_member(FamilyParams(m, n, 1 + 1j)).curve
+    assert verify._quadrature_nodes(curve) == nodes
+    assert verify._ring_points(curve) == ring
+
+
+@pytest.mark.parametrize("m, n, lam", [(1, 1, 1 + 1j), (7, 11, 0.97j), (31, 31, 1 + 1j)])
+def test_quadrature_fails_any_phi_coefficient_scaled_by_1e_9(m, n, lam):
+    member = family_member(FamilyParams(m, n, lam))
+    parts = member.phi.parts
+    for j, part in enumerate(parts):
+        for k, c in part:
+            nudged = LaurentPoly({**part.terms, k: c * (1 + 1e-9)})
+            phi = PhiForm(parts[:j] + (nudged,) + parts[j + 1:])
+            res = verify.check_quadrature(replace(member, phi=phi), np.random.default_rng(42))
+            assert not res.passed, (j, k, res.line())
+
+
+class _Slipped:
+    """A curve component plus the non-harmonic 1e-12 |w|^2."""
+
+    def __init__(self, comp):
+        self.comp = comp
+
+    def __iter__(self):
+        return iter(self.comp)
+
+    def __call__(self, w):
+        return self.comp(w) + 1e-12 * np.abs(w) ** 2
+
+    def envelope(self, radius):
+        return self.comp.envelope(radius)
+
+
+@pytest.mark.parametrize("m, n, lam", [(1, 1, 1 + 1j), (1, 3, 1 + 1j), (3, 5, 0.5 - 2j)])
+@pytest.mark.parametrize("seed", (42, 34))
+def test_harmonicity_fails_a_1e_12_non_harmonic_slip(m, n, lam, seed):
+    member = family_member(FamilyParams(m, n, lam))
+    assert verify.check_harmonicity(member, 50, np.random.default_rng(seed)).passed
+    parts = member.curve.parts
+    for j in range(4):
+        curve = MinimalCurve(parts[:j] + (_Slipped(parts[j]),) + parts[j + 1:])
+        res = verify.check_harmonicity(replace(member, curve=curve), 50,
+                                       np.random.default_rng(seed))
+        assert not res.passed, (j, res.line())
 
 
 def test_sample_regular_avoids_branch_ring():

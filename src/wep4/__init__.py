@@ -36,16 +36,14 @@ from .henneberg import (
 )
 from .geometry import (
     FrameScalars,
-    NormalFrame,
     SurfaceJet,
     closed_form_normals,
     frame_scalars,
     immersion_point,
-    normal_frame,
     perp_vectors,
     surface_jet,
 )
 from .fixtures import Fixture, fidelity_report, fixture_eval, fixtures_for
-from .mesh import Mesh3D, PolarGrid, QuadMesh4D, Vertex, export, load_obj, project, sample_grid
+from .mesh import Mesh3D, PolarGrid, QuadMesh4D, Vertex, export, project, sample_grid
 
 __version__ = "0.1.0"

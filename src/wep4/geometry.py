@@ -1,45 +1,40 @@
 """Pointwise differential geometry of the immersed surfaces.
 
 Tangent vectors come straight from the 1-form (X_u = Re phi, X_v = -Im phi),
-never from finite differences, so the first fundamental form and the frames
-carry no discretization error.  The Gauss curvature is a closed form in the
-Weierstrass data as well.
+never from finite differences, so the first fundamental form carries no
+discretization error.  E, the Gauss curvature and the normal plane are
+closed forms in one pair of Laurent polynomials, a = g + ih and b = g - ih:
+the generalized Gauss map lies on the quadric Q2 = CP1 x CP1 (Hoffman &
+Osserman), and no rank test, orthogonalization or rescaling is needed.
 
-Jets, frame scalars and frames take one point or an ndarray of points.  At
-one point the vectors have shape (4,) and the sums are exactly rounded
-(fsum); over n points they are (n, 4) stacks, summed with compensated
-TwoSum cascades (laurent.accurate_sum).
+Jets and frame scalars take one point or an ndarray of points.  At one
+point the vectors have shape (4,) and the sums are exactly rounded (fsum);
+over n points they are (n, 4) stacks, summed with compensated TwoSum
+cascades (laurent.accurate_sum).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .henneberg import FamilyMember, FamilyParams, MinimalCurve
-from .laurent import accurate_sum
+from .laurent import LaurentPoly, accurate_sum
 from .weierstrass import WeierstrassTriple, is_regular
 
 __all__ = [
     "SurfaceJet",
     "FrameScalars",
-    "NormalFrame",
-    "DegenerateFrameError",
     "FormulaDegenerateError",
     "immersion_point",
     "surface_jet",
     "perp_vectors",
     "frame_scalars",
-    "normal_frame",
     "closed_form_normals",
     "conformal_fields",
+    "normal_plane",
 ]
-
-
-class DegenerateFrameError(ValueError):
-    """The four frame candidate vectors do not span R4 at this point."""
 
 
 class FormulaDegenerateError(ValueError):
@@ -79,17 +74,6 @@ class FrameScalars:
     cross_minus: float | np.ndarray
     cross_plus: float | np.ndarray
     inv_r8: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class NormalFrame:
-    """Orthonormal tangent pair (e1, e2) and normal pair (n1, n2), each a
-    vector or a stack of vectors like the jet's."""
-
-    e1: np.ndarray
-    e2: np.ndarray
-    n1: np.ndarray
-    n2: np.ndarray
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -159,35 +143,6 @@ def frame_scalars(params: FamilyParams, w) -> FrameScalars:
     return FrameScalars(p, q, quartic, cross_minus, cross_plus, inv_r8)
 
 
-def _orthogonalize(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
-    out = vec.astype(float)
-    for _ in range(2):  # one re-orthogonalization pass tightens the Gram matrix
-        for b in basis:
-            out = out - _scaled(_dot(out, b), b)
-    return out
-
-
-def normal_frame(jet: SurfaceJet) -> NormalFrame:
-    """Gram-Schmidt frame from (xu, xv, perp1, perp2).
-
-    e1, e2 span the tangent plane, n1, n2 the normal plane.  Raises
-    DegenerateFrameError when the four candidates are numerically rank
-    deficient (the residual check is the rank test); over a stack of
-    points, when that holds at any of them.
-    """
-    if not np.all(jet.regular):
-        raise DegenerateFrameError("no frame at a non-regular point")
-    perp1, perp2 = perp_vectors(jet)
-    basis: list[np.ndarray] = []
-    for vec in (jet.xu, jet.xv, perp1, perp2):
-        resid = _orthogonalize(vec, basis)
-        norm = np.sqrt(_dot(resid, resid))
-        if np.any(norm <= 1e-10 * np.maximum(1.0, np.sqrt(_dot(vec, vec)))):
-            raise DegenerateFrameError("frame candidates are rank deficient")
-        basis.append(resid / np.expand_dims(norm, -1))
-    return NormalFrame(*basis)
-
-
 def closed_form_normals(jet: SurfaceJet, scalars: FrameScalars) -> tuple[np.ndarray, np.ndarray]:
     """Unit normals straight from the closed-form scalar expressions.
 
@@ -207,37 +162,62 @@ def closed_form_normals(jet: SurfaceJet, scalars: FrameScalars) -> tuple[np.ndar
     return n1, n2
 
 
+def _split(triple: WeierstrassTriple) -> tuple[LaurentPoly, LaurentPoly]:
+    """The CP1 x CP1 pair a = g + ih, b = g - ih as Laurent polynomials.
+
+    g^2 + h^2 = ab, so nothing below forms g^2 + h^2 at a point: each
+    coefficient of a and b (1 +- i lam where g and h share an exponent) is
+    rounded once, here, and never cancelled pointwise.
+    """
+    ih = triple.h * 1j
+    return triple.g + ih, triple.g - ih
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real**2 + z.imag**2
+
+
 def conformal_fields(triple: WeierstrassTriple, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conformal factor E and Gauss curvature K at points w.
 
-    With the lift F = (1/sqrt2, g, h, (g^2 + h^2)/sqrt2) of the generalized
-    Gauss map, phi = f U F for a constant unitary U, so E = |f|^2 |F|^2 / 2
-    and (Hoffman & Osserman, Mem. AMS 236, 1980)
+    With A = 1 + |a|^2 and B = 1 + |b|^2 for the pair (a, b) of _split,
+    the generalized Gauss map lies on the quadric Q2 = CP1 x CP1 and
+    (Hoffman & Osserman, Mem. AMS 236, 1980)
 
-        K = -4 |F ^ F'|^2 / (|F|^6 |f|^2) = -2 |F ^ F'|^2 / (|F|^4 E),
+        E = |f|^2 A B / 4,    K = -2 ((|a'| / A)^2 + (|b'| / B)^2) / E.
 
-    where |F ^ F'|^2 = sum_{j<k} |F_j F'_k - F_k F'_j|^2 by Lagrange's
-    identity.  A sum of squares, so K <= 0 holds with no cancellation and
-    no step size.  F and F' are scaled by 1/|F| before the products, which
-    keeps the intermediates in range at large |w|.  K is not finite where f
-    vanishes (the branch points); callers mask it where
+    Every term is positive, so K <= 0 holds with no cancellation and no
+    step size.  |a'| / A is squared as a ratio: |a'|^2 and A^2 would
+    overflow long before A itself does.  K is not finite where
+    f vanishes (the branch points); callers mask it where
     weierstrass.is_regular is False.
     """
-    f, g, h = triple.f(w), triple.g(w), triple.h(w)
-    dg, dh = triple.g.derivative()(w), triple.h.derivative()(w)
-    root_half = math.sqrt(0.5)
-    lift = (np.full_like(f, root_half), g, h, root_half * (g * g + h * h))
-    dlift = (np.zeros_like(f), dg, dh, 2.0 * root_half * (g * dg + h * dh))
-    norm2 = sum(c.real**2 + c.imag**2 for c in lift)
-    inv = 1.0 / np.sqrt(norm2)
-    lift = [c * inv for c in lift]
-    dlift = [c * inv for c in dlift]
-    wedge = sum(
-        np.abs(lift[j] * dlift[k] - lift[k] * dlift[j]) ** 2
-        for j in range(4) for k in range(j + 1, 4)
-    )
-    f2 = f.real**2 + f.imag**2
-    energy = 0.5 * f2 * norm2
+    a, b = _split(triple)
+    big_a, big_b = 1.0 + _abs2(a(w)), 1.0 + _abs2(b(w))
+    energy = 0.25 * _abs2(triple.f(w)) * big_a * big_b
+    slope = (np.abs(a.derivative()(w)) / big_a) ** 2 + (np.abs(b.derivative()(w)) / big_b) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        curvature = -2.0 * wedge / energy
+        curvature = -2.0 * slope / energy
     return energy, curvature
+
+
+def _psi(triple: WeierstrassTriple, w: np.ndarray) -> np.ndarray:
+    """psi = ((a + conj b) / 2, i (conj b - a) / 2, (a conj b - 1) / 2,
+    -i (a conj b + 1) / 2) at w, with (a, b) of _split: null, orthogonal to
+    phi and conj phi, and |psi|^2 = A B / 2 > 0 everywhere."""
+    a, b = _split(triple)
+    av, bc = a(w), np.conj(b(w))
+    ab = av * bc
+    return np.stack([0.5 * (av + bc), 0.5j * (bc - av), 0.5 * (ab - 1.0), -0.5j * (ab + 1.0)],
+                    axis=-1)
+
+
+def normal_plane(triple: WeierstrassTriple, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit normals n1 = Re psi / |Re psi| and n2 = Im psi / |Im psi|.
+
+    psi (see _psi) is null, so Re psi and Im psi are orthogonal and of
+    equal length, and it is orthogonal to phi and conj phi, so they span the
+    normal plane: at every point, branch points included, with no rank test.
+    """
+    psi = _psi(triple, w)
+    return tuple(_scaled(1.0 / np.sqrt(_dot(n, n)), n) for n in (psi.real, psi.imag))

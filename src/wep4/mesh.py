@@ -44,16 +44,15 @@ __all__ = [
     "export_obj",
     "export_ply",
     "export_csv",
-    "load_obj",
     "format_column",
 ]
 
 AXES = "xyzw"
 CSV_FIELDS = ("u", "v", "x", "y", "z", "w", "E", "K", "regular")
 # A grid's columns are computed in one pass over whole arrays, so its size
-# is capped.  Computing E and K peaks at about 0.30 kB per vertex (+30.3 MB
-# RSS at 100,000 vertices), about 300 MB at the cap; the positions alone,
-# all an OBJ/PLY export computes, at about 0.25 kB (+25.0 MB).  Exports
+# is capped.  A CSV export with E and K peaks at about 0.26 kB per vertex
+# (+26.3 MB RSS at 100,000 vertices), about 260 MB at the cap; the positions
+# alone, all an OBJ/PLY export computes, at about 0.25 kB (+24.8 MB).  Exports
 # stream in blocks of _CHUNK_ROWS rows and add no memory per vertex: about
 # 1.1-1.6 MB traced peak for CSV and 0.42 MB for OBJ/PLY, at 40,000 and
 # 100,000 vertices alike.
@@ -330,24 +329,4 @@ def export(mesh, fmt: str, path) -> None:
     if fmt.lower() not in writers:
         raise ValueError(f"unsupported format {fmt!r}")
     writers[fmt.lower()](mesh, path)
-
-
-def load_obj(path) -> Mesh3D:
-    """Minimal OBJ reader for the files this module writes."""
-    vertices: list[list[float]] = []
-    faces: list[list[int]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                vertices.append([float(p) for p in parts[1:4]])
-            elif parts[0] == "f":
-                faces.append([int(p) - 1 for p in parts[1:]])
-    return Mesh3D(
-        vertices=np.array(vertices, dtype=float).reshape(-1, 3),
-        # a file without face lines (every cell masked) reads as zero triangles
-        faces=np.array(faces, dtype=np.int64).reshape(len(faces), -1 if faces else 3),
-    )
 

@@ -20,7 +20,7 @@ import numpy as np
 from .geometry import (
     closed_form_normals,
     frame_scalars,
-    normal_frame,
+    normal_plane,
     perp_vectors,
     surface_jet,
 )
@@ -276,8 +276,8 @@ def _subset(record, keep: np.ndarray):
 
 
 def check_frames(member: FamilyMember, points: int, rng: np.random.Generator) -> SuiteResult:
-    """Closed-form p, q and normals against direct inner products and
-    Gram-Schmidt, for the m = n = 1 real-lam member."""
+    """Closed-form p, q and normals against direct inner products and the
+    normal plane of psi, for the m = n = 1 real-lam member."""
     params = member.params
     if params.m != 1 or params.n != 1 or not params.lam_is_real:
         return SuiteResult("frames", True, 0, "not applicable here", skipped=True)
@@ -288,12 +288,13 @@ def check_frames(member: FamilyMember, points: int, rng: np.random.Generator) ->
     q_direct = np.sum(jet.xu * perp2, axis=1)
     q_mirror = -np.sum(jet.xv * perp1, axis=1)
     worst_pq = _worst((s.p - jet.E) / s.p, (s.q - q_direct) / s.p, (s.q - q_mirror) / s.p)
-    frame = normal_frame(jet)
-    basis = np.stack([frame.e1, frame.e2, frame.n1, frame.n2], axis=1)
+    n1, n2 = normal_plane(member.triple, w)
+    e1, e2 = jet.xu / np.sqrt(jet.E)[:, None], jet.xv / np.sqrt(jet.G)[:, None]
+    basis = np.stack([e1, e2, n1, n2], axis=1)
     worst_gram = _worst(basis @ basis.transpose(0, 2, 1) - np.eye(4))
     # the closed forms divide by cross_minus: check them where it is clear of 0
     keep = s.cross_minus > 1e-6
-    n1, n2 = frame.n1[keep], frame.n2[keep]
+    n1, n2 = n1[keep], n2[keep]
     normals = closed_form_normals(_subset(jet, keep), _subset(s, keep))
     worst_span = _worst(*(
         np.linalg.norm(n - np.sum(n * n1, axis=1, keepdims=True) * n1

@@ -27,7 +27,7 @@ from wep4.geometry import (
     closed_form_normals,
     frame_scalars,
     immersion_point,
-    normal_frame,
+    normal_plane,
     perp_vectors,
     surface_jet,
 )
@@ -117,12 +117,12 @@ def scalar_frames(member, points, rng):
         worst_pq = max(worst_pq, abs(s.p - jet.E) / s.p,
                        abs(s.q - float(np.dot(jet.xu, perp2))) / s.p,
                        abs(s.q + float(np.dot(jet.xv, perp1))) / s.p)
-        frame = normal_frame(jet)
-        basis = np.stack([frame.e1, frame.e2, frame.n1, frame.n2])
+        n1, n2 = normal_plane(member.triple, w)
+        basis = np.stack([jet.xu / math.sqrt(jet.E), jet.xv / math.sqrt(jet.G), n1, n2])
         worst_gram = max(worst_gram, float(np.max(np.abs(basis @ basis.T - np.eye(4)))))
         if s.cross_minus > 1e-6:
             for n in closed_form_normals(jet, s):
-                resid = n - np.dot(n, frame.n1) * frame.n1 - np.dot(n, frame.n2) * frame.n2
+                resid = n - np.dot(n, n1) * n1 - np.dot(n, n2) * n2
                 worst_span = max(worst_span, float(np.linalg.norm(resid)))
     return worst_pq, worst_gram, worst_span
 

@@ -1,29 +1,119 @@
-"""Jets, frames, curvature, harmonicity, and the denominator identity."""
+"""Jets, frames, curvature, harmonicity, and the denominator identity.
+
+The general routes that the CP1 x CP1 closed forms replaced are kept here
+as references: Gram-Schmidt on (xu, xv, perp1, perp2) for the normal plane
+and the Lagrange wedge of the four-component lift for E and K.
+"""
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from wep4.geometry import (
-    DegenerateFrameError,
     FormulaDegenerateError,
     FrameScalars,
+    SurfaceJet,
+    _dot,
+    _psi,
+    _scaled,
     closed_form_normals,
     conformal_fields,
     frame_scalars,
     immersion_point,
-    normal_frame,
+    normal_plane,
     perp_vectors,
     surface_jet,
 )
 from wep4.henneberg import FamilyParams, MinimalCurve, family_member
 from wep4.laurent import ONE, ZERO, LaurentPoly, accurate_sum
+from wep4.mesh import PolarGrid, sample_grid
+from wep4.verify import sample_regular
 from wep4.weierstrass import WeierstrassTriple
 
+import exact
 from test_weierstrass import conformal_factor
 
 RNG = np.random.default_rng(31)
+EPS = np.finfo(float).eps
+
+
+class DegenerateFrameError(ValueError):
+    """The four frame candidate vectors do not span R4 at this point."""
+
+
+@dataclass(frozen=True)
+class NormalFrame:
+    """Orthonormal tangent pair (e1, e2) and normal pair (n1, n2), each a
+    vector or a stack of vectors like the jet's."""
+
+    e1: np.ndarray
+    e2: np.ndarray
+    n1: np.ndarray
+    n2: np.ndarray
+
+
+def _orthogonalize(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
+    out = vec.astype(float)
+    for _ in range(2):  # one re-orthogonalization pass tightens the Gram matrix
+        for b in basis:
+            out = out - _scaled(_dot(out, b), b)
+    return out
+
+
+def normal_frame(jet: SurfaceJet) -> NormalFrame:
+    """Reference: Gram-Schmidt frame from (xu, xv, perp1, perp2).
+
+    e1, e2 span the tangent plane, n1, n2 the normal plane.  Raises
+    DegenerateFrameError when the four candidates are numerically rank
+    deficient (the residual check is the rank test); over a stack of
+    points, when that holds at any of them.
+    """
+    if not np.all(jet.regular):
+        raise DegenerateFrameError("no frame at a non-regular point")
+    perp1, perp2 = perp_vectors(jet)
+    basis: list[np.ndarray] = []
+    for vec in (jet.xu, jet.xv, perp1, perp2):
+        resid = _orthogonalize(vec, basis)
+        norm = np.sqrt(_dot(resid, resid))
+        if np.any(norm <= 1e-10 * np.maximum(1.0, np.sqrt(_dot(vec, vec)))):
+            raise DegenerateFrameError("frame candidates are rank deficient")
+        basis.append(resid / np.expand_dims(norm, -1))
+    return NormalFrame(*basis)
+
+
+def wedge_fields(triple: WeierstrassTriple, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference E and K from the lift F = (1/sqrt2, g, h, (g^2 + h^2)/sqrt2)
+    of the generalized Gauss map: phi = f U F for a constant unitary U, so
+    E = |f|^2 |F|^2 / 2 and (Hoffman & Osserman, Mem. AMS 236, 1980)
+
+        K = -2 |F ^ F'|^2 / (|F|^4 E),
+
+    where |F ^ F'|^2 = sum_{j<k} |F_j F'_k - F_k F'_j|^2 by Lagrange's
+    identity.  F and F' are scaled by 1/|F| before the products.  The
+    fourth component forms g^2 + h^2 at each point, which cancels where
+    g and h share an exponent and 1 + lam^2 ~ 0.
+    """
+    f, g, h = triple.f(w), triple.g(w), triple.h(w)
+    dg, dh = triple.g.derivative()(w), triple.h.derivative()(w)
+    root_half = math.sqrt(0.5)
+    lift = (np.full_like(f, root_half), g, h, root_half * (g * g + h * h))
+    dlift = (np.zeros_like(f), dg, dh, 2.0 * root_half * (g * dg + h * dh))
+    norm2 = sum(c.real**2 + c.imag**2 for c in lift)
+    inv = 1.0 / np.sqrt(norm2)
+    lift = [c * inv for c in lift]
+    dlift = [c * inv for c in dlift]
+    wedge = sum(
+        np.abs(lift[j] * dlift[k] - lift[k] * dlift[j]) ** 2
+        for j in range(4) for k in range(j + 1, 4)
+    )
+    f2 = f.real**2 + f.imag**2
+    energy = 0.5 * f2 * norm2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curvature = -2.0 * wedge / energy
+    return energy, curvature
 
 
 def _points(count, lo=0.45, hi=1.7):
@@ -124,9 +214,12 @@ def test_normal_frame_orthonormal():
     member = family_member(params)
     jet = surface_jet(member, 1.5 + 0.5j)
     frame = normal_frame(jet)
-    basis = np.stack([frame.e1, frame.e2, frame.n1, frame.n2])
-    assert np.max(np.abs(basis @ basis.T - np.eye(4))) <= 1e-10
-    for n in (frame.n1, frame.n2):
+    planar = normal_plane(member.triple, 1.5 + 0.5j)
+    tangents = [jet.xu / math.sqrt(jet.E), jet.xv / math.sqrt(jet.G)]
+    for basis in (np.stack([frame.e1, frame.e2, frame.n1, frame.n2]),
+                  np.stack(tangents + list(planar))):
+        assert np.max(np.abs(basis @ basis.T - np.eye(4))) <= 1e-10
+    for n in (frame.n1, frame.n2, *planar):
         assert abs(np.dot(n, jet.xu)) <= 1e-10 * math.sqrt(jet.E)
         assert abs(np.dot(n, jet.xv)) <= 1e-10 * math.sqrt(jet.E)
 
@@ -137,6 +230,9 @@ def test_normal_frame_rejects_non_regular():
     for w in (1 + 0j, np.array([1.5 + 0.5j, 1 + 0j])):  # one point, or any in a stack
         with pytest.raises(DegenerateFrameError):
             normal_frame(surface_jet(member, w))
+        # the closed form needs no tangent plane: a unit normal pair there too
+        for n in normal_plane(member.triple, w):
+            assert np.all(np.abs(_dot(n, n) - 1.0) <= 1e-15)
 
 
 def test_stacked_jets_and_frames_match_one_point_calls():
@@ -149,6 +245,7 @@ def test_stacked_jets_and_frames_match_one_point_calls():
         jet = surface_jet(member, w)
         s = frame_scalars(params, w)
         frame = normal_frame(jet)
+        planar = normal_plane(member.triple, w)
         normals = closed_form_normals(jet, s)
         assert jet.xu.shape == (40, 4) and jet.E.shape == (40,) and jet.regular.all()
         for i, z in enumerate(w.tolist()):
@@ -163,6 +260,8 @@ def test_stacked_jets_and_frames_match_one_point_calls():
             frame1 = normal_frame(one)
             for name in ("e1", "e2", "n1", "n2"):
                 assert np.max(np.abs(getattr(frame, name)[i] - getattr(frame1, name))) <= 1e-14
+            for n, n_one in zip(planar, normal_plane(member.triple, z)):
+                assert np.max(np.abs(n[i] - n_one)) <= 1e-14
             for n, n_one in zip(normals, closed_form_normals(one, s1)):
                 assert np.max(np.abs(n[i] - n_one)) <= 1e-14
 
@@ -176,11 +275,13 @@ def test_closed_form_normals_span_gs_normals():
             if s.cross_minus <= 1e-6:
                 continue
             frame = normal_frame(jet)
+            planar = normal_plane(member.triple, w)
             n1, n2 = closed_form_normals(jet, s)
             for n in (n1, n2):
                 assert abs(np.dot(n, n) - 1.0) <= 1e-10
-                resid = n - np.dot(n, frame.n1) * frame.n1 - np.dot(n, frame.n2) * frame.n2
-                assert np.linalg.norm(resid) <= 1e-8
+                for p1, p2 in ((frame.n1, frame.n2), planar):
+                    resid = n - np.dot(n, p1) * p1 - np.dot(n, p2) * p2
+                    assert np.linalg.norm(resid) <= 1e-8
             assert abs(np.dot(n1, jet.xu)) <= 1e-8 * s.p
             assert abs(np.dot(n2, jet.xv)) <= 1e-8 * s.p
 
@@ -192,6 +293,48 @@ def test_closed_form_normals_degenerate_scalar_rejected():
                               cross_plus=1.0, inv_r8=1.0)
     with pytest.raises(FormulaDegenerateError):
         closed_form_normals(jet, degenerate)
+
+
+def _projector(n1, n2):
+    return n1[..., :, None] * n1[..., None, :] + n2[..., :, None] * n2[..., None, :]
+
+
+def _random_members(count, seed=5):
+    rng = np.random.default_rng(seed)
+    return [(int(2 * rng.integers(16) + 1), int(2 * rng.integers(16) + 1),
+             complex(*rng.normal(0.0, 1.5, 2))) for _ in range(count)]
+
+
+# a = 0 identically at (1,1,i) and (15,15,i), where Gram-Schmidt raises
+NORMAL_PLANE_MEMBERS = [(1, 1, 1j), (15, 15, 1j), (31, 31, 1 + 1j), (1, 1, -1j), (1, 1, 1.0),
+                        (3, 5, 0.5 - 2j)] + _random_members(12)
+
+
+@pytest.mark.parametrize("m, n, lam", NORMAL_PLANE_MEMBERS, ids=str)
+def test_normal_plane_of_every_member(m, n, lam):
+    member = family_member(FamilyParams(m, n, lam))
+    w = sample_regular(np.random.default_rng(3), 48, member.triple)
+    jet = surface_jet(member, w)
+    n1, n2 = normal_plane(member.triple, w)
+    tangents = [jet.xu / np.sqrt(jet.E)[:, None], jet.xv / np.sqrt(jet.G)[:, None]]
+    basis = np.stack(tangents + [n1, n2], axis=1)
+    assert np.max(np.abs(basis @ basis.transpose(0, 2, 1) - np.eye(4))) <= 1e-10
+    # psi is null and orthogonal to phi and conj phi, relative to the sizes
+    psi = _psi(member.triple, w)
+    phi = np.stack([p(w) for p in member.phi.parts], axis=1)
+    size = np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
+    assert np.max(np.abs(np.sum(psi * psi, axis=1)) / size**2) <= 1e-13
+    for other in (phi, phi.conj()):
+        pairing = np.abs(np.sum(psi * other, axis=1))
+        assert np.max(pairing / (size * np.sqrt(np.sum(np.abs(other) ** 2, axis=1)))) <= 1e-13
+    # the Gram-Schmidt reference spans the same plane wherever it does not raise
+    planar = _projector(n1, n2)
+    for i, z in enumerate(w.tolist()):
+        try:
+            frame = normal_frame(surface_jet(member, z))
+        except DegenerateFrameError:
+            continue
+        assert np.max(np.abs(planar[i] - _projector(frame.n1, frame.n2))) <= 1e-13
 
 
 def test_gauss_curvature_plane_is_zero():
@@ -253,6 +396,67 @@ def test_scalar_curvature_is_the_array_closed_form():
     _, ks = conformal_fields(triple, ws)
     for w, k in zip(ws, ks):
         assert curvature_at(triple, complex(w)) == k
+
+
+ACCEPTANCE_GRID = [(m, n, lam) for m, n in ((1, 1), (1, 3), (3, 1), (3, 3), (3, 5))
+                   for lam in (0, 1, 1 + 1j, 0.5 - 2j)]
+
+
+@pytest.mark.parametrize("m, n, lam", ACCEPTANCE_GRID, ids=str)
+def test_split_fields_match_the_wedge_reference(m, n, lam):
+    # on the README's 80 x 160 grid; near lam = +-i at m = n the wedge is the
+    # inaccurate side, and the exact values below decide
+    member = family_member(FamilyParams(m, n, lam))
+    mesh = sample_grid(member, PolarGrid(0.5, 2.0, 80, 160))
+    energy, curvature = conformal_fields(member.triple, mesh.points)
+    e_ref, k_ref = wedge_fields(member.triple, mesh.points)
+    assert np.max(np.abs(energy - e_ref) / e_ref) <= 2e-15
+    reg = mesh.regular
+    assert np.max(np.abs(curvature[reg] - k_ref[reg]) / np.abs(k_ref[reg])) <= 5e-15
+
+
+EXACT_MEMBERS = [(1, 1, 1 + 1j), (3, 5, 0.5 - 2j), (15, 15, 1j), (15, 15, 0.0229 - 0.99974j)]
+
+
+def _exact_draw(count=16):
+    """Seeded points of 0.5 <= |w| <= 2.5.  Past the README grid's radius 2,
+    the wedge's pointwise g^2 + h^2 leaves a residual of about eps |w|^(2m)
+    that costs K about eps^2 |w|^(4m) relative: 1e-13 at |w| = 2, m = 15."""
+    rng = np.random.default_rng(0)
+    return rng.uniform(0.5, 2.5, count) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, count))
+
+
+def _exact_ratios(fields, m, n, lam, slip=1.0):
+    """Worst relative errors of E and K (K times slip) against the exact
+    values, over the draw, in units of eps times exact.condition."""
+    w = _exact_draw()
+    energy, curvature = fields(family_member(FamilyParams(m, n, lam)).triple, w)
+    worst_e = worst_k = 0.0
+    for z, e, k in zip(w.tolist(), energy.tolist(), curvature.tolist()):
+        e_exact, k_exact = exact.split_fields(m, n, lam, z)
+        unit = EPS * exact.condition(m, n, lam, z)
+        worst_e = max(worst_e, float(abs(Fraction(e) / e_exact - 1)) / unit)
+        worst_k = max(worst_k, float(abs(Fraction(k * slip) / k_exact - 1)) / unit)
+    return worst_e, worst_k
+
+
+@pytest.mark.parametrize("m, n, lam", EXACT_MEMBERS, ids=str)
+def test_split_fields_are_within_their_condition_of_the_exact_values(m, n, lam):
+    # the two exact forms are one rational function: equal at every point
+    for z in _exact_draw().tolist():
+        assert exact.split_fields(m, n, lam, z) == exact.wedge_fields(m, n, lam, z)
+    # measured worst 0.10 (E) and 0.13 (K) of the bound
+    assert max(_exact_ratios(conformal_fields, m, n, lam)) <= 1.0
+    # a 1 + 2^-40 slip in K is 4096 eps: past the bound at some point
+    assert _exact_ratios(conformal_fields, m, n, lam, slip=1.0 + 2.0**-40)[1] > 1.0
+
+
+@pytest.mark.parametrize("lam", [1j, 6.1e-17 + 1j], ids=str)
+def test_wedge_reference_fails_the_exact_bound_near_lam_i(lam):
+    # At lam = i exactly, g^2 + h^2 cancels to zero under correctly rounded
+    # complex products; numpy's vectorized ones, which fuse multiply-adds
+    # on x86-64, leave the residual.  Near i, h's own rounding leaves it.
+    assert _exact_ratios(wedge_fields, 15, 15, lam)[1] > 1.0
 
 
 def coordinate_laplacian(comp: LaurentPoly, w, h: float):

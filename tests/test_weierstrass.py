@@ -26,8 +26,9 @@ def conformal_factor(t: WeierstrassTriple, w) -> tuple[float, float]:
     E = sum |phi_k(w)|^2 / 2, summed from the components of t's null form
     phi, which equals <X_u, X_u> = <X_v, X_v> for the immersion with
     X_u - i X_v = phi; the regularity weight is |f| (1 + |g|^2 + |h|^2).
-    The pipeline reads neither (see geometry.conformal_fields and
-    is_regular): both are the tests' independent reference.  ``w`` may be
+    The pipeline reads neither (geometry.conformal_fields takes E from the
+    CP1 x CP1 pair a = g + ih, b = g - ih, and is_regular compares f with
+    its envelope): both are the tests' independent reference.  ``w`` may be
     an ndarray.
     """
     energy = 0.5 * accurate_sum(abs(p(w)) ** 2 for p in phi_from_triple(t).parts)

@@ -26,8 +26,8 @@ from .fixtures import fidelity_report
 from .henneberg import FamilyParams, family_member, seed_phi
 from .geometry import immersion_point
 from .laurent import NonFiniteCoefficientError
-from .mesh import (AXES, PolarGrid, export, export_csv, format_column, project,
-                   projection_columns, sample_grid)
+from .mesh import (AXES, PolarGrid, export, format_column, project, projection_columns,
+                   sample_grid)
 from .verify import run_verify, sample_annulus
 
 __all__ = ["main", "parse_lambda"]
@@ -219,7 +219,7 @@ def _cmd_mesh(args) -> int:
         export(mesh4, "csv", args.out)
     else:
         export(project(mesh4, args.project), args.fmt, args.out)
-    print(f"wrote {args.out} ({mesh4.regular.size} vertices, {len(mesh4.quads)} quads)")
+    print(f"wrote {args.out} ({mesh4.regular.size} vertices, {mesh4.quad_count} quads)")
     return 0
 
 
@@ -255,7 +255,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_curvature(args) -> int:
     mesh4 = _sample(args)
-    export_csv(mesh4, args.out, fields=("u", "v", "E", "K"))
+    export(mesh4, "csv", args.out, fields=("u", "v", "E", "K"))
     print(f"wrote {args.out} ({mesh4.regular.size} rows)")
     return 0
 

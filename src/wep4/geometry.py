@@ -87,10 +87,10 @@ def _scaled(c, vec: np.ndarray) -> np.ndarray:
     return np.expand_dims(c, -1) * vec
 
 
-def immersion_point(curve: MinimalCurve, w) -> np.ndarray:
+def immersion_point(curve: MinimalCurve, w, axes=range(4)) -> np.ndarray:
     """Real part of the C4 curve: the immersion point in R4 (a stack of
-    points over an array of w)."""
-    return np.stack([comp(w).real for comp in curve.parts], axis=-1)
+    points over an array of w), or its coordinates on the given axes."""
+    return np.stack([curve.parts[i](w).real for i in axes], axis=-1)
 
 
 def surface_jet(member: FamilyMember, w) -> SurfaceJet:

@@ -5,11 +5,13 @@ around the puncture.  Vertices at a branch point (weierstrass.is_regular)
 are kept but flagged non-regular; faces never reference a flagged
 vertex, and the curvature field is simply left empty there.
 
-A sampled grid keeps its member and sample points; each column (one row
-per vertex) is computed in one vectorized pass the first time it is read,
-so an export computes only the columns it writes.  The exporters format
-and write _CHUNK_ROWS rows at a time, so only one block's text is alive at
-once, never the whole file.
+A sampled grid keeps its member, the grid and the regular flags (1 byte
+per vertex).  Every other column is evaluated from the sample points
+_CHUNK_ROWS rows at a time, and the exporters evaluate, project, format and
+write one such block before starting the next, so neither a float column
+nor the text of the whole grid is ever held.  A block is too small for
+numpy to reuse its temporaries in place, which rounds differently, so a
+vertex's values do not depend on the size of its grid.
 
 Exports are plain ASCII with LF line endings and floats printed in their
 shortest round-trip form, the text repr gives, so identical inputs give
@@ -20,6 +22,8 @@ repr only the few values it would print differently.
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +38,7 @@ __all__ = [
     "Vertex",
     "QuadMesh4D",
     "Mesh3D",
+    "Projection",
     "AXES",
     "CSV_FIELDS",
     "MAX_VERTICES",
@@ -49,15 +54,21 @@ __all__ = [
 
 AXES = "xyzw"
 CSV_FIELDS = ("u", "v", "x", "y", "z", "w", "E", "K", "regular")
-# A grid's columns are computed in one pass over whole arrays, so its size
-# is capped.  A CSV export with E and K peaks at about 0.26 kB per vertex
-# (+26.3 MB RSS at 100,000 vertices), about 260 MB at the cap; the positions
-# alone, all an OBJ/PLY export computes, at about 0.25 kB (+24.8 MB).  Exports
-# stream in blocks of _CHUNK_ROWS rows and add no memory per vertex: about
-# 1.1-1.6 MB traced peak for CSV and 0.42 MB for OBJ/PLY, at 40,000 and
-# 100,000 vertices alike.
+# An input guard only: a grid holds its regular flags and, once its faces
+# are read, a mask of its kept cells (1 byte per vertex each); everything
+# else is evaluated and written a block at a time.  In a fresh process on a
+# 2-core x86 host (Python 3.11, numpy 2.4), a 1000 x 1000 `mesh` of (1,3,1+i)
+# peaks at 35 MB RSS as CSV and 33 MB as OBJ (291 and 276 MB when whole
+# columns were held), +4.2 and +3.4 MB over a warmed-up import.  Export
+# traces 1.2-1.6 MB (CSV) and 0.45-0.87 MB (OBJ/PLY) at 40,000 and 400,000
+# vertices, evaluation included.
 MAX_VERTICES = 1_000_000
 _CHUNK_ROWS = 1024
+
+
+def _blocks(start: int, stop: int):
+    """Slices of at most _CHUNK_ROWS rows that cover rows start to stop."""
+    return (slice(s, min(s + _CHUNK_ROWS, stop)) for s in range(start, stop, _CHUNK_ROWS))
 
 
 @dataclass(frozen=True)
@@ -83,23 +94,26 @@ class PolarGrid:
             raise ValueError(f"grid of {self.n_r} x {self.n_theta} vertices exceeds "
                              f"the cap of {MAX_VERTICES:,}")
 
-    def points(self) -> np.ndarray:
-        """All n_r * n_theta sample points, radius-major."""
+    @property
+    def size(self) -> int:
+        return self.n_r * self.n_theta
+
+    @cached_property
+    def _rings(self) -> tuple[np.ndarray, np.ndarray]:
+        """The radii and the unit vectors of the angles."""
         if self.theta_closed:
             angles = np.arange(self.n_theta) * (2.0 * math.pi / self.n_theta)
         else:
             angles = np.linspace(0.0, 2.0 * math.pi, self.n_theta)
         unit = np.array([complex(math.cos(t), math.sin(t)) for t in angles.tolist()])
-        return (np.linspace(self.r_min, self.r_max, self.n_r)[:, None] * unit).ravel()
+        return np.linspace(self.r_min, self.r_max, self.n_r), unit
 
-    def quads(self) -> np.ndarray:
-        """(cells, 4) corner indices of every grid cell, radius-major."""
-        n_t = self.n_theta
-        j = np.arange(n_t if self.theta_closed else n_t - 1)
-        jn = (j + 1) % n_t
-        i = np.arange(self.n_r - 1)[:, None] * n_t
-        corners = (i + j, i + n_t + j, i + n_t + jn, i + jn)
-        return np.stack(corners, axis=-1).reshape(-1, 4)
+    def points(self, rows: slice = slice(None)) -> np.ndarray:
+        """The sample points of a slice of vertex rows (all by default),
+        radius-major."""
+        radii, unit = self._rings
+        ring, column = np.divmod(np.arange(*rows.indices(self.size)), self.n_theta)
+        return radii[ring] * unit[column]
 
 
 @dataclass(frozen=True)
@@ -121,30 +135,84 @@ class Vertex:
 class QuadMesh4D:
     """A sampled grid, one row per vertex (radius-major).
 
-    Built with the member, its (n,) complex sample points, the (n,) regular
-    flags and quads (q, 4), the vertex indices of the kept cells.  The
-    columns uv (n, 2) parameters, xyzw (n, 4) positions, E (n,) metric
-    energy and K (n,) Gauss curvature (NaN exactly where the vertex is not
-    regular) are computed on first read, E and K by one call.
+    Built with the member, the grid and the (n,) regular flags.  columns
+    evaluates the named CSV_FIELDS of a slice of rows.  A cell is kept as a
+    quad when all four corners are regular; a mask of 1 byte per vertex,
+    built from the flags on first use, gives kept_quads of a slice of rows
+    and quad_count.  The whole-grid views uv (n, 2)
+    parameters, xyzw (n, 4) positions, E (n,) metric energy, K (n,) Gauss
+    curvature (NaN exactly where the vertex is not regular) and quads (q, 4)
+    assemble those blocks on first read.
     """
 
     member: FamilyMember
-    points: np.ndarray
+    grid: PolarGrid
     regular: np.ndarray
-    quads: np.ndarray
+
+    def columns(self, rows: slice, names) -> list[np.ndarray]:
+        """The named CSV_FIELDS columns of a slice of vertex rows, evaluated
+        _CHUNK_ROWS rows at a time: only the named axes of the position, and
+        E and K by one call only if either is named."""
+        start, stop, _ = rows.indices(self.grid.size)
+        blocks = [self._block(block, names) for block in _blocks(start, stop)]
+        return [np.concatenate(column) for column in zip(*blocks)]
+
+    def _block(self, rows: slice, names) -> list[np.ndarray]:
+        points = self.grid.points(rows)
+        named = {"u": points.real, "v": points.imag, "regular": self.regular[rows]}
+        axes = [axis for axis in AXES if axis in names]
+        if axes:
+            positions = immersion_point(self.member.curve, points, map(AXES.index, axes))
+            named.update(zip(axes, positions.T))
+        if {"E", "K"} & set(names):
+            named["E"], curvature = conformal_fields(self.member.triple, points)
+            named["K"] = np.where(self.regular[rows], curvature, np.nan)
+        return [named[name] for name in names]
+
+    @cached_property
+    def _kept(self) -> np.ndarray:
+        """Per vertex, whether the cell it is the first corner of is kept
+        (its four corners regular); False on the outer ring and, on an open
+        grid, the seam column."""
+        flags = self.regular.reshape(self.grid.n_r, self.grid.n_theta)
+        kept = np.zeros_like(flags)
+        np.logical_and(flags[:-1], flags[1:], out=kept[:-1])  # both ends of a radial edge
+        kept[:-1] &= np.roll(kept[:-1], -1, axis=1)
+        if not self.grid.theta_closed:
+            kept[:, -1] = False
+        return kept.ravel()
+
+    def kept_quads(self, rows: slice) -> np.ndarray:
+        """(q, 4) corner indices of the kept cells whose first corner lies
+        in a slice of vertex rows, in grid order."""
+        n_t = self.grid.n_theta
+        first = np.flatnonzero(self._kept[rows]) + rows.indices(self.grid.size)[0]
+        after = first - first % n_t + (first + 1) % n_t
+        return np.stack((first, first + n_t, after + n_t, after), axis=-1)
+
+    @cached_property
+    def quad_count(self) -> int:
+        return int(np.count_nonzero(self._kept))
+
+    @cached_property
+    def quads(self) -> np.ndarray:
+        return self.kept_quads(slice(None))
+
+    @property
+    def points(self) -> np.ndarray:
+        return self.grid.points()
 
     @cached_property
     def uv(self) -> np.ndarray:
-        return np.stack([self.points.real, self.points.imag], axis=1)
+        return np.stack(self.columns(slice(None), ("u", "v")), axis=1)
 
     @cached_property
     def xyzw(self) -> np.ndarray:
-        return immersion_point(self.member.curve, self.points)
+        return np.stack(self.columns(slice(None), AXES), axis=1)
 
     @cached_property
-    def _fields(self) -> tuple[np.ndarray, np.ndarray]:
-        energy, curvature = conformal_fields(self.member.triple, self.points)
-        return energy, np.where(self.regular, curvature, np.nan)
+    def _fields(self) -> list[np.ndarray]:
+        return self.columns(slice(None), ("E", "K"))
 
     @property
     def E(self) -> np.ndarray:
@@ -171,18 +239,30 @@ class Mesh3D:
     faces: np.ndarray
 
 
-def sample_grid(member: FamilyMember, grid: PolarGrid) -> QuadMesh4D:
-    """Sample the immersion over the polar grid.
+@dataclass(frozen=True, eq=False)
+class Projection:
+    """Three of a sampled grid's four axes, read by the OBJ/PLY exporters a
+    block of rows at a time; vertices (n, 3) and faces (the kept quads)
+    assemble the whole arrays on first read."""
 
-    Flags come from weierstrass.is_regular, and a cell becomes a quad only
-    when all four corners are regular.  Positions, E and the closed-form K
-    are left to the mesh's first read of them (array evaluation of the
-    curve and the Weierstrass data).
-    """
-    points = grid.points()
-    regular = is_regular(member.triple, points)
-    quads = grid.quads()
-    return QuadMesh4D(member, points, regular, quads[regular[quads].all(axis=1)])
+    mesh: QuadMesh4D
+    axes: str
+
+    @cached_property
+    def vertices(self) -> np.ndarray:
+        return np.stack(self.mesh.columns(slice(None), self.axes), axis=1)
+
+    @property
+    def faces(self) -> np.ndarray:
+        return self.mesh.quads
+
+
+def sample_grid(member: FamilyMember, grid: PolarGrid) -> QuadMesh4D:
+    """Flag the grid's vertices by weierstrass.is_regular, a block of rows
+    at a time.  Positions, E and the closed-form K are left to the mesh's
+    columns (array evaluation of the curve and the Weierstrass data)."""
+    regular = [is_regular(member.triple, grid.points(rows)) for rows in _blocks(0, grid.size)]
+    return QuadMesh4D(member, grid, np.concatenate(regular))
 
 
 def projection_columns(axes: str) -> list[int]:
@@ -193,10 +273,9 @@ def projection_columns(axes: str) -> list[int]:
     return [AXES.index(a) for a in axes]
 
 
-def project(mesh: QuadMesh4D, axes: str) -> Mesh3D:
-    """Keep three of the four coordinate axes; faces are untouched."""
-    columns = projection_columns(axes)
-    return Mesh3D(vertices=mesh.xyzw[:, columns], faces=mesh.quads)
+def project(mesh: QuadMesh4D, axes: str) -> Projection:
+    """Keep three of the four coordinate axes; the faces are the kept quads."""
+    return Projection(mesh, "".join(AXES[i] for i in projection_columns(axes)))
 
 
 def _dumps(column: np.ndarray) -> str:
@@ -246,23 +325,50 @@ def _texts(column) -> list[str]:
 
 def _write_rows(fh, count, block, prefix: str = "", sep: str = " ") -> None:
     """Write count rows, _CHUNK_ROWS at a time: block(rows) gives the columns
-    of a slice of rows, and each line is prefix plus one row joined by sep.
+    of a slice of rows (a block may hold fewer rows, or none), and each line
+    is prefix plus one row joined by sep.
 
     An integer block (face indices, never negative) is written by one
     orjson call, with a -1 column marking where each line ends."""
-    for start in range(0, count, _CHUNK_ROWS):
-        columns = block(slice(start, start + _CHUNK_ROWS))
+    for rows in _blocks(0, count):
+        columns = block(rows)
+        if not len(columns[0]):
+            continue
         if isinstance(columns, np.ndarray) and columns.dtype.kind == "i":
-            rows = np.full((columns.shape[1], len(columns) + 1), -1, dtype=np.int64)
-            rows[:, :-1] = columns.T
-            text = _dumps(rows.ravel())[:-3].replace(",-1,", "\n" + prefix).replace(",", sep)
+            table = np.full((columns.shape[1], len(columns) + 1), -1, dtype=np.int64)
+            table[:, :-1] = columns.T
+            text = _dumps(table.ravel())[:-3].replace(",-1,", "\n" + prefix).replace(",", sep)
         else:
             text = ("\n" + prefix).join(map(sep.join, zip(*map(_texts, columns))))
         fh.writelines((prefix, text, "\n"))
 
 
+@contextmanager
+def _output(path):
+    """The export file, open for writing.  If writing fails (a block that
+    overflows, say), a file this call created is removed again."""
+    created = not os.path.exists(path)
+    fh = open(path, "w", encoding="ascii", newline="\n")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
+
 def _mesh3d_parts(mesh, fmt: str):
-    """Vertex rows and face rows of a projected mesh, checked before any write."""
+    """The vertex rows and the triangle rows of a 3D mesh, each as a row
+    count and a function from a slice of rows to the block's columns, and
+    the triangle count; checked before any write.  A projection evaluates a
+    block of grid rows at a time, and its triangles are those of the kept
+    quads whose first corner lies in the block."""
+    if isinstance(mesh, Projection):
+        mesh4, rows = mesh.mesh, mesh.mesh.grid.size
+        return ((rows, lambda block: mesh4.columns(block, mesh.axes)),
+                (rows, lambda block: _triangles(mesh4.kept_quads(block)).T),
+                2 * mesh4.quad_count)
     if not isinstance(mesh, Mesh3D):
         raise ValueError(f"{fmt} export needs a projected 3D mesh")
     faces = np.asarray(mesh.faces, dtype=np.int64)
@@ -270,7 +376,10 @@ def _mesh3d_parts(mesh, fmt: str):
         raise ValueError("only triangle and quad faces are supported")
     if faces.size and faces.min() < 0:
         raise ValueError("face indices must be non-negative")
-    return np.asarray(mesh.vertices, dtype=float).reshape(-1, 3), faces
+    vertices = np.asarray(mesh.vertices, dtype=float).reshape(-1, 3)
+    return ((len(vertices), lambda block: vertices[block].T),
+            (len(faces), lambda block: _triangles(faces[block]).T),
+            len(faces) * (faces.shape[1] - 2))
 
 
 def _triangles(faces: np.ndarray) -> np.ndarray:
@@ -278,55 +387,48 @@ def _triangles(faces: np.ndarray) -> np.ndarray:
     return faces if faces.shape[1] == 3 else faces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
 
 
-def export_obj(mesh: Mesh3D, path) -> None:
+def export_obj(mesh, path) -> None:
     """ASCII OBJ: 'v x y z' lines, then 1-based 'f i j k' triangles."""
-    vertices, faces = _mesh3d_parts(mesh, "OBJ")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        _write_rows(fh, len(vertices), lambda rows: vertices[rows].T, "v ")
-        _write_rows(fh, len(faces), lambda rows: _triangles(faces[rows]).T + 1, "f ")
+    vertices, (rows, triangles), _ = _mesh3d_parts(mesh, "OBJ")
+    with _output(path) as fh:
+        _write_rows(fh, *vertices, "v ")
+        _write_rows(fh, rows, lambda block: triangles(block) + 1, "f ")
 
 
-def export_ply(mesh: Mesh3D, path) -> None:
+def export_ply(mesh, path) -> None:
     """ASCII PLY with float vertex properties and triangle faces."""
-    vertices, faces = _mesh3d_parts(mesh, "PLY")
+    vertices, faces, count = _mesh3d_parts(mesh, "PLY")
     header = [
         "ply",
         "format ascii 1.0",
-        f"element vertex {len(vertices)}",
+        f"element vertex {vertices[0]}",
         "property float x",
         "property float y",
         "property float z",
-        f"element face {len(faces) * (faces.shape[1] - 2)}",
+        f"element face {count}",
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _output(path) as fh:
         fh.write("\n".join(header) + "\n")
-        _write_rows(fh, len(vertices), lambda rows: vertices[rows].T)
-        _write_rows(fh, len(faces), lambda rows: _triangles(faces[rows]).T, "3 ")
+        _write_rows(fh, *vertices)
+        _write_rows(fh, *faces, "3 ")
 
 
 def export_csv(mesh: QuadMesh4D, path, fields=CSV_FIELDS) -> None:
-    """Vertex table of the named CSV_FIELDS; K is empty at non-regular vertices."""
+    """Vertex table of the named CSV_FIELDS; K is empty at non-regular
+    vertices.  Only the named columns are evaluated."""
     if not isinstance(mesh, QuadMesh4D):
         raise ValueError("CSV export needs the full 4D mesh")
-    # Only the named columns are computed, all before the file is opened;
-    # E and K first, since their evaluation needs the most temporary memory.
-    if {"E", "K"} & set(fields):
-        mesh.E
-    named = {"u": lambda: mesh.points.real, "v": lambda: mesh.points.imag, "E": lambda: mesh.E,
-             "K": lambda: mesh.K, "regular": lambda: mesh.regular}
-    named.update((axis, lambda i=i: mesh.xyzw[:, i]) for i, axis in enumerate(AXES))
-    columns = [named[name]() for name in fields]
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with _output(path) as fh:
         fh.write(",".join(fields) + "\n")
-        _write_rows(fh, len(mesh.regular), lambda rows: [c[rows] for c in columns], sep=",")
+        _write_rows(fh, mesh.grid.size, lambda rows: mesh.columns(rows, fields), sep=",")
 
 
-def export(mesh, fmt: str, path) -> None:
-    """Dispatch on format: obj and ply take 3D meshes, csv the 4D mesh."""
+def export(mesh, fmt: str, path, **options) -> None:
+    """Dispatch on format: obj and ply take 3D meshes, csv the 4D mesh;
+    options go to the writer (csv takes fields)."""
     writers = {"obj": export_obj, "ply": export_ply, "csv": export_csv}
     if fmt.lower() not in writers:
         raise ValueError(f"unsupported format {fmt!r}")
-    writers[fmt.lower()](mesh, path)
-
+    writers[fmt.lower()](mesh, path, **options)

@@ -125,6 +125,10 @@ def test_bad_input_exits_two_with_message(argv, tmp_path, monkeypatch, capsys):
     # w**-4 divides by zero at these radii: refused like an overflow
     ["mesh", "--rmin", "1e-100", "--rmax", "1e-99", "--nr", "2", "--ntheta", "2"],
     ["curvature", "--rmin", "1e-100", "--rmax", "1e-99", "--nr", "2", "--ntheta", "2"],
+    # the flags pass, and E overflows blocks after the file was opened: the
+    # partial file is removed
+    ["curvature", "--m", "1", "--n", "15", "--rmin", "1", "--rmax", "1e10", "--nr", "3000",
+     "--ntheta", "2"],
 ])
 def test_member_that_overflows_its_samples_exits_two(argv, tmp_path, capsys):
     # refused with a message: no traceback, no nan verdicts, no RuntimeWarning

@@ -25,7 +25,6 @@ from wep4.mesh import (
     MAX_VERTICES,
     Mesh3D,
     PolarGrid,
-    QuadMesh4D,
     export,
     export_csv,
     export_obj,
@@ -467,15 +466,21 @@ def _assert_exports_match_reference(mesh4, tmp_path):
 @pytest.mark.parametrize("rows", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
                                   3 * _CHUNK_ROWS + 7])
 def test_block_writer_matches_whole_file_writer_at_block_edges(tmp_path, rows):
-    # the first `rows` vertices of a sampled grid, with as many faces, so
-    # vertex and face sections both end before, at and after a block edge
-    full = sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)),
-                       PolarGrid(0.5, 2.0, 4, _CHUNK_ROWS))
-    mesh4 = QuadMesh4D(
-        member=full.member, points=full.points[:rows], regular=full.regular[:rows],
-        quads=np.resize(full.quads, (rows, 4)) % rows,
-    )
+    # a grid of three rings of `rows` angles (at least 2): its vertices end
+    # before, at and after the third block edge, and its two rings of cells
+    # cross block edges; r = 1 is the middle ring, so 1,024 angles flag the
+    # eight roots of unity and mask the cells around them
+    mesh4 = sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)),
+                        PolarGrid(0.5, 1.5, 3, max(rows, 2)))
     _assert_exports_match_reference(mesh4, tmp_path)
+    # the first `rows` vertices as arrays, with as many faces, so vertex and
+    # face sections both end before, at and after a block edge
+    mesh3 = project(mesh4, "xyz")
+    arrays = Mesh3D(mesh3.vertices[:rows], np.resize(mesh3.faces, (rows, 4)) % rows)
+    for fmt in ("obj", "ply"):
+        path = tmp_path / f"arrays.{fmt}"
+        export(arrays, fmt, path)
+        assert path.read_bytes() == _reference_bytes(arrays, fmt), fmt
 
 
 @pytest.mark.parametrize("closed", [True, False])
@@ -486,19 +491,43 @@ def test_block_writer_matches_whole_file_writer_on_readme_grid(tmp_path, closed)
 
 
 def test_export_memory_is_bounded_by_one_block(tmp_path):
-    # 40,000 vertices: the whole-file writer peaked at 25-27 MB (OBJ/PLY)
-    # and 46 MB (CSV) here; one block's text stays near 1 MB at any size
-    mesh4 = sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)), PolarGrid(0.5, 2.0, 100, 400))
-    mesh3 = project(mesh4, "xyz")
-    mesh4.E  # E and K are computed on first read: read them before tracing
-    for mesh, fmt in ((mesh4, "csv"), (mesh3, "obj"), (mesh3, "ply")):
-        tracemalloc.start()
-        try:
-            export(mesh, fmt, tmp_path / f"big.{fmt}")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2_000_000, (fmt, peak)
+    # evaluation, formatting and writing traced together.  At 40,000
+    # vertices the whole-file writer peaked at 25-27 MB (OBJ/PLY) and 46 MB
+    # (CSV), and whole-grid E and K columns alone at 5 MB; one block stays
+    # near 1 MB at 40,000 and 400,000 vertices alike.  PLY reads its blocks
+    # as OBJ does, and is traced on the smaller grid only (tracing is slow).
+    member = family_member(FamilyParams(1, 3, 1 + 1j))
+    for grid, formats in ((PolarGrid(0.5, 2.0, 100, 400), ("csv", "obj", "ply")),
+                          (PolarGrid(0.5, 2.0, 400, 1000), ("csv", "obj"))):
+        mesh4 = sample_grid(member, grid)
+        mesh3 = project(mesh4, "xyz")
+        for fmt in formats:
+            mesh = mesh4 if fmt == "csv" else mesh3
+            tracemalloc.start()
+            try:
+                export(mesh, fmt, tmp_path / f"big.{fmt}")
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2_000_000, (grid, fmt, peak)
+
+
+@pytest.mark.parametrize("member", [(1, 3, 1 + 1j), (3, 5, 0.5 - 2j)], ids=str)
+def test_vertex_values_do_not_depend_on_the_grid_size(tmp_path, member):
+    # numpy reuses a temporary of 256 kB or more in place, and that rounds
+    # differently: evaluated over this 16,384-vertex grid in one pass, 2,108
+    # K values of (1,3,1+1i) and 2,064 of (3,5,0.5-2i) differed from the
+    # same points' in a small grid.  Each pair of rings is also a grid of
+    # its own (linspace keeps both ends exact), and its rows must match.
+    member = family_member(FamilyParams(*member))
+    export(sample_grid(member, PolarGrid(0.5, 2.0, 128, 128)), "csv", tmp_path / "big.csv")
+    big = (tmp_path / "big.csv").read_text().splitlines()[1:]
+    radii = np.linspace(0.5, 2.0, 128).tolist()
+    for ring in range(0, 128, 2):
+        small = PolarGrid(radii[ring], radii[ring + 1], 2, 128)
+        export(sample_grid(member, small), "csv", tmp_path / "small.csv")
+        rows = (tmp_path / "small.csv").read_text().splitlines()[1:]
+        assert rows == big[128 * ring:128 * (ring + 2)], ring
 
 
 # SHA-256 of each file as the repr-based writer wrote it; the two CSV digests

@@ -172,9 +172,38 @@ def check_back_differentiation(member: FamilyMember) -> SuiteResult:
 
 @cache
 def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per count
-    and read-only, since every caller shares them."""
-    xs, wts = np.polynomial.legendre.leggauss(nodes)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], computed once
+    per count and read-only, since every caller shares them.
+
+    The classical O(n^2) construction, which Hale & Townsend (SIAM J. Sci.
+    Comput. 35, 2013) refine: Newton's method on P_n from Tricomi's initial
+    guesses on the positive half, with P_n and P_n' from Bonnet's three-term
+    recurrence, until every step is below eps (at most 4 steps at 1 to
+    1,099 nodes and at 2,048 to 8,192; the loop stops at 8); then
+    w = 2/((1-x^2) P_n'(x)^2), and the half is mirrored.  For odd n the
+    middle node is 0 exactly.  The moment residuals |sum w_i - 2| and
+    |sum w_i P_j(x_i)|, 1 <= j < 2n, measure <= 4.1 eps at 32 to 4,096
+    nodes.
+    """
+    k = np.arange(1, (nodes + 1) // 2 + 1)
+    x = (1 - (nodes - 1) / (8 * nodes**3)) * np.cos(np.pi * (4 * k - 1) / (4 * nodes + 2))
+    odd = nodes % 2
+    if odd:
+        x[-1] = 0.0
+    # P_n' = n (P_{n-1} - x P_n) / (1 - x^2), with 1 - x^2 as (1 - x)(1 + x),
+    # which keeps its relative accuracy next to 1
+    for _ in range(8):
+        prev, p = np.ones_like(x), x  # P_{j-1}(x), P_j(x), up to j = nodes
+        for j in range(2, nodes + 1):
+            prev, p = p, ((2 * j - 1) * x * p - (j - 1) * prev) / j
+        step = p * (1 - x) * (1 + x) / (nodes * (prev - x * p))
+        x = x - step
+        if np.max(np.abs(step)) <= EPS:
+            break
+    # P_n' of the last step, which moved no node by more than eps
+    w = 2 * (1 - x) * (1 + x) / (nodes * (prev - x * p)) ** 2
+    xs = np.concatenate((-x[: len(x) - odd], x[::-1]))
+    wts = np.concatenate((w[: len(w) - odd], w[::-1]))
     xs.flags.writeable = wts.flags.writeable = False
     return xs, wts
 
@@ -192,7 +221,9 @@ def check_quadrature(member: FamilyMember, rng: np.random.Generator) -> SuiteRes
     the form (all targets and nodes) and of the curve (targets and base).
 
     With n >= 2K nodes the rule is exact for phi's positive powers and below
-    rounding for its negative ones, so the error is rounding.  Recursive
+    rounding for its negative ones, and the rule itself is accurate (its
+    moment residuals measure <= 4.1 eps, see _gauss_legendre), so the error
+    is the rounding of the sum and of the curve difference.  Recursive
     summation of the n terms w_i phi(z_i) errs by at most (n-1) eps times
     their magnitudes, which sum to at most 2 max(env_phi(near), env_phi(far))
     (an envelope is convex in log r, so an end of the segment bounds it);

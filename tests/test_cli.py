@@ -201,10 +201,12 @@ def test_member_that_only_loses_precision_still_runs(capsys):
     assert "integral_free: PASS" in lines[6]
 
 
-@pytest.mark.parametrize("m, n", [(31, 31), (49, 51), (99, 99)])
+@pytest.mark.parametrize("m, n", [(31, 31), (49, 51), (99, 99), (151, 151)])
 def test_verify_passes_high_order_members(m, n, capsys):
-    # a fixed 64-node quadrature rule FAILed these valid members
-    rc = main(["verify", f"--m={m}", f"--n={n}"])
+    # a fixed 64-node quadrature rule FAILed these valid members; (151, 151)
+    # runs the 2,048-node rule, on fewer samples to keep the other suites short
+    samples = ["--samples=100"] if m > 100 else []
+    rc = main(["verify", f"--m={m}", f"--n={n}", *samples])
     lines = capsys.readouterr().out.splitlines()
     assert rc == 0, lines
     assert all(": PASS (" in line or ": SKIP (" in line for line in lines[:-1]), lines

@@ -1,6 +1,10 @@
 """The verification suite layer the CLI builds on."""
 
+import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -69,19 +73,54 @@ def test_sampling_helpers_are_seeded():
         assert abs(z - 1.0) >= 0.3
 
 
-def test_gauss_legendre_rule_is_built_once_and_shared_read_only(monkeypatch):
+def test_gauss_legendre_rule_is_built_once_and_shared_read_only():
     member = family_member(FamilyParams(1, 1, 1))
     nodes = verify._quadrature_nodes(member.curve)
-    ref_xs, ref_wts = np.polynomial.legendre.leggauss(nodes)
     xs, wts = verify._gauss_legendre(nodes)
-    assert np.array_equal(xs, ref_xs) and np.array_equal(wts, ref_wts)
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: pytest.fail("rebuilt"))
+    builds = verify._gauss_legendre.cache_info().misses
     assert verify._gauss_legendre(nodes)[0] is xs
     assert verify.check_quadrature(member, np.random.default_rng(0)).passed
+    assert verify._gauss_legendre.cache_info().misses == builds
     with pytest.raises(ValueError):
         xs[0] = 0.0
     with pytest.raises(ValueError):
         wts[0] = 0.0
+
+
+@pytest.mark.parametrize("nodes", [32, 64, 256, 1024, 2048])
+def test_gauss_legendre_rule_integrates_every_legendre_moment(nodes):
+    # sum w_i P_j(x_i) = 2 delta_j0 for j < 2n, P_j by the same recurrence;
+    # fsum leaves only the rule's error and the products' rounding
+    xs, wts = verify._gauss_legendre(nodes)
+    eps = np.finfo(float).eps
+    assert abs(math.fsum(wts) - 2.0) <= 8 * eps
+    prev, p = np.ones_like(xs), xs  # P_{j-1}, P_j
+    for j in range(1, 2 * nodes):
+        assert abs(math.fsum(wts * p)) <= 8 * eps, j
+        prev, p = p, ((2 * j + 1) * xs * p - j * prev) / (j + 1)
+
+
+def test_gauss_legendre_rule_agrees_with_numpy_up_to_100_nodes():
+    eps = np.finfo(float).eps
+    for nodes in range(1, 101):
+        xs, wts = verify._gauss_legendre(nodes)
+        ref_xs, ref_wts = np.polynomial.legendre.leggauss(nodes)
+        assert np.max(np.abs(xs - ref_xs)) <= 2 * eps, nodes
+        assert np.max(np.abs(wts / ref_wts - 1.0)) <= 1e-11, nodes
+        if nodes % 2:
+            assert xs[nodes // 2] == 0.0
+
+
+def test_verify_does_not_load_numpy_polynomial():
+    # numpy.polynomial is imported by this test process, so look from a fresh one
+    code = ("import sys; from wep4.cli import main; "
+            "assert main(['verify', '--m=3', '--n=5', '--samples=50']) == 0; "
+            "print('numpy.polynomial' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(verify.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False", out
 
 
 @pytest.mark.parametrize("m, n, nodes, ring", [

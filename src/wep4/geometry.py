@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .henneberg import FamilyMember, FamilyParams, MinimalCurve
-from .laurent import LaurentPoly, accurate_sum
+from .laurent import LaurentPoly, accurate_sum, evaluate
 from .weierstrass import WeierstrassTriple, is_regular
 
 __all__ = [
@@ -90,7 +90,10 @@ def _scaled(c, vec: np.ndarray) -> np.ndarray:
 def immersion_point(curve: MinimalCurve, w, axes=range(4)) -> np.ndarray:
     """Real part of the C4 curve: the immersion point in R4 (a stack of
     points over an array of w), or its coordinates on the given axes."""
-    return np.stack([curve.parts[i](w).real for i in axes], axis=-1)
+    parts = [curve.parts[i] for i in axes]
+    if isinstance(w, np.ndarray):
+        return np.stack(evaluate(parts, w, real=True), axis=-1)
+    return np.stack([part(w).real for part in parts], axis=-1)
 
 
 def surface_jet(member: FamilyMember, w) -> SurfaceJet:
@@ -193,9 +196,10 @@ def conformal_fields(triple: WeierstrassTriple, w: np.ndarray) -> tuple[np.ndarr
     weierstrass.is_regular is False.
     """
     a, b = _split(triple)
-    big_a, big_b = 1.0 + _abs2(a(w)), 1.0 + _abs2(b(w))
-    energy = 0.25 * _abs2(triple.f(w)) * big_a * big_b
-    slope = (np.abs(a.derivative()(w)) / big_a) ** 2 + (np.abs(b.derivative()(w)) / big_b) ** 2
+    av, bv, fv, da, db = evaluate((a, b, triple.f, a.derivative(), b.derivative()), w)
+    big_a, big_b = 1.0 + _abs2(av), 1.0 + _abs2(bv)
+    energy = 0.25 * _abs2(fv) * big_a * big_b
+    slope = (np.abs(da) / big_a) ** 2 + (np.abs(db) / big_b) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         curvature = -2.0 * slope / energy
     return energy, curvature

@@ -23,6 +23,7 @@ __all__ = [
     "ONE",
     "IDENTITY",
     "accurate_sum",
+    "evaluate",
 ]
 
 
@@ -171,15 +172,17 @@ class LaurentPoly:
         """Evaluate at a complex scalar or at an ndarray of complex points.
 
         Scalar evaluation accumulates with fsum (exactly rounded sum of the
-        term values); array evaluation sums the same terms with a cascade of
-        error-free TwoSum steps (see accurate_sum).  Evaluation at 0 raises
-        LaurentDomainError when negative exponents are present.
+        term values); an ndarray goes to evaluate, which sums the same terms
+        with a cascade of error-free TwoSum steps (see accurate_sum).
+        Evaluation at 0 raises LaurentDomainError when negative exponents are
+        present.
         """
-        array = isinstance(w, np.ndarray)
-        w = w.astype(complex, copy=False) if array else complex(w)
+        if isinstance(w, np.ndarray):
+            return evaluate((self,), w)[0]
+        w = complex(w)
         if not self._terms:
-            return np.zeros_like(w) if array else 0j
-        if (np.any(w == 0) if array else w == 0) and min(self._terms) < 0:
+            return 0j
+        if w == 0 and min(self._terms) < 0:
             raise LaurentDomainError("evaluation at the puncture w = 0")
         return accurate_sum(c * w**k for k, c in self._terms.items())
 
@@ -190,6 +193,33 @@ class LaurentPoly:
         if not self._terms:
             return 0.0 * radius
         return accurate_sum(abs(c) * radius**k for k, c in self._terms.items())
+
+
+def evaluate(polys, w: np.ndarray, real: bool = False) -> list[np.ndarray]:
+    """Several polynomials at one ndarray of points: the array path.
+
+    Each power w**k is computed once for all of them, and each value is the
+    accurate_sum of its terms c * w**k.  A power is never a temporary that
+    numpy could reuse in place (from 256 kB), which rounds the product
+    differently, so a value has the same bits at any array length.
+    real=True gives only the real parts, summed from the terms' real parts:
+    TwoSum is componentwise on complex arrays, so that is the real part of
+    the complex sum, bit for bit.  Raises LaurentDomainError if w holds 0
+    and a polynomial has negative exponents.
+    """
+    w = w.astype(complex, copy=False)
+    exponents = {k for p in polys for k in p._terms}
+    if exponents and min(exponents) < 0 and np.any(w == 0):
+        raise LaurentDomainError("evaluation at the puncture w = 0")
+    powers = {k: w**k for k in exponents}
+    values = []
+    for p in polys:
+        terms = [c * powers[k] for k, c in p._terms.items()]
+        if real:
+            terms = [t.real for t in terms]
+        values.append(accurate_sum(terms) if terms
+                      else np.zeros(w.shape, float if real else complex))
+    return values
 
 
 ZERO = LaurentPoly()

@@ -15,8 +15,9 @@ vertex's values do not depend on the size of its grid.
 
 Exports are plain ASCII with LF line endings and floats printed in their
 shortest round-trip form, the text repr gives, so identical inputs give
-byte-identical files.  orjson writes each block's digits in one call, and
-repr only the few values it would print differently.
+byte-identical files.  orjson writes each block's text in one call; the
+tokens of 1e-9 <= |x| < 1e-4 are then given repr's exponent form, and
+repr writes only nan, inf and |x| >= 1e16.
 """
 
 from __future__ import annotations
@@ -298,17 +299,23 @@ def format_column(values) -> list[str]:
     column = np.asarray(values, dtype=float) + 0.0
     if column.ndim != 1:
         raise ValueError(f"format_column takes a 1-D column, not shape {column.shape}")
-    # orjson writes the digits repr writes, but in fixed form where repr
-    # switches to an exponent (nonzero |x| < 1e-4, |x| >= 1e16), and 'null'
-    # for nan and inf.  Those values are written by repr, and so is any
-    # token orjson itself prints with an exponent.
+    # orjson writes the digits repr writes, and the same text except for
+    # nan and inf ('null') and |x| >= 1e16 (1e16 for 1e+16), which repr
+    # writes, and 1e-9 <= |x| < 1e-4, rewritten here: orjson drops the
+    # exponent's leading zero (3.3e-7 for 3.3e-07) and, from 1e-5, writes
+    # fixed form (0.000055 for 5.5e-05).
     size = np.abs(column)
-    by_repr = ~((size < 1e16) & ((size >= 1e-4) | (size == 0.0)))
+    by_repr = ~(size < 1e16)
     text = (_dumps(np.where(by_repr, 0.0, column)) + ",").replace(".0,", ",")[:-1]
     texts = text.split(",") if column.size else []
+    for i in np.flatnonzero((size >= 1e-9) & (size < 1e-4)).tolist():
+        token = texts[i]
+        if token[-2] == "-":
+            texts[i] = token[:-1] + "0" + token[-1]
+        elif "e" not in token:
+            sign, _, digits = token.partition("0.0000")
+            texts[i] = f"{sign}{digits[0]}.{digits[1:]}".rstrip(".") + "e-05"
     picked = np.flatnonzero(by_repr).tolist()
-    if "e" in text:
-        picked += [i for i, t in enumerate(texts) if "e" in t]
     for i, value in zip(picked, column[picked].tolist()):
         token = repr(value)
         texts[i] = "" if token == "nan" else token[:-2] if token.endswith(".0") else token

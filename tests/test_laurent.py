@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wep4.geometry import _split
+from wep4.henneberg import FamilyParams, family_member
 from wep4.laurent import (
     IDENTITY,
     ONE,
@@ -14,7 +16,12 @@ from wep4.laurent import (
     LaurentDomainError,
     LaurentPoly,
     NonIntegrableTermError,
+    accurate_sum,
+    evaluate,
 )
+
+LAM_GRID = (0, 1, 1 + 1j, 0.5 - 2j)
+MN_GRID = ((1, 1), (1, 3), (3, 1), (3, 3), (3, 5))
 
 
 def test_canonical_form_drops_zero_coefficients():
@@ -122,6 +129,80 @@ def test_array_evaluation_is_compensated():
     # exact cancellations come out as true zeros, as on the scalar path
     q = LaurentPoly({1: 1.0, 3: -1 / 3, -3: 1 / 3, -1: -1.0})
     assert np.array_equal(q(np.array([1 + 0j, -1 + 0j])), np.zeros(2, dtype=complex))
+
+
+def _member_polys(m, n, lam) -> list[LaurentPoly]:
+    """Every polynomial the grid path evaluates at one set of points: the
+    curve, the 1-form, the data, the pair (a, b) and its derivatives."""
+    member = family_member(FamilyParams(m, n, lam))
+    triple = member.triple
+    a, b = _split(triple)
+    return [*member.curve.parts, *member.phi.parts, triple.f, triple.g, triple.h,
+            a, b, a.derivative(), b.derivative()]
+
+
+def _block(size: int, seed: int = 5) -> np.ndarray:
+    """size points in the annulus 0.3 <= |w| <= 3."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.3, 3.0, size) * np.exp(1j * rng.uniform(-np.pi, np.pi, size))
+
+
+@pytest.mark.parametrize("lam", LAM_GRID, ids=str)
+@pytest.mark.parametrize("m, n", MN_GRID, ids=str)
+def test_evaluate_shares_powers_without_changing_a_bit(m, n, lam):
+    polys = _member_polys(m, n, lam)
+    w = _block(1024)
+    # the sum of c * w**k term by term, each polynomial on its own
+    alone = [accurate_sum(c * w**k for k, c in p) if p.terms else np.zeros_like(w) for p in polys]
+    values, reals = evaluate(polys, w), evaluate(polys, w, real=True)
+    for value, real, one, call in zip(values, reals, alone, (p(w) for p in polys)):
+        assert value.dtype == complex and real.dtype == float
+        assert np.array_equal(value.view(float), one.view(float))
+        assert np.array_equal(value.view(float), call.view(float))
+        assert np.array_equal(real, call.real)
+
+
+def test_array_values_do_not_depend_on_the_array_size():
+    # numpy computes c * w**k in the temporary w**k, as w**k * c, once that
+    # temporary is 256 kB or more, and that product rounds differently.
+    # The powers are shared, never temporaries, so a block of 20,000 points
+    # gives the bits of the same points taken 1,024 at a time.
+    w = _block(20_000)
+    for p in _member_polys(3, 5, 0.5 - 2j)[:4]:
+        blocks = np.concatenate([p(w[s:s + 1024]) for s in range(0, w.size, 1024)])
+        assert np.array_equal(p(w).view(float), blocks.view(float))
+
+
+def test_evaluate_raises_at_the_puncture_exactly_when_a_call_does():
+    polys = [LaurentPoly({0: 3.0, 2: 5.0}), LaurentPoly({-1: 1.0, 1: 2j}), ZERO, ONE]
+    for w in (np.array([0.5 + 0j, 0j]), np.array([0.5 + 0j, 1j])):
+        for chosen in ([0], [1], [2, 3], [0, 2, 3], [0, 1], [3, 1]):
+            group = [polys[i] for i in chosen]
+            calls_raise = False
+            for p in group:
+                try:
+                    p(w)
+                except LaurentDomainError:
+                    calls_raise = True
+            assert calls_raise == (0 in w and any(k < 0 for p in group for k in p.terms))
+            for real in (False, True):
+                if calls_raise:
+                    with pytest.raises(LaurentDomainError):
+                        evaluate(group, w, real=real)
+                else:
+                    evaluate(group, w, real=real)
+    assert evaluate([], np.zeros(3, dtype=complex)) == []
+
+
+def test_evaluate_gives_zeros_for_the_zero_polynomial():
+    w = _block(7)
+    zero, one = evaluate([ZERO, ONE], w)
+    assert zero.dtype == complex and np.array_equal(zero, np.zeros(7))
+    assert np.array_equal(one, np.ones(7))
+    (real,) = evaluate([ZERO], w, real=True)
+    assert real.dtype == float and np.array_equal(real, np.zeros(7))
+    assert np.array_equal(ZERO(w), np.zeros(7, dtype=complex))
+    assert evaluate([ZERO], np.zeros((2, 3), dtype=complex))[0].shape == (2, 3)
 
 
 def test_envelope_bounds_value():

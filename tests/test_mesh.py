@@ -352,10 +352,12 @@ def _repr_column(values) -> list[str]:
 
 
 def _edge_floats() -> list[float]:
-    """Values at and around the bounds where repr switches to an exponent,
-    the ends of the double range, and integral floats of every size."""
+    """Values at and around the bounds where repr switches to an exponent
+    and where orjson's small-value text changes form (fixed on [1e-5, 1e-4),
+    a one-digit exponent on [1e-9, 1e-5), two digits below), the ends of
+    the double range, and integral floats of every size."""
     edges = []
-    for bound in (1e-4, 1e16):
+    for bound in (1e-4, 1e-5, 1e-6, 1e-9, 1e-10, 1e16):
         for x in (bound, -bound):
             edges += [np.nextafter(x, 0.0), x, np.nextafter(x, 2.0 * x)]
     edges += [5e-324, -5e-324, sys.float_info.max, -sys.float_info.max,
@@ -388,6 +390,15 @@ def test_format_column_shortest_round_trip():
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=64))
 @example([])
 def test_format_column_matches_repr_rule(xs):
+    assert format_column(xs) == _repr_column(xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(-12.0, -3.0), st.booleans()), max_size=64))
+def test_format_column_matches_repr_rule_on_small_values(draws):
+    # log-uniform |x| in [1e-12, 1e-3], where the writer rewrites orjson's
+    # tokens; plain floats() seldom lands there
+    xs = [(-1.0 if negative else 1.0) * 10.0**exponent for exponent, negative in draws]
     assert format_column(xs) == _repr_column(xs)
 
 
@@ -552,6 +563,18 @@ def test_export_bytes_match_pinned_digests(tmp_path, member, fmt):
     path = tmp_path / f"golden.{fmt}"
     export(mesh4 if fmt == "csv" else project(mesh4, "xyz"), fmt, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[member, fmt]
+
+
+def test_curvature_export_bytes_match_pinned_digest(tmp_path):
+    # `wep4 curvature --m 5 --n 7 --lambda 0.3i --nr 40 --ntheta 80`, pinned
+    # from the writer that printed every nonzero |x| < 1e-4 by repr.  Its K
+    # column holds 228 values in [1e-5, 1e-4), 1,116 in [1e-10, 1e-5), 576
+    # below 1e-10 and 8 empty fields.
+    mesh4 = sample_grid(family_member(FamilyParams(5, 7, 0.3j)), PolarGrid(0.5, 2.0, 40, 80))
+    path = tmp_path / "K.csv"
+    export_csv(mesh4, path, fields=("u", "v", "E", "K"))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "62b16e93bfacbba6552702bfa93387cbd9fd20fbc212d33487d5a5fce1254fba")
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,11 +5,13 @@ around the puncture.  Vertices at a branch point (weierstrass.is_regular)
 are kept but flagged non-regular; faces never reference a flagged
 vertex, and the curvature field is simply left empty there.
 
-A sampled grid keeps its member, the grid and the regular flags (1 byte
-per vertex).  Every other column is evaluated from the sample points
-_CHUNK_ROWS rows at a time, and the exporters evaluate, project, format and
-write one such block before starting the next, so neither a float column
-nor the text of the whole grid is ever held.  A block is too small for
+A sampled grid (QuadMesh4D) keeps its member, the grid and the regular
+flags (1 byte per vertex), and is read through columns(rows, names) and
+kept_quads(rows).  Every other column is evaluated from the sample points
+_CHUNK_ROWS rows at a time.  A Projection, three of the four axes, is the
+3D mesh OBJ and PLY take; the exporters evaluate, project, format and
+write one block before starting the next, so neither a float column nor
+the text of the whole grid is ever held.  A block is too small for
 numpy to reuse its temporaries in place, which rounds differently, so a
 vertex's values do not depend on the size of its grid.
 
@@ -38,7 +40,6 @@ __all__ = [
     "PolarGrid",
     "Vertex",
     "QuadMesh4D",
-    "Mesh3D",
     "Projection",
     "AXES",
     "CSV_FIELDS",
@@ -119,7 +120,8 @@ class PolarGrid:
 
 @dataclass(frozen=True)
 class Vertex:
-    """One sample: parameters, position, metric energy, curvature, regularity."""
+    """One sample, as QuadMesh4D.vertices lists it: parameters, position,
+    metric energy, curvature (None where not regular), regularity."""
 
     u: float
     v: float
@@ -137,13 +139,10 @@ class QuadMesh4D:
     """A sampled grid, one row per vertex (radius-major).
 
     Built with the member, the grid and the (n,) regular flags.  columns
-    evaluates the named CSV_FIELDS of a slice of rows.  A cell is kept as a
-    quad when all four corners are regular; a mask of 1 byte per vertex,
-    built from the flags on first use, gives kept_quads of a slice of rows
-    and quad_count.  The whole-grid views uv (n, 2)
-    parameters, xyzw (n, 4) positions, E (n,) metric energy, K (n,) Gauss
-    curvature (NaN exactly where the vertex is not regular) and quads (q, 4)
-    assemble those blocks on first read.
+    evaluates the named CSV_FIELDS of a slice of rows (K is NaN exactly
+    where the vertex is not regular).  A cell is kept as a quad when all
+    four corners are regular; a mask of 1 byte per vertex, built from the
+    flags on first use, gives kept_quads of a slice of rows and quad_count.
     """
 
     member: FamilyMember
@@ -196,66 +195,23 @@ class QuadMesh4D:
         return int(np.count_nonzero(self._kept))
 
     @cached_property
-    def quads(self) -> np.ndarray:
-        return self.kept_quads(slice(None))
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.grid.points()
-
-    @cached_property
-    def uv(self) -> np.ndarray:
-        return np.stack(self.columns(slice(None), ("u", "v")), axis=1)
-
-    @cached_property
-    def xyzw(self) -> np.ndarray:
-        return np.stack(self.columns(slice(None), AXES), axis=1)
-
-    @cached_property
-    def _fields(self) -> list[np.ndarray]:
-        return self.columns(slice(None), ("E", "K"))
-
-    @property
-    def E(self) -> np.ndarray:
-        return self._fields[0]
-
-    @property
-    def K(self) -> np.ndarray:
-        return self._fields[1]
-
-    @cached_property
     def vertices(self) -> tuple[Vertex, ...]:
-        """The columns as Vertex records, built on first use."""
-        rows = zip(self.uv.tolist(), self.xyzw.tolist(), self.E.tolist(),
-                   self.K.tolist(), self.regular.tolist())
+        """Every row as a Vertex record, from one columns read of the whole
+        grid, built on first use."""
+        columns = (column.tolist() for column in self.columns(slice(None), CSV_FIELDS))
         return tuple(Vertex(u, v, x, y, z, w, e, k if reg else None, reg)
-                     for (u, v), (x, y, z, w), e, k, reg in rows)
-
-
-@dataclass(frozen=True, eq=False)
-class Mesh3D:
-    """Projected mesh: (n, 3) vertex positions plus faces of 3 or 4 corners."""
-
-    vertices: np.ndarray
-    faces: np.ndarray
+                     for u, v, x, y, z, w, e, k, reg in zip(*columns))
 
 
 @dataclass(frozen=True, eq=False)
 class Projection:
-    """Three of a sampled grid's four axes, read by the OBJ/PLY exporters a
-    block of rows at a time; vertices (n, 3) and faces (the kept quads)
-    assemble the whole arrays on first read."""
+    """Three of a sampled grid's four axes: the 3D mesh the OBJ/PLY
+    exporters take.  They read its positions (mesh.columns(rows, axes)) and
+    its faces, the kept quads (mesh.kept_quads(rows)), a block of rows at a
+    time."""
 
     mesh: QuadMesh4D
     axes: str
-
-    @cached_property
-    def vertices(self) -> np.ndarray:
-        return np.stack(self.mesh.columns(slice(None), self.axes), axis=1)
-
-    @property
-    def faces(self) -> np.ndarray:
-        return self.mesh.quads
 
 
 def sample_grid(member: FamilyMember, grid: PolarGrid) -> QuadMesh4D:
@@ -366,32 +322,21 @@ def _output(path):
 
 
 def _mesh3d_parts(mesh, fmt: str):
-    """The vertex rows and the triangle rows of a 3D mesh, each as a row
-    count and a function from a slice of rows to the block's columns, and
-    the triangle count; checked before any write.  A projection evaluates a
-    block of grid rows at a time, and its triangles are those of the kept
-    quads whose first corner lies in the block."""
-    if isinstance(mesh, Projection):
-        mesh4, rows = mesh.mesh, mesh.mesh.grid.size
-        return ((rows, lambda block: mesh4.columns(block, mesh.axes)),
-                (rows, lambda block: _triangles(mesh4.kept_quads(block)).T),
-                2 * mesh4.quad_count)
-    if not isinstance(mesh, Mesh3D):
+    """The vertex rows and the triangle rows of a projection, each as a row
+    count and a function from a slice of grid rows to the block's columns,
+    and the triangle count; checked before any write.  A block's triangles
+    are those of the kept quads whose first corner lies in it."""
+    if not isinstance(mesh, Projection):
         raise ValueError(f"{fmt} export needs a projected 3D mesh")
-    faces = np.asarray(mesh.faces, dtype=np.int64)
-    if faces.ndim != 2 or faces.shape[1] not in (3, 4):
-        raise ValueError("only triangle and quad faces are supported")
-    if faces.size and faces.min() < 0:
-        raise ValueError("face indices must be non-negative")
-    vertices = np.asarray(mesh.vertices, dtype=float).reshape(-1, 3)
-    return ((len(vertices), lambda block: vertices[block].T),
-            (len(faces), lambda block: _triangles(faces[block]).T),
-            len(faces) * (faces.shape[1] - 2))
+    mesh4, rows = mesh.mesh, mesh.mesh.grid.size
+    return ((rows, lambda block: mesh4.columns(block, mesh.axes)),
+            (rows, lambda block: _triangles(mesh4.kept_quads(block)).T),
+            2 * mesh4.quad_count)
 
 
-def _triangles(faces: np.ndarray) -> np.ndarray:
+def _triangles(quads: np.ndarray) -> np.ndarray:
     # quad (a, b, c, d) -> triangles (a, b, c), (a, c, d)
-    return faces if faces.shape[1] == 3 else faces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    return quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
 
 
 def export_obj(mesh, path) -> None:
@@ -427,13 +372,15 @@ def export_csv(mesh: QuadMesh4D, path, fields=CSV_FIELDS) -> None:
     vertices.  Only the named columns are evaluated."""
     if not isinstance(mesh, QuadMesh4D):
         raise ValueError("CSV export needs the full 4D mesh")
+    if not fields or not set(fields) <= set(CSV_FIELDS):
+        raise ValueError(f"CSV fields must name one or more of {', '.join(CSV_FIELDS)}")
     with _output(path) as fh:
         fh.write(",".join(fields) + "\n")
         _write_rows(fh, mesh.grid.size, lambda rows: mesh.columns(rows, fields), sep=",")
 
 
 def export(mesh, fmt: str, path, **options) -> None:
-    """Dispatch on format: obj and ply take 3D meshes, csv the 4D mesh;
+    """Dispatch on format: obj and ply take a Projection, csv the 4D mesh;
     options go to the writer (csv takes fields)."""
     writers = {"obj": export_obj, "ply": export_ply, "csv": export_csv}
     if fmt.lower() not in writers:

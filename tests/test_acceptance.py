@@ -297,8 +297,8 @@ def test_criterion_10_reductions():
 
     for m, lam in ((1, 0.5), (3, 2.0)):
         mesh = sample_grid(family_member(FamilyParams(m, m, lam)), PolarGrid(0.5, 1.6, 5, 8))
-        for v in mesh.vertices:
-            assert abs(v.w - lam * v.z) <= 1e-10 * max(1.0, abs(v.z))
+        z, w = mesh.columns(slice(None), ("z", "w"))
+        assert np.all(np.abs(w - lam * z) <= 1e-10 * np.maximum(1.0, np.abs(z)))
     _announce("10", "planar reduction and w = lam z ties")
 
 
@@ -316,8 +316,8 @@ def test_criterion_11_mesh_determinism_and_branch_flags(tmp_path):
 
     for m, n, n_theta in ((1, 1, 4), (1, 3, 8)):
         mesh = sample_grid(family_member(FamilyParams(m, n, 0)), PolarGrid(0.5, 1.5, 3, n_theta))
-        flagged = [v for v in mesh.vertices if not v.regular]
-        assert len(flagged) == 2 * m + 2 * n  # the (2m+2n)-th roots of unity
-        for v in flagged:
-            assert abs(math.hypot(v.u, v.v) - 1.0) <= 1e-9
+        u, v = mesh.columns(slice(None), ("u", "v"))
+        flagged = ~mesh.regular
+        assert np.count_nonzero(flagged) == 2 * m + 2 * n  # the (2m+2n)-th roots of unity
+        assert np.all(np.abs(np.hypot(u[flagged], v[flagged]) - 1.0) <= 1e-9)
     _announce("11", "byte-identical exports; branch vertices flagged")

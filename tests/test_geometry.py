@@ -408,8 +408,8 @@ def test_split_fields_match_the_wedge_reference(m, n, lam):
     # inaccurate side, and the exact values below decide
     member = family_member(FamilyParams(m, n, lam))
     mesh = sample_grid(member, PolarGrid(0.5, 2.0, 80, 160))
-    energy, curvature = conformal_fields(member.triple, mesh.points)
-    e_ref, k_ref = wedge_fields(member.triple, mesh.points)
+    energy, curvature = conformal_fields(member.triple, mesh.grid.points())
+    e_ref, k_ref = wedge_fields(member.triple, mesh.grid.points())
     assert np.max(np.abs(energy - e_ref) / e_ref) <= 2e-15
     reg = mesh.regular
     assert np.max(np.abs(curvature[reg] - k_ref[reg]) / np.abs(k_ref[reg])) <= 5e-15

@@ -1,5 +1,6 @@
 """Grid sampling, masking, projection, and the export formats."""
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -23,7 +24,6 @@ from wep4.mesh import (
     AXES,
     CSV_FIELDS,
     MAX_VERTICES,
-    Mesh3D,
     PolarGrid,
     export,
     export_csv,
@@ -34,9 +34,10 @@ from wep4.mesh import (
 )
 
 
-def load_obj(path) -> Mesh3D:
+def load_obj(path) -> tuple[np.ndarray, np.ndarray]:
     """Minimal OBJ reader for the files export_obj writes: the reference
-    that the export -> load round trips read back."""
+    that the export -> load round trips read back.  Returns the (n, 3)
+    vertex positions and the (t, 3) 0-based triangle indices."""
     vertices: list[list[float]] = []
     faces: list[list[int]] = []
     with open(path, "r", encoding="ascii") as fh:
@@ -48,11 +49,21 @@ def load_obj(path) -> Mesh3D:
                 vertices.append([float(p) for p in parts[1:4]])
             elif parts[0] == "f":
                 faces.append([int(p) - 1 for p in parts[1:]])
-    return Mesh3D(
-        vertices=np.array(vertices, dtype=float).reshape(-1, 3),
+    return (
+        np.array(vertices, dtype=float).reshape(-1, 3),
         # a file without face lines (every cell masked) reads as zero triangles
-        faces=np.array(faces, dtype=np.int64).reshape(len(faces), -1 if faces else 3),
+        np.array(faces, dtype=np.int64).reshape(len(faces), -1 if faces else 3),
     )
+
+
+def _whole(mesh, names) -> np.ndarray:
+    """The named columns of every vertex row of a sampled grid, side by side."""
+    return np.stack(mesh.columns(slice(None), names), axis=1)
+
+
+def _projected(projection) -> np.ndarray:
+    """A projection's (n, 3) vertex positions, as OBJ/PLY write them."""
+    return _whole(projection.mesh, projection.axes)
 
 
 def test_grid_validation():
@@ -80,13 +91,14 @@ def _assert_matches_scalar_path(params, grid, stride=1):
     """Array columns against per-vertex scalar (fsum) jets."""
     member = family_member(params)
     mesh = sample_grid(member, grid)
-    for i in range(0, mesh.E.size, stride):
-        w = complex(*mesh.uv[i])
+    points, xyzw, (energies,) = grid.points(), _whole(mesh, AXES), mesh.columns(slice(None), ("E",))
+    for i in range(0, points.size, stride):
+        w = complex(points[i])
         jet = surface_jet(member, w)
         scale = max(1.0, float(np.max(np.abs(jet.position))))
-        assert np.max(np.abs(mesh.xyzw[i] - jet.position)) <= 1e-13 * scale, (params, w)
+        assert np.max(np.abs(xyzw[i] - jet.position)) <= 1e-13 * scale, (params, w)
         energy = 0.5 * (jet.E + jet.G)
-        assert abs(mesh.E[i] - energy) <= 1e-13 * energy or not jet.regular, (params, w)
+        assert abs(energies[i] - energy) <= 1e-13 * energy or not jet.regular, (params, w)
         assert bool(mesh.regular[i]) == jet.regular, (params, w)
     return mesh
 
@@ -110,21 +122,35 @@ def test_array_path_matches_scalar_path_on_readme_grids():
 def test_curvature_empty_exactly_off_regular_vertices():
     for m, n, lam in README_MEMBERS:
         mesh = sample_grid(family_member(FamilyParams(m, n, lam)), PolarGrid(0.5, 2.0, 40, 80))
-        assert np.array_equal(np.isnan(mesh.K), ~mesh.regular)
-        assert np.all(mesh.K[mesh.regular] < 0.0)
+        (curvature,) = mesh.columns(slice(None), ("K",))
+        assert np.array_equal(np.isnan(curvature), ~mesh.regular)
+        assert np.all(curvature[mesh.regular] < 0.0)
 
 
 def test_branch_vertices_flagged_and_masked():
     mesh = sample_grid(family_member(FamilyParams(1, 1, 0)), PolarGrid(0.5, 1.5, 3, 4))
-    flagged = [(round(v.u, 9), round(v.v, 9)) for v in mesh.vertices if not v.regular]
+    u, v, curvature = mesh.columns(slice(None), ("u", "v", "K"))
+    flagged = np.round(np.stack((u, v), axis=1)[~mesh.regular], 9)
     # the four fourth roots of unity on the r = 1 ring
     assert len(flagged) == 4
-    for u, v in flagged:
-        assert abs(math.hypot(u, v) - 1.0) <= 1e-9
-    for quad in mesh.quads:
-        assert all(mesh.vertices[i].regular for i in quad)
-    for v in mesh.vertices:
-        assert (v.curvature is None) == (not v.regular)
+    assert np.all(np.abs(np.hypot(*flagged.T) - 1.0) <= 1e-9)
+    assert mesh.regular[mesh.kept_quads(slice(None))].all()
+    assert np.array_equal(np.isnan(curvature), ~mesh.regular)
+
+
+def test_vertex_records_match_the_columns():
+    """QuadMesh4D.vertices, read by bench/tracing.py::_grid_counts for its
+    vertex, flagged and empty-curvature counts: one record per row, equal to
+    the columns, with curvature None exactly at the non-regular rows."""
+    mesh = sample_grid(family_member(FamilyParams(1, 1, 1)), PolarGrid(0.5, 2.0, 40, 80))
+    vertices = mesh.vertices
+    assert len(vertices) == mesh.grid.size == 3200
+    assert [v.regular for v in vertices] == mesh.regular.tolist()
+    assert np.count_nonzero(~mesh.regular) == 4  # the r = 1 ring holds the fourth roots
+    assert [v.curvature is None for v in vertices] == (~mesh.regular).tolist()
+    rows = zip(*(column.tolist() for column in mesh.columns(slice(None), CSV_FIELDS)))
+    want = [(*row[:7], row[7] if row[8] else None, row[8]) for row in rows]
+    assert [dataclasses.astuple(v) for v in vertices] == want
 
 
 def _branch_distance(w, order):
@@ -136,18 +162,17 @@ def _branch_distance(w, order):
 def test_high_order_member_flags_only_its_roots_of_unity():
     # 16 of the 32nd roots of unity lie on the r = 1 ring; no other vertex is a branch point
     mesh = sample_grid(family_member(FamilyParams(1, 15, 1e-4)), PolarGrid(0.5, 2.0, 40, 80))
-    w = mesh.uv[:, 0] + 1j * mesh.uv[:, 1]
-    roots = _branch_distance(w, 32) <= 1e-12
+    roots = _branch_distance(mesh.grid.points(), 32) <= 1e-12
     assert np.count_nonzero(roots) == 16
     assert np.array_equal(~mesh.regular, roots)
-    assert np.array_equal(np.isnan(mesh.K), roots)
+    assert np.array_equal(np.isnan(mesh.columns(slice(None), ("K",))[0]), roots)
 
 
 def test_high_order_member_keeps_every_readme_quad():
     # no vertex of the 80 x 160 grid lies on the unit circle
     mesh = sample_grid(family_member(FamilyParams(1, 15, 1e-4)), PolarGrid(0.5, 2.0, 80, 160))
     assert mesh.regular.all()
-    assert len(mesh.quads) == 79 * 160 == 12_640
+    assert len(mesh.kept_quads(slice(None))) == 79 * 160 == 12_640
 
 
 _ODD = st.sampled_from(range(1, 16, 2))
@@ -204,7 +229,8 @@ def test_flags_are_the_roots_of_unity(case, rng):
     params, grid = case
     member = family_member(params)
     mesh = sample_grid(member, grid)
-    w = mesh.uv[:, 0] + 1j * mesh.uv[:, 1]
+    w = grid.points()
+    xyzw, (energies, curvatures) = _whole(mesh, AXES), mesh.columns(slice(None), ("E", "K"))
     distance = _branch_distance(w, 2 * (params.m + params.n))
     assume(not np.any((distance > 1e-12) & (distance < 1e-6)))
     assert np.array_equal(~mesh.regular, distance <= 1e-12)
@@ -215,59 +241,66 @@ def test_flags_are_the_roots_of_unity(case, rng):
         assert jet.regular == bool(mesh.regular[i])
         r = abs(w[i])
         position_scale = 1.0 + np.array([comp.envelope(r) for comp in member.curve.parts])
-        assert np.all(np.abs(mesh.xyzw[i] - jet.position) <= 16 * eps * position_scale), i
+        assert np.all(np.abs(xyzw[i] - jet.position) <= 16 * eps * position_scale), i
         energy_scale = 1.0 + sum(comp.envelope(r) ** 2 for comp in member.phi.parts)
-        assert abs(mesh.E[i] - jet.E) <= 16 * eps * energy_scale, i
+        assert abs(energies[i] - jet.E) <= 16 * eps * energy_scale, i
         if jet.regular:
             curvature, condition = _split_curvature(member.triple, complex(w[i]))
-            assert abs(mesh.K[i] - curvature) <= 32 * eps * condition * abs(curvature), i
+            assert abs(curvatures[i] - curvature) <= 32 * eps * condition * abs(curvature), i
 
 
 def test_interior_ring_vertices_stay_regular():
     # theta = pi/4 etc. on the unit circle are not branch points
     mesh = sample_grid(family_member(FamilyParams(1, 1, 0)), PolarGrid(0.5, 1.5, 3, 8))
-    ring = [v for v in mesh.vertices if abs(math.hypot(v.u, v.v) - 1.0) <= 1e-9]
-    diag = [v for v in ring if min(abs(v.u), abs(v.v)) > 1e-6]
-    assert diag and all(v.regular for v in diag)
+    u, v = mesh.columns(slice(None), ("u", "v"))
+    ring = np.abs(np.hypot(u, v) - 1.0) <= 1e-9
+    diag = ring & (np.minimum(np.abs(u), np.abs(v)) > 1e-6)
+    assert diag.any() and mesh.regular[diag].all()
 
 
 def test_w_equals_lam_z_for_equal_orders():
     for lam in (0.5, 2.0):
         mesh = sample_grid(family_member(FamilyParams(3, 3, lam)), PolarGrid(0.6, 1.4, 4, 6))
-        for v in mesh.vertices:
-            assert abs(v.w - lam * v.z) <= 1e-10 * max(1.0, abs(v.z))
+        z, w = mesh.columns(slice(None), ("z", "w"))
+        assert np.all(np.abs(w - lam * z) <= 1e-10 * np.maximum(1.0, np.abs(z)))
 
 
 def test_lam_zero_kills_fourth_coordinate():
     mesh = sample_grid(family_member(FamilyParams(1, 3, 0)), PolarGrid(0.6, 1.4, 4, 6))
-    assert all(v.w == 0.0 for v in mesh.vertices)
+    assert np.all(mesh.columns(slice(None), ("w",))[0] == 0.0)
 
 
-def test_projection_axis_selection():
-    mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)), PolarGrid(0.6, 1.4, 3, 4))
+def test_projection_axis_selection(tmp_path):
+    # four rings miss the branch points on r = 1, so every cell is kept
+    mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)), PolarGrid(0.6, 1.4, 4, 4))
     with pytest.raises(ValueError):
         project(mesh, "xxy")
     with pytest.raises(ValueError):
         project(mesh, "xyzw")
     p1 = project(mesh, "xyw")
     p2 = project(mesh, "wxy")
-    assert sorted(map(sorted, p1.vertices)) == sorted(map(sorted, p2.vertices))
-    face_lists = [project(mesh, ax).faces for ax in ("xyz", "xyw", "xzw", "yzw")]
-    assert all(np.array_equal(faces, face_lists[0]) for faces in face_lists)
+    assert sorted(map(sorted, _projected(p1))) == sorted(map(sorted, _projected(p2)))
+    face_lists = []
+    for axes in ("xyz", "xyw", "xzw", "yzw"):
+        export_obj(project(mesh, axes), tmp_path / "faces.obj")
+        face_lists.append([l for l in (tmp_path / "faces.obj").read_text().splitlines()
+                           if l.startswith("f ")])
+    assert len(face_lists[0]) == 2 * 3 * 4 and all(faces == face_lists[0] for faces in face_lists)
 
 
-def test_projection_drops_nothing_at_lam_zero():
+def test_projection_drops_nothing_at_lam_zero(tmp_path):
     mesh = sample_grid(family_member(FamilyParams(1, 1, 0)), PolarGrid(0.6, 1.4, 3, 4))
-    kept = project(mesh, "xyz")
-    assert all(v.w == 0.0 for v in mesh.vertices)
-    assert len(kept.vertices) == len(mesh.vertices)
+    assert np.all(mesh.columns(slice(None), ("w",))[0] == 0.0)
+    export_obj(project(mesh, "xyz"), tmp_path / "kept.obj")
+    lines = (tmp_path / "kept.obj").read_text().splitlines()
+    assert sum(1 for l in lines if l.startswith("v ")) == mesh.grid.size
 
 
 def test_open_grid_obj_counts(tmp_path):
     # a single open quad becomes 4 vertex lines and 2 triangles
     mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)),
                        PolarGrid(0.6, 0.8, 2, 2, theta_closed=False))
-    assert len(mesh.quads) == 1
+    assert len(mesh.kept_quads(slice(None))) == 1
     path = tmp_path / "patch.obj"
     export(project(mesh, "xyz"), "obj", path)
     lines = path.read_text().splitlines()
@@ -278,8 +311,9 @@ def test_open_grid_obj_counts(tmp_path):
 def test_closed_grid_wraps_seam():
     grid = PolarGrid(0.6, 0.8, 2, 4, theta_closed=True)
     mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)), grid)
-    assert len(mesh.quads) == 4  # wraps back to theta = 0
-    touched = {i for q in mesh.quads for i in q}
+    quads = mesh.kept_quads(slice(None))
+    assert len(quads) == 4  # wraps back to theta = 0
+    touched = {i for q in quads.tolist() for i in q}
     assert touched == set(range(8))
 
 
@@ -313,10 +347,8 @@ def test_obj_round_trip_is_byte_identical(tmp_path):
     mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)), PolarGrid(0.5, 1.9, 5, 8))
     first = tmp_path / "one.obj"
     export(project(mesh, "xyz"), "obj", first)
-    loaded = load_obj(first)
-    second = tmp_path / "two.obj"
-    export_obj(loaded, second)
-    assert first.read_bytes() == second.read_bytes()
+    # the loaded numbers, written again by repr, give the file back
+    assert _reference_3d(*load_obj(first), "obj") == first.read_bytes()
 
 
 def test_ply_header_and_counts(tmp_path):
@@ -338,10 +370,20 @@ def test_export_usage_errors(tmp_path):
         export_csv(project(mesh, "xyz"), tmp_path / "x.csv")
     with pytest.raises(ValueError):
         export(mesh, "stl", tmp_path / "x.stl")
-    negative = Mesh3D(np.zeros((3, 3)), np.array([[0, 1, -1]]))
+    arrays = (np.zeros((3, 3)), np.array([[0, 1, 2]]))
     for fmt in ("obj", "ply"):
-        with pytest.raises(ValueError, match="non-negative"):
-            export(negative, fmt, tmp_path / f"x.{fmt}")
+        with pytest.raises(ValueError, match="projected"):
+            export(arrays, fmt, tmp_path / f"x.{fmt}")
+    # bad fields are refused before the file is opened: an existing file is
+    # left as it was, and no new file is made
+    existing = tmp_path / "existing.csv"
+    existing.write_text("kept\n")
+    for fields in (("u", "bogus"), ()):
+        for path in (existing, tmp_path / "new.csv"):
+            with pytest.raises(ValueError, match="fields"):
+                export(mesh, "csv", path, fields=fields)
+        assert existing.read_text() == "kept\n"
+        assert not (tmp_path / "new.csv").exists()
 
 
 def _repr_column(values) -> list[str]:
@@ -427,44 +469,48 @@ def test_integer_column_tokens_are_str(ints):
     assert out.getvalue() == "".join(f"f {a} {b}\n" for a, b in faces.T.tolist())
 
 
-def _reference_bytes(mesh, fmt: str, fields=CSV_FIELDS) -> bytes:
-    """The whole-file writer the exporters had before streaming: every line
-    is built from whole columns, then joined once, each float by repr."""
-    def point_lines(vertices, prefix=""):
+def _reference_3d(vertices, faces, fmt: str) -> bytes:
+    """The whole-file OBJ/PLY writer the exporters had before streaming:
+    every line is built from whole arrays, then joined once, each float by
+    repr; quad faces are split in two triangles."""
+    def point_lines(prefix=""):
         x, y, z = (_repr_column(c) for c in np.asarray(vertices, dtype=float).reshape(-1, 3).T)
         return [f"{prefix}{a} {b} {c}" for a, b, c in zip(x, y, z)]
 
-    if fmt == "csv":
-        columns = {"u": mesh.uv[:, 0], "v": mesh.uv[:, 1], "E": mesh.E, "K": mesh.K}
-        columns.update(zip(AXES, mesh.xyzw.T))
-        texts = [
-            np.where(mesh.regular, "1", "0").tolist() if name == "regular"
-            else _repr_column(columns[name])
-            for name in fields
-        ]
-        lines = [",".join(fields), *map(",".join, zip(*texts))]
+    faces = np.asarray(faces, dtype=np.int64)
+    tris = faces if faces.shape[1] == 3 else faces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    if fmt == "obj":
+        lines = point_lines("v ")
+        lines += [f"f {a} {b} {c}" for a, b, c in (tris + 1).tolist()]
     else:
-        faces = np.asarray(mesh.faces, dtype=np.int64)
-        tris = faces if faces.shape[1] == 3 else faces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
-        if fmt == "obj":
-            lines = point_lines(mesh.vertices, "v ")
-            lines += [f"f {a} {b} {c}" for a, b, c in (tris + 1).tolist()]
-        else:
-            lines = ["ply", "format ascii 1.0", f"element vertex {len(mesh.vertices)}",
-                     "property float x", "property float y", "property float z",
-                     f"element face {len(tris)}", "property list uchar int vertex_indices",
-                     "end_header"]
-            lines += point_lines(mesh.vertices)
-            lines += [f"3 {a} {b} {c}" for a, b, c in tris.tolist()]
+        lines = ["ply", "format ascii 1.0", f"element vertex {len(vertices)}",
+                 "property float x", "property float y", "property float z",
+                 f"element face {len(tris)}", "property list uchar int vertex_indices",
+                 "end_header"]
+        lines += point_lines()
+        lines += [f"3 {a} {b} {c}" for a, b, c in tris.tolist()]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _reference_bytes(mesh, fmt: str, fields=CSV_FIELDS) -> bytes:
+    """The whole-file writer on whole columns: a sampled grid's CSV, or a
+    projection's OBJ/PLY by _reference_3d."""
+    if fmt != "csv":
+        return _reference_3d(_projected(mesh), mesh.mesh.kept_quads(slice(None)), fmt)
+    columns = dict(zip(CSV_FIELDS, mesh.columns(slice(None), CSV_FIELDS)))
+    texts = [
+        np.where(mesh.regular, "1", "0").tolist() if name == "regular"
+        else _repr_column(columns[name])
+        for name in fields
+    ]
+    lines = [",".join(fields), *map(",".join, zip(*texts))]
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def _assert_exports_match_reference(mesh4, tmp_path):
     mesh3 = project(mesh4, "yzw")
-    triangles = Mesh3D(mesh3.vertices, mesh3.faces[:, :3])
     cases = [(mesh4, "csv", CSV_FIELDS), (mesh4, "csv", ("u", "v", "E", "K")),
-             (mesh3, "obj", None), (mesh3, "ply", None),
-             (triangles, "obj", None), (triangles, "ply", None)]
+             (mesh3, "obj", None), (mesh3, "ply", None)]
     for mesh, fmt, fields in cases:
         path = tmp_path / f"out.{fmt}"
         if fields is None:
@@ -484,14 +530,6 @@ def test_block_writer_matches_whole_file_writer_at_block_edges(tmp_path, rows):
     mesh4 = sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)),
                         PolarGrid(0.5, 1.5, 3, max(rows, 2)))
     _assert_exports_match_reference(mesh4, tmp_path)
-    # the first `rows` vertices as arrays, with as many faces, so vertex and
-    # face sections both end before, at and after a block edge
-    mesh3 = project(mesh4, "xyz")
-    arrays = Mesh3D(mesh3.vertices[:rows], np.resize(mesh3.faces, (rows, 4)) % rows)
-    for fmt in ("obj", "ply"):
-        path = tmp_path / f"arrays.{fmt}"
-        export(arrays, fmt, path)
-        assert path.read_bytes() == _reference_bytes(arrays, fmt), fmt
 
 
 @pytest.mark.parametrize("closed", [True, False])
@@ -586,8 +624,8 @@ def test_obj_export_round_trips_through_load_obj(case, axes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mesh.obj"
         export_obj(mesh3, path)
-        loaded = load_obj(path)
+        vertices, faces = load_obj(path)
     # bit for bit, except that the writer prints -0.0 as 0
-    assert np.array_equal(loaded.vertices.view(np.int64), (mesh3.vertices + 0.0).view(np.int64))
-    triangles = mesh3.faces[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
-    assert loaded.faces.dtype == np.int64 and np.array_equal(loaded.faces, triangles)
+    assert np.array_equal(vertices.view(np.int64), (_projected(mesh3) + 0.0).view(np.int64))
+    triangles = mesh3.mesh.kept_quads(slice(None))[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    assert faces.dtype == np.int64 and np.array_equal(faces, triangles)

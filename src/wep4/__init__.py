@@ -15,7 +15,6 @@ from .laurent import (
     NonIntegrableTermError,
 )
 from .weierstrass import (
-    PhiForm,
     WeierstrassTriple,
     nullity_defect,
     nullity_residual,
@@ -25,7 +24,6 @@ from .henneberg import (
     DegenerateParameterError,
     FamilyMember,
     FamilyParams,
-    MinimalCurve,
     classic_henneberg_curve,
     classic_henneberg_phi,
     family_member,

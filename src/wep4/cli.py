@@ -77,7 +77,7 @@ def _grid_from(args) -> PolarGrid:
 
 
 def _poly_json(poly) -> dict:
-    return {str(k): [c.real + 0.0, c.imag + 0.0] for k, c in sorted(poly.terms.items())}
+    return {str(k): [c.real + 0.0, c.imag + 0.0] for k, c in poly}
 
 
 def _add_grid_flags(sub) -> None:
@@ -269,8 +269,8 @@ def _cmd_info(args) -> int:
         "n": params.n,
         "lambda": [params.lam.real, params.lam.imag],
         "data": {"f": _poly_json(triple.f), "g": _poly_json(triple.g), "h": _poly_json(triple.h)},
-        "phi": [_poly_json(p) for p in member.phi.parts],
-        "curve": [_poly_json(p) for p in member.curve.parts],
+        "phi": [_poly_json(p) for p in member.phi],
+        "curve": [_poly_json(p) for p in member.curve],
         "seed": _poly_json(seed_phi(params.m, params.n)),
     }
     _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")

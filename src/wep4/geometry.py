@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .henneberg import FamilyMember, FamilyParams, MinimalCurve
+from .henneberg import FamilyMember, FamilyParams
 from .laurent import LaurentPoly, accurate_sum, evaluate
 from .weierstrass import WeierstrassTriple, is_regular
 
@@ -87,10 +87,10 @@ def _scaled(c, vec: np.ndarray) -> np.ndarray:
     return np.expand_dims(c, -1) * vec
 
 
-def immersion_point(curve: MinimalCurve, w, axes=range(4)) -> np.ndarray:
-    """Real part of the C4 curve: the immersion point in R4 (a stack of
-    points over an array of w), or its coordinates on the given axes."""
-    parts = [curve.parts[i] for i in axes]
+def immersion_point(curve, w, axes=range(4)) -> np.ndarray:
+    """Real part of the C4 curve's components: the immersion point in R4 (a
+    stack of points over an array of w), or its coordinates on the axes."""
+    parts = [curve[i] for i in axes]
     if isinstance(w, np.ndarray):
         return np.stack(evaluate(parts, w, real=True), axis=-1)
     return np.stack([part(w).real for part in parts], axis=-1)
@@ -99,7 +99,7 @@ def immersion_point(curve: MinimalCurve, w, axes=range(4)) -> np.ndarray:
 def surface_jet(member: FamilyMember, w) -> SurfaceJet:
     """Position, analytic tangents, first fundamental form, is_regular flag."""
     position = immersion_point(member.curve, w)
-    vals = np.stack([comp(w) for comp in member.phi.parts], axis=-1)
+    vals = np.stack([comp(w) for comp in member.phi], axis=-1)
     xu, xv = vals.real, -vals.imag
     return SurfaceJet(
         position=position,

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .laurent import IDENTITY, ZERO, LaurentPoly
-from .weierstrass import PhiForm, WeierstrassTriple, phi_from_triple
+from .weierstrass import WeierstrassTriple, phi_from_triple
 
 __all__ = [
     "FamilyParams",
-    "MinimalCurve",
     "FamilyMember",
     "DegenerateParameterError",
     "family_member",
@@ -69,13 +68,6 @@ class FamilyParams:
         return abs(self.lam.imag) <= 1e-12
 
 
-@dataclass(frozen=True)
-class MinimalCurve:
-    """The C4-valued curve whose real part is the immersion."""
-
-    parts: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
-
-
 def family_triple(p: FamilyParams) -> WeierstrassTriple:
     """Weierstrass data of the (m, n, lam) member, with f in expanded form."""
     f = LaurentPoly.monomial(-p.m - p.n - 2, 2.0) * LaurentPoly(
@@ -86,32 +78,33 @@ def family_triple(p: FamilyParams) -> WeierstrassTriple:
     return WeierstrassTriple(f, g, h)
 
 
-def _integrate_phi(phi: PhiForm) -> MinimalCurve:
+def _integrate_phi(phi: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
     # No integrand of this family carries exponent -1 (parity for the first two
     # components, positivity for the last two); antiderivative raises if one does.
-    return MinimalCurve(tuple(comp.antiderivative() for comp in phi.parts))
+    return tuple(comp.antiderivative() for comp in phi)
 
 
 @dataclass(frozen=True)
 class FamilyMember:
     """One member's Laurent data, built once by family_member and handed to
-    every consumer: the parameters, the (f, g, h) data, the null form (one
-    nullity check) and its curve.  The fixed g = w, h = lam w form and curve
-    that only the integral-free audit reads are built on first use."""
+    every consumer: the parameters, the (f, g, h) data, and the four
+    components of the null form (one nullity check) and of its curve.  The
+    fixed g = w, h = lam w form and curve that only the integral-free audit
+    reads are built on first use."""
 
     params: FamilyParams
     triple: WeierstrassTriple
-    phi: PhiForm
-    curve: MinimalCurve
+    phi: tuple[LaurentPoly, ...]
+    curve: tuple[LaurentPoly, ...]
 
     @cached_property
-    def gh_phi(self) -> PhiForm:
+    def gh_phi(self) -> tuple[LaurentPoly, ...]:
         """Null form of the same f with the low-order data g = w, h = lam w."""
         h = LaurentPoly.monomial(1, self.params.lam)
         return phi_from_triple(WeierstrassTriple(self.triple.f, IDENTITY, h))
 
     @cached_property
-    def gh_curve(self) -> MinimalCurve:
+    def gh_curve(self) -> tuple[LaurentPoly, ...]:
         """Curve of gh_phi.  Coincides with curve at m = n = 1.  The third
         component comes out as (2/(m+n)) (w**(m+n) + w**(-(m+n))): both terms
         positive, whatever the printed reference form suggests."""
@@ -125,7 +118,7 @@ def family_member(p: FamilyParams) -> FamilyMember:
     return FamilyMember(p, triple, phi, _integrate_phi(phi))
 
 
-def classic_henneberg_phi() -> PhiForm:
+def classic_henneberg_phi() -> tuple[LaurentPoly, ...]:
     """Null form of the classical R3 Henneberg surface, embedded in R4.
 
     Data g = w and 1-form factor (1 - w**-4); the fourth component is zero.
@@ -136,7 +129,7 @@ def classic_henneberg_phi() -> PhiForm:
     return phi_from_triple(WeierstrassTriple(w_form, IDENTITY, ZERO))
 
 
-def classic_henneberg_curve() -> MinimalCurve:
+def classic_henneberg_curve() -> tuple[LaurentPoly, ...]:
     return _integrate_phi(classic_henneberg_phi())
 
 

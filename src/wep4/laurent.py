@@ -95,11 +95,6 @@ class LaurentPoly:
         return cls({exponent: coeff})
 
     @property
-    def terms(self) -> dict[int, complex]:
-        """Canonical exponent -> coefficient map (a defensive copy)."""
-        return dict(self._terms)
-
-    @property
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -189,10 +184,11 @@ class LaurentPoly:
     def envelope(self, radius):
         """Upper bound sum(|c_k| * radius**k) on |self| at that radius, a scale
         for error tolerances; ``radius`` may be an ndarray, whose shape the
-        result keeps (zeros for the zero polynomial)."""
+        result keeps (zeros for the zero polynomial).  |c_k| counts as at least
+        2^-1022, as a subnormal's rounding error is absolute, eps 2^-1022."""
         if not self._terms:
             return 0.0 * radius
-        return accurate_sum(abs(c) * radius**k for k, c in self._terms.items())
+        return accurate_sum(max(abs(c), 2.0**-1022) * radius**k for k, c in self._terms.items())
 
 
 def evaluate(polys, w: np.ndarray, real: bool = False) -> list[np.ndarray]:

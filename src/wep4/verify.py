@@ -27,7 +27,6 @@ from .geometry import (
 from .henneberg import (
     FamilyMember,
     FamilyParams,
-    MinimalCurve,
     classic_henneberg_curve,
     family_member,
     integral_free_point,
@@ -132,20 +131,32 @@ def _worst(*errors) -> float:
 
 
 def check_nullity(member: FamilyMember, samples: int, rng: np.random.Generator) -> SuiteResult:
+    """sum_k phi_k^2, coefficient by coefficient and then pointwise.
+
+    The exact form is null, and so is the float one in exact arithmetic with
+    lam^2 as rounded, except where m = n: there 1 + lam^2 is rounded once
+    more, which moves the defect's coefficient at exponent e by at most
+    u S_e (u = eps/2), S_e = sum |c_i c_j| over the products landing on e.
+    Each product errs by sqrt(5) u |c_i c_j|, and summing at most T of them,
+    T the form's number of terms, by (T - 1) u S_e: each coefficient is held
+    to (T + 3) u S_e.  S_e is nullity_defect of the coefficients' magnitudes,
+    each at least 2^-1022 as in envelope; a product that underflows adds up
+    to sqrt(2) 2^-1074, so T 2^-1073 more.
+    """
     phi = member.phi
-    defect = nullity_defect(phi.parts)
-    structural = defect.is_zero
+    terms = sum(1 for p in phi for _ in p)
+    size = dict(nullity_defect([LaurentPoly({k: max(abs(c), 2.0**-1022) for k, c in p})
+                                for p in phi]))
+    defect = max((abs(c) / ((terms + 3) * (EPS / 2 * size.get(k, 0.0).real + 2.0**-1073))
+                  for k, c in nullity_defect(phi)), default=0.0)
     worst = _worst(nullity_residual(phi, sample_annulus(rng, samples)))
-    ok = structural and worst <= 1e-12
-    return SuiteResult(
-        "nullity", ok, samples + 1,
-        f"structural_zero={structural} max_residual={worst:.3e}",
-    )
+    return SuiteResult("nullity", defect <= 1.0 and worst <= 1e-12, samples + 1,
+                       f"defect_ratio={defect:.2g} max_residual={worst:.3e}")
 
 
 def _max_coeff_ulp(a: LaurentPoly, b: LaurentPoly) -> float:
     """Worst componentwise distance between coefficients, in ulps."""
-    ta, tb = a.terms, b.terms
+    ta, tb = dict(a), dict(b)
     worst = 0.0
     for k in ta.keys() | tb.keys():
         ca, cb = ta.get(k, 0j), tb.get(k, 0j)
@@ -158,10 +169,8 @@ def _max_coeff_ulp(a: LaurentPoly, b: LaurentPoly) -> float:
 
 def check_back_differentiation(member: FamilyMember) -> SuiteResult:
     phi, curve = member.phi, member.curve
-    exact = all(x.derivative() == p for x, p in zip(curve.parts, phi.parts))
-    worst = max(
-        _max_coeff_ulp(x.derivative(), p) for x, p in zip(curve.parts, phi.parts)
-    )
+    exact = all(x.derivative() == p for x, p in zip(curve, phi))
+    worst = max(_max_coeff_ulp(x.derivative(), p) for x, p in zip(curve, phi))
     # Exact on the verification grids; <= 1 ulp is the attainable bound for
     # arbitrary coefficient/divisor pairs in doubles.
     return SuiteResult(
@@ -208,11 +217,13 @@ def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return xs, wts
 
 
-def _quadrature_nodes(curve: MinimalCurve) -> int:
+def _quadrature_nodes(curve) -> int:
     """At least 32 nodes, and a power of two >= 2K for the curve's largest
-    |exponent| K, so the rule follows the member's order."""
-    top = max(abs(k) for part in curve.parts for k, _ in part)
-    return max(32, 1 << (2 * top - 1).bit_length())
+    |exponent| K and >= k + 26 for phi's lowest exponent -k (the curve's,
+    less one), which check_quadrature derives."""
+    exponents = [k for part in curve for k, _ in part]
+    need = max(2 * max(map(abs, exponents)), 27 - min(exponents))
+    return max(32, 1 << (need - 1).bit_length())
 
 
 def check_quadrature(member: FamilyMember, rng: np.random.Generator) -> SuiteResult:
@@ -220,10 +231,14 @@ def check_quadrature(member: FamilyMember, rng: np.random.Generator) -> SuiteRes
     curve differences, per component; one array evaluation per component of
     the form (all targets and nodes) and of the curve (targets and base).
 
-    With n >= 2K nodes the rule is exact for phi's positive powers and below
-    rounding for its negative ones, and the rule itself is accurate (its
-    moment residuals measure <= 4.1 eps, see _gauss_legendre), so the error
-    is the rounding of the sum and of the curve difference.  Recursive
+    With n >= 2K nodes the rule is exact for phi's positive powers.  A term
+    w^-k is analytic inside the Bernstein ellipse of parameter 2 about the
+    segment, whose image stays over near/4 from the pole w = 0 for every
+    target (0.26 near at |z| = 0.6, arg z = +-1.5), so the rule errs on it by
+    at most |z-1|/2 (64/15) 4^k near^-k 4^-n / 3 (Trefethen, ATAP, Thm 19.3),
+    below eps |z-1| near^-k once n >= k + 26.  The rule itself is accurate
+    (moment residuals <= 4.1 eps, see _gauss_legendre), so the error is the
+    rounding of the sum and of the curve difference.  Recursive
     summation of the n terms w_i phi(z_i) errs by at most (n-1) eps times
     their magnitudes, which sum to at most 2 max(env_phi(near), env_phi(far))
     (an envelope is convex in log r, so an end of the segment bounds it);
@@ -241,16 +256,15 @@ def check_quadrature(member: FamilyMember, rng: np.random.Generator) -> SuiteRes
     near = np.array([_segment_origin_distance(t) for t in z])
     radii = np.stack([near, np.maximum(np.abs(z), 1.0)])
     err, size = [], []
-    for p, x in zip(phi.parts, curve.parts):
+    for p, x in zip(phi, curve):
         at_ends, env_ends = x(ends), x.envelope(np.abs(ends))
         err.append(np.abs((z - base) / 2.0 * np.sum(wts * p(zs), axis=1)
                           - (at_ends[:-1] - at_ends[-1])))
         size.append(np.abs(z - base) * np.max(p.envelope(radii), axis=0)
                     + env_ends[:-1] + env_ends[-1])
     err, size = np.array(err), np.array(size)
-    # a zero component gives zero on both sides and S = 0
-    ratio = np.divide(err, EPS * size, out=np.zeros_like(err), where=size > 0)
-    worst = float(np.max(ratio))
+    # a zero component gives zero on both sides and S = 0; EPS S may underflow
+    worst = float(np.max(np.divide(err, size, out=np.zeros_like(err), where=size > 0))) / EPS
     return SuiteResult("quadrature", worst <= nodes, err.size,
                        f"nodes={nodes} max_eps_ratio={worst:.2f}")
 
@@ -261,12 +275,12 @@ def check_conformality(member: FamilyMember, samples: int, rng: np.random.Genera
     return SuiteResult("conformality", worst <= 1e-12, 2 * samples, f"max_rel={worst:.3e}")
 
 
-def _ring_points(curve: MinimalCurve) -> int:
+def _ring_points(curve) -> int:
     """Points M of a ring |w - w0| = |w0|/4 whose trapezoid mean is exact for
     every term of the curve, to 2^-53 of its size: M > K+, the largest
     exponent, and the j = M term of w^-k's expansion in (w - w0)/w0,
     4^-M C(M+k-1, k-1), is below 2^-53 at the largest negative exponent K-."""
-    exponents = [k for part in curve.parts for k, _ in part]
+    exponents = [k for part in curve for k, _ in part]
     top, low = max(exponents), -min(exponents)
     m = top + 1
     while math.comb(m + low - 1, low - 1) * 2**53 > 4**m:
@@ -274,12 +288,12 @@ def _ring_points(curve: MinimalCurve) -> int:
     return m
 
 
-def _ring_defects(curve: MinimalCurve, w: np.ndarray, size: int) -> np.ndarray:
+def _ring_defects(curve, w: np.ndarray, size: int) -> np.ndarray:
     """|trapezoid mean of Re X_k on the ring - Re X_k(w0)|, (points, coordinates);
     each coordinate is evaluated once over the centres and rings stacked."""
     ring = np.exp(2j * math.pi * np.arange(size) / size)
     pts = np.concatenate([w[None, :], w + (np.abs(w) / 4.0) * ring[:, None]])
-    vals = np.stack([comp(pts).real for comp in curve.parts], axis=-1)
+    vals = np.stack([comp(pts).real for comp in curve], axis=-1)
     return np.abs(accurate_sum(vals[1:]) / size - vals[0])
 
 
@@ -295,7 +309,7 @@ def check_harmonicity(member: FamilyMember, points: int, rng: np.random.Generato
     size = _ring_points(member.curve)
     defects = _ring_defects(member.curve, w, size)
     radii = np.stack([1.25 * np.abs(w), 0.75 * np.abs(w)])
-    env = np.stack([np.max(comp.envelope(radii), axis=0) for comp in member.curve.parts], axis=-1)
+    env = np.stack([np.max(comp.envelope(radii), axis=0) for comp in member.curve], axis=-1)
     worst = _worst(defects / (EPS * (1.0 + env)))
     return SuiteResult("harmonicity", worst <= 16.0, defects.size,
                        f"ring_points={size} max_eps_ratio={worst:.2f}")
@@ -365,7 +379,7 @@ def check_integral_free(member: FamilyMember, rng: np.random.Generator) -> Suite
     seed = seed_phi(params.m, params.n)
     lam = params.lam
     seed_ulp = _max_coeff_ulp(seed.derivative().derivative().derivative(), member.triple.f)
-    target, phi = member.gh_curve.parts, member.gh_phi.parts
+    target, phi = member.gh_curve, member.gh_phi
     curve = integral_free_point(seed, lam, IDENTITY)
     curve_ulp = max(map(_max_coeff_ulp, curve, target))
     derivative_ulp = max(_max_coeff_ulp(k.derivative(), p) for k, p in zip(curve, phi))
@@ -396,18 +410,18 @@ def check_reductions(member: FamilyMember) -> SuiteResult:
     notes = []
     if params.lam == 0:
         checks += 1
-        ok &= curve.parts[3].is_zero
-        notes.append(f"w_component_zero={curve.parts[3].is_zero}")
+        ok &= curve[3].is_zero
+        notes.append(f"w_component_zero={curve[3].is_zero}")
         if (params.m, params.n) == (1, 1):
             classic = classic_henneberg_curve()
-            doubled = tuple(2.0 * comp for comp in classic.parts[:3])
-            match = doubled == curve.parts[:3]
+            doubled = tuple(2.0 * comp for comp in classic[:3])
+            match = doubled == curve[:3]
             checks += 1
             ok &= match
             notes.append(f"double_classic={match}")
     if params.m == params.n and params.lam_is_real:
-        scaled = curve.parts[2] * params.lam
-        worst = _max_coeff_ulp(curve.parts[3], scaled)
+        scaled = curve[2] * params.lam
+        worst = _max_coeff_ulp(curve[3], scaled)
         checks += 1
         ok &= worst <= 1.0
         notes.append(f"w_eq_lam_z_ulp={worst:g}")

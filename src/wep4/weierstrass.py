@@ -20,7 +20,6 @@ from .laurent import ONE, ZERO, LaurentPoly, accurate_sum
 
 __all__ = [
     "WeierstrassTriple",
-    "PhiForm",
     "phi_from_triple",
     "nullity_defect",
     "nullity_residual",
@@ -40,54 +39,44 @@ class WeierstrassTriple:
     h: LaurentPoly
 
 
-@dataclass(frozen=True)
-class PhiForm:
-    """The 4-vector of holomorphic 1-form components."""
-
-    parts: tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]
-
-
-def nullity_defect(parts) -> LaurentPoly:
+def nullity_defect(phi) -> LaurentPoly:
     """sum_k phi_k^2 as a Laurent polynomial (zero for genuine null forms)."""
     total = ZERO
-    for p in parts:
+    for p in phi:
         total = total + p * p
     return total
 
 
-def _check_null(parts) -> None:
-    defect = nullity_defect(parts)
+def _check_null(phi) -> None:
+    defect = nullity_defect(phi)
     if defect.is_zero:
         return
-    scale = max(
-        (sum(abs(c) for _, c in p) ** 2 for p in parts if not p.is_zero),
-        default=1.0,
-    )
+    scale = max((p.envelope(1.0) ** 2 for p in phi if not p.is_zero), default=1.0)
     worst = max(abs(c) for _, c in defect)
     # Construction guarantees symbolic cancellation; only float dust may remain.
     if worst > 1e-10 * max(1.0, scale):
         raise ValueError(f"parts are not null: defect {worst} at scale {scale}")
 
 
-def phi_from_triple(t: WeierstrassTriple) -> PhiForm:
-    """Build the null 1-form from (f, g, h) data."""
+def phi_from_triple(t: WeierstrassTriple) -> tuple[LaurentPoly, ...]:
+    """The null 1-form of (f, g, h) data, as its four components."""
     sq = t.g * t.g + t.h * t.h
-    parts = (
+    phi = (
         (t.f * (ONE - sq)) * 0.5,
         (t.f * (ONE + sq)) * 0.5j,
         t.f * t.g,
         t.f * t.h,
     )
-    _check_null(parts)
-    return PhiForm(parts)
+    _check_null(phi)
+    return phi
 
 
-def nullity_residual(phi: PhiForm, w):
-    """|sum phi_k(w)^2| / sum |phi_k(w)|^2, reporting 0/0 as 0.
-
-    ``w`` may be an ndarray of points, which gives an array of residuals.
+def nullity_residual(phi, w):
+    """|sum phi_k(w)^2| / sum |phi_k(w)|^2 for the components phi, reporting
+    0/0 as 0.  ``w`` may be an ndarray of points, which gives an array of
+    residuals.
     """
-    vals = [p(w) for p in phi.parts]
+    vals = [p(w) for p in phi]
     num = abs(accurate_sum(v * v for v in vals))
     den = accurate_sum(abs(v) ** 2 for v in vals)
     ratio = np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0.0)

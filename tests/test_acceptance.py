@@ -67,9 +67,9 @@ def test_criterion_01_nullity():
     for m, n in MN_GRID:
         for lam in LAM_GRID:
             phi = family_member(FamilyParams(m, n, lam)).phi
-            assert nullity_defect(phi.parts).is_zero, f"structural defect at {(m, n, lam)}"
+            assert nullity_defect(phi).is_zero, f"structural defect at {(m, n, lam)}"
             ws = _annulus(rng, 1000)
-            vals = [comp(ws) for comp in phi.parts]
+            vals = [comp(ws) for comp in phi]
             num = np.abs(sum(v * v for v in vals))
             den = sum(np.abs(v) ** 2 for v in vals)
             ratio = np.where(den > 0, num / np.maximum(den, 1e-300), 0.0)
@@ -83,7 +83,7 @@ def test_criterion_02_back_differentiation():
             p = FamilyParams(m, n, lam)
             member = family_member(p)
             phi, curve = member.phi, member.curve
-            for x, comp in zip(curve.parts, phi.parts):
+            for x, comp in zip(curve, phi):
                 assert x.derivative() == comp, f"inexact at {(m, n, lam)}"
     _announce("02", "back-differentiation, coefficient-exact")
 
@@ -101,9 +101,9 @@ def test_criterion_03_quadrature_cross_check():
                 t = (nodes + 1.0) / 2.0
                 zs = base + t * (z - base)
                 integral = np.array(
-                    [(z - base) / 2.0 * np.sum(weights * comp(zs)) for comp in phi.parts]
+                    [(z - base) / 2.0 * np.sum(weights * comp(zs)) for comp in phi]
                 )
-                diff = np.array([comp(z) - comp(base) for comp in curve.parts])
+                diff = np.array([comp(z) - comp(base) for comp in curve])
                 rel = np.linalg.norm(integral - diff) / np.linalg.norm(diff)
                 assert rel <= 1e-9
     _announce("03", "segment quadrature matches curve differences")
@@ -121,7 +121,7 @@ def test_criterion_04_conformality():
                 1.0 + np.abs(triple.g(ws)) ** 2 + np.abs(triple.h(ws)) ** 2
             )
             assert float(np.min(reg)) > 1e-3  # all sample points are regular
-            vals = [comp(ws) for comp in phi.parts]
+            vals = [comp(ws) for comp in phi]
             xu = [v.real for v in vals]
             xv = [-v.imag for v in vals]
             e = sum(a * a for a in xu)
@@ -270,7 +270,7 @@ def test_criterion_09_integral_free():
     for w in _annulus(rng, 50, lo=0.5, hi=1.6):
         w = complex(w)
         k = integral_free_point(seed, 0.0, w)
-        ref = [comp(w) for comp in curve.parts]
+        ref = [comp(w) for comp in curve]
         assert max(abs(a - b) for a, b in zip(k, ref)) <= 1e-12
 
     pairs = 0
@@ -289,11 +289,11 @@ def test_criterion_09_integral_free():
 def test_criterion_10_reductions():
     for m, n in MN_GRID:
         curve = family_member(FamilyParams(m, n, 0)).curve
-        assert curve.parts[3].is_zero
+        assert curve[3].is_zero
     curve = family_member(FamilyParams(1, 1, 0)).curve
     classic = classic_henneberg_curve()
     for k in range(3):
-        assert curve.parts[k] == classic.parts[k] * 2.0
+        assert curve[k] == classic[k] * 2.0
 
     for m, lam in ((1, 0.5), (3, 2.0)):
         mesh = sample_grid(family_member(FamilyParams(m, m, lam)), PolarGrid(0.5, 1.6, 5, 8))

@@ -99,7 +99,7 @@ def scalar_harmonicity(curve, points, rng):
     for w in sample_annulus(rng, points, r_lo=0.75, r_hi=1.6):
         w = complex(w)
         rho = abs(w) / 4.0
-        for comp in curve.parts:
+        for comp in curve:
             mean = math.fsum(comp(w + rho * complex(z)).real for z in ring) / size
             env = max(comp.envelope(1.25 * abs(w)), comp.envelope(0.75 * abs(w)))
             worst = max(worst, abs(mean - comp(w).real) / (np.finfo(float).eps * (1.0 + env)))
@@ -138,7 +138,7 @@ def scalar_integral_free(member, rng, points=25):
     target = member.gh_curve
     phi_low = member.gh_phi
     seed_derivs = (seed, seed.derivative(), seed.derivative().derivative())
-    phi_curvature = [comp.derivative().derivative() for comp in phi_low.parts]
+    phi_curvature = [comp.derivative().derivative() for comp in phi_low]
     weight = 1.0 + abs(1.0 + params.lam * params.lam)
     h = 1e-6
     worst_point = worst_fd = worst_rt = 0.0
@@ -146,13 +146,13 @@ def scalar_integral_free(member, rng, points=25):
     for w in sample_annulus(rng, points, r_lo=0.6, r_hi=1.5):
         w = complex(w)
         k = integral_free_point(seed, params.lam, w)
-        ref = [comp(w) for comp in target.parts]
+        ref = [comp(w) for comp in target]
         scale = max(1.0, max(abs(v) for v in ref))
         worst_point = max(worst_point, max(abs(a - b) for a, b in zip(k, ref)) / scale)
         kp = integral_free_point(seed, params.lam, w + h)
         km = integral_free_point(seed, params.lam, w - h)
         fd = [(a - b) / (2.0 * h) for a, b in zip(kp, km)]
-        phiv = [comp(w) for comp in phi_low.parts]
+        phiv = [comp(w) for comp in phi_low]
         r = abs(w) + h
         terms = weight * math.fsum(r**j * d.envelope(r) for j, d in enumerate(seed_derivs))
         bound = (16.0 * np.finfo(float).eps * terms / h
@@ -288,7 +288,7 @@ def separate_call_ring_defects(curve, w):
     rho = np.abs(w) / 4.0
     return np.stack([
         np.abs(accurate_sum([comp(w + rho * z).real for z in ring]) / size - comp(w).real)
-        for comp in curve.parts
+        for comp in curve
     ], axis=-1)
 
 
@@ -298,7 +298,7 @@ def separate_call_harmonicity(curve, points, rng):
     w = sample_annulus(rng, points, r_lo=0.75, r_hi=1.6)
     defects = separate_call_ring_defects(curve, w)
     env = np.stack([np.maximum(comp.envelope(1.25 * np.abs(w)), comp.envelope(0.75 * np.abs(w)))
-                    for comp in curve.parts], axis=-1)
+                    for comp in curve], axis=-1)
     return defects.size, float(np.max(defects / (np.finfo(float).eps * (1.0 + env))))
 
 

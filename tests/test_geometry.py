@@ -27,7 +27,7 @@ from wep4.geometry import (
     perp_vectors,
     surface_jet,
 )
-from wep4.henneberg import FamilyParams, MinimalCurve, family_member
+from wep4.henneberg import FamilyParams, family_member
 from wep4.laurent import ONE, ZERO, LaurentPoly, accurate_sum
 from wep4.mesh import PolarGrid, sample_grid
 from wep4.verify import sample_regular
@@ -321,7 +321,7 @@ def test_normal_plane_of_every_member(m, n, lam):
     assert np.max(np.abs(basis @ basis.transpose(0, 2, 1) - np.eye(4))) <= 1e-10
     # psi is null and orthogonal to phi and conj phi, relative to the sizes
     psi = _psi(member.triple, w)
-    phi = np.stack([p(w) for p in member.phi.parts], axis=1)
+    phi = np.stack([p(w) for p in member.phi], axis=1)
     size = np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
     assert np.max(np.abs(np.sum(psi * psi, axis=1)) / size**2) <= 1e-13
     for other in (phi, phi.conj()):
@@ -470,7 +470,7 @@ def coordinate_laplacian(comp: LaurentPoly, w, h: float):
     return abs(total) / h**2
 
 
-def harmonicity_residual(curve: MinimalCurve, w: complex, h: float) -> float:
+def harmonicity_residual(curve, w: complex, h: float) -> float:
     """Reference: max over coordinates of the five-point Laplacian of Re X_k.
 
     Coordinates of a minimal immersion are harmonic, so the residual is pure
@@ -479,14 +479,14 @@ def harmonicity_residual(curve: MinimalCurve, w: complex, h: float) -> float:
     """
     if abs(w) <= 2.0 * h:
         raise ValueError("stencil disc reaches the puncture")
-    return max(coordinate_laplacian(comp, w, h) for comp in curve.parts)
+    return max(coordinate_laplacian(comp, w, h) for comp in curve)
 
 
 def test_harmonicity_residual_second_order():
     curve = family_member(FamilyParams(1, 1, 1 + 1j)).curve
     w = 1.3 + 0.7j
     res = harmonicity_residual(curve, w, 1e-3)
-    scale = max(abs(comp(w)) for comp in curve.parts)
+    scale = max(abs(comp(w)) for comp in curve)
     assert res <= 1e-6 * max(1.0, scale) * 100
     ratio = res / harmonicity_residual(curve, w, 5e-4)
     assert 3.5 <= ratio <= 4.5
@@ -502,13 +502,13 @@ def test_harmonicity_residual_detects_corruption():
     w, h = 1.3 + 0.7j, 1e-3
     clean = harmonicity_residual(curve, w, h)
 
-    comp = curve.parts[0]
+    comp = curve[0]
     corrupted = lambda z: comp(z).real ** 2
     stencil = [corrupted(w + d) for d in (h, -h, 1j * h, -1j * h)]
     residual = abs(math.fsum(stencil + [-4.0 * corrupted(w)])) / h**2
     assert residual > 1e3 * clean
 
-    still_holomorphic = MinimalCurve((comp * comp,) + curve.parts[1:])
+    still_holomorphic = (comp * comp,) + curve[1:]
     assert harmonicity_residual(still_holomorphic, w, h) <= 1e-3
 
 

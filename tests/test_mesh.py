@@ -240,9 +240,9 @@ def test_flags_are_the_roots_of_unity(case, rng):
         jet = surface_jet(member, complex(w[i]))
         assert jet.regular == bool(mesh.regular[i])
         r = abs(w[i])
-        position_scale = 1.0 + np.array([comp.envelope(r) for comp in member.curve.parts])
+        position_scale = 1.0 + np.array([comp.envelope(r) for comp in member.curve])
         assert np.all(np.abs(xyzw[i] - jet.position) <= 16 * eps * position_scale), i
-        energy_scale = 1.0 + sum(comp.envelope(r) ** 2 for comp in member.phi.parts)
+        energy_scale = 1.0 + sum(comp.envelope(r) ** 2 for comp in member.phi)
         assert abs(energies[i] - jet.E) <= 16 * eps * energy_scale, i
         if jet.regular:
             curvature, condition = _split_curvature(member.triple, complex(w[i]))

@@ -13,7 +13,6 @@ import pytest
 from wep4 import verify
 from wep4.henneberg import (
     FamilyParams,
-    MinimalCurve,
     family_member,
     integral_free_point,
     recover_seed,
@@ -30,7 +29,6 @@ from wep4.verify import (
     sample_regular,
 )
 from wep4.laurent import IDENTITY, LaurentPoly
-from wep4.weierstrass import PhiForm
 
 
 def test_run_verify_all_suites_pass():
@@ -135,13 +133,41 @@ def test_rule_sizes_follow_the_exponents(m, n, nodes, ring):
 @pytest.mark.parametrize("m, n, lam", [(1, 1, 1 + 1j), (7, 11, 0.97j), (31, 31, 1 + 1j)])
 def test_quadrature_fails_any_phi_coefficient_scaled_by_1e_9(m, n, lam):
     member = family_member(FamilyParams(m, n, lam))
-    parts = member.phi.parts
+    parts = member.phi
     for j, part in enumerate(parts):
         for k, c in part:
-            nudged = LaurentPoly({**part.terms, k: c * (1 + 1e-9)})
-            phi = PhiForm(parts[:j] + (nudged,) + parts[j + 1:])
+            nudged = LaurentPoly({**dict(part), k: c * (1 + 1e-9)})
+            phi = parts[:j] + (nudged,) + parts[j + 1:]
             res = verify.check_quadrature(replace(member, phi=phi), np.random.default_rng(42))
             assert not res.passed, (j, k, res.line())
+
+
+@pytest.mark.parametrize("m, n", [(1, 13), (1, 11), (3, 7), (1, 9)])
+def test_quadrature_rule_follows_phi_lowest_power_at_lam_zero(m, n):
+    # no h^2 term raises the curve's top exponent at lam = 0, so phi's
+    # w^-(m+n+2) term sizes the rule; 32 nodes FAILed these members
+    member = family_member(FamilyParams(m, n, 0))
+    assert verify._quadrature_nodes(member.curve) == 64
+    for seed in range(20):
+        res = verify.check_quadrature(member, np.random.default_rng(seed))
+        assert res.passed, (seed, res.line())
+
+
+@pytest.mark.parametrize("m, n, lam", [(1, 1, 0.1), (3, 5, 0.5 - 2j)])
+def test_nullity_fails_any_phi_coefficient_scaled_by_1_plus_2_to_the_minus_40(m, n, lam):
+    # 2^-40 is mostly below the pointwise residual's 1e-12, so the
+    # coefficient bound must see it
+    member = family_member(FamilyParams(m, n, lam))
+    assert verify.check_nullity(member, 10, np.random.default_rng(0)).passed
+    unseen_pointwise = 0
+    for j, part in enumerate(member.phi):
+        for k, c in part:
+            nudged = LaurentPoly({**dict(part), k: c * (1 + 2.0**-40)})
+            phi = member.phi[:j] + (nudged,) + member.phi[j + 1:]
+            res = verify.check_nullity(replace(member, phi=phi), 10, np.random.default_rng(0))
+            assert not res.passed, (j, k, res.line())
+            unseen_pointwise += _detail(res, "max_residual") <= 1e-12
+    assert unseen_pointwise > 0
 
 
 class _Slipped:
@@ -165,9 +191,9 @@ class _Slipped:
 def test_harmonicity_fails_a_1e_12_non_harmonic_slip(m, n, lam, seed):
     member = family_member(FamilyParams(m, n, lam))
     assert verify.check_harmonicity(member, 50, np.random.default_rng(seed)).passed
-    parts = member.curve.parts
+    parts = member.curve
     for j in range(4):
-        curve = MinimalCurve(parts[:j] + (_Slipped(parts[j]),) + parts[j + 1:])
+        curve = parts[:j] + (_Slipped(parts[j]),) + parts[j + 1:]
         res = verify.check_harmonicity(replace(member, curve=curve), 50,
                                        np.random.default_rng(seed))
         assert not res.passed, (j, res.line())
@@ -199,7 +225,7 @@ def test_integral_free_detects_perturbed_form():
     member = family_member(FamilyParams(1, 1, 2))
     original = member.gh_phi
     member.gh_curve  # built from the true form before the form is swapped
-    perturbed = PhiForm(tuple(q * (1 + 1e-6) for q in original.parts))
+    perturbed = tuple(q * (1 + 1e-6) for q in original)
     object.__setattr__(member, "gh_phi", perturbed)
     res = check_integral_free(member, np.random.default_rng(34))
     assert not res.passed
@@ -215,7 +241,7 @@ def _k1_radial_sign_slip(seed, lam, w):
 
 def _seed_coefficient_nudged(exponent_rank):
     def seed(m, n):
-        terms = seed_phi(m, n).terms
+        terms = dict(seed_phi(m, n))
         k = sorted(terms)[exponent_rank]
         return LaurentPoly({**terms, k: terms[k] * (1 + 1e-12)})
     return seed

@@ -8,7 +8,6 @@ import pytest
 from wep4.henneberg import FamilyParams, family_member, family_triple
 from wep4.laurent import IDENTITY, ONE, ZERO, LaurentPoly, accurate_sum
 from wep4.weierstrass import (
-    PhiForm,
     WeierstrassTriple,
     _check_null,
     is_regular,
@@ -31,7 +30,7 @@ def conformal_factor(t: WeierstrassTriple, w) -> tuple[float, float]:
     its envelope): both are the tests' independent reference.  ``w`` may be
     an ndarray.
     """
-    energy = 0.5 * accurate_sum(abs(p(w)) ** 2 for p in phi_from_triple(t).parts)
+    energy = 0.5 * accurate_sum(abs(p(w)) ** 2 for p in phi_from_triple(t))
     reg = abs(t.f(w)) * (1.0 + abs(t.g(w)) ** 2 + abs(t.h(w)) ** 2)
     return energy, reg
 
@@ -44,18 +43,18 @@ def _annulus(count, lo=0.4, hi=1.8):
 
 def test_phi_third_component_for_lowest_member():
     phi = family_member(FamilyParams(1, 1, 0)).phi
-    assert phi.parts[2] == LaurentPoly({1: 2.0, -3: -2.0})
+    assert phi[2] == LaurentPoly({1: 2.0, -3: -2.0})
 
 
 def test_phi_nullity_is_structural():
     for lam in (0, 1, 1 + 1j, 0.5 - 2j):
         phi = family_member(FamilyParams(1, 1, lam)).phi
-        assert nullity_defect(phi.parts).is_zero
+        assert nullity_defect(phi).is_zero
 
 
 def test_phi_for_plane():
     phi = phi_from_triple(WeierstrassTriple(ONE, ZERO, ZERO))
-    assert phi.parts == (
+    assert phi == (
         LaurentPoly({0: 0.5}),
         LaurentPoly({0: 0.5j}),
         ZERO,
@@ -72,14 +71,12 @@ def test_nullity_residual_small_on_members():
 
 def test_nullity_residual_detects_corruption():
     phi = family_member(FamilyParams(1, 1, 1 + 1j)).phi
-    parts = list(phi.parts)
-    parts[3] = parts[3] * 2.0
-    corrupted = PhiForm(tuple(parts))
+    corrupted = phi[:3] + (phi[3] * 2.0,)
     assert nullity_residual(corrupted, 0.9 + 0.4j) > 1e-3
 
 
 def test_nullity_residual_zero_over_zero_reports_zero():
-    zero_form = PhiForm((ZERO, ZERO, ZERO, ZERO))
+    zero_form = (ZERO, ZERO, ZERO, ZERO)
     assert nullity_residual(zero_form, 1 + 0j) == 0.0
     assert np.array_equal(nullity_residual(zero_form, np.array([1 + 0j, 2j])), [0.0, 0.0])
 

@@ -42,6 +42,6 @@ from .geometry import (
     surface_jet,
 )
 from .fixtures import Fixture, fidelity_report, fixture_eval, fixtures_for
-from .mesh import PolarGrid, QuadMesh4D, export, project, sample_grid
+from .mesh import PolarGrid, QuadMesh4D, export, sample_grid
 
 __version__ = "0.1.0"

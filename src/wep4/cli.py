@@ -26,8 +26,7 @@ from .fixtures import fidelity_report
 from .henneberg import FamilyParams, family_member, seed_phi
 from .geometry import immersion_point
 from .laurent import NonFiniteCoefficientError
-from .mesh import (AXES, PolarGrid, export, format_column, project, projection_columns,
-                   sample_grid)
+from .mesh import AXES, PolarGrid, export, format_column, projection_columns, sample_grid
 from .verify import run_verify, sample_annulus
 
 __all__ = ["main", "parse_lambda"]
@@ -215,10 +214,8 @@ def _cmd_mesh(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     mesh4 = _sample(args)
-    if args.fmt == "csv":
-        export(mesh4, "csv", args.out)
-    else:
-        export(project(mesh4, args.project), args.fmt, args.out)
+    options = {} if args.fmt == "csv" else {"axes": args.project}
+    export(mesh4, args.fmt, args.out, **options)
     print(f"wrote {args.out} ({mesh4.regular.size} vertices, {mesh4.quad_count} quads)")
     return 0
 

@@ -65,7 +65,7 @@ class FamilyParams:
 
     @property
     def lam_is_real(self) -> bool:
-        return abs(self.lam.imag) <= 1e-12
+        return self.lam.imag == 0.0
 
 
 def family_triple(p: FamilyParams) -> WeierstrassTriple:

@@ -8,8 +8,8 @@ vertex, and the curvature field is simply left empty there.
 A sampled grid (QuadMesh4D) keeps its member, the grid and the regular
 flags (1 byte per vertex), and is read through columns(rows, names) and
 kept_quads(rows).  Every other column is evaluated from the sample points
-_CHUNK_ROWS rows at a time.  A Projection, three of the four axes, is the
-3D mesh OBJ and PLY take; the exporters evaluate, project, format and
+_CHUNK_ROWS rows at a time.  OBJ and PLY take a sampled grid and three of
+its four axes (the projection to R3); the exporters evaluate, format and
 write one block before starting the next, so neither a float column nor
 the text of the whole grid is ever held.  A block is too small for
 numpy to reuse its temporaries in place, which rounds differently, so a
@@ -40,12 +40,10 @@ __all__ = [
     "PolarGrid",
     "Vertex",
     "QuadMesh4D",
-    "Projection",
     "AXES",
     "CSV_FIELDS",
     "MAX_VERTICES",
     "sample_grid",
-    "project",
     "projection_columns",
     "export",
     "export_obj",
@@ -203,17 +201,6 @@ class QuadMesh4D:
                      for u, v, x, y, z, w, e, k, reg in zip(*columns))
 
 
-@dataclass(frozen=True, eq=False)
-class Projection:
-    """Three of a sampled grid's four axes: the 3D mesh the OBJ/PLY
-    exporters take.  They read its positions (mesh.columns(rows, axes)) and
-    its faces, the kept quads (mesh.kept_quads(rows)), a block of rows at a
-    time."""
-
-    mesh: QuadMesh4D
-    axes: str
-
-
 def sample_grid(member: FamilyMember, grid: PolarGrid) -> QuadMesh4D:
     """Flag the grid's vertices by weierstrass.is_regular, a block of rows
     at a time.  Positions, E and the closed-form K are left to the mesh's
@@ -222,17 +209,13 @@ def sample_grid(member: FamilyMember, grid: PolarGrid) -> QuadMesh4D:
     return QuadMesh4D(member, grid, np.concatenate(regular))
 
 
-def projection_columns(axes: str) -> list[int]:
-    """Column indices of three distinct axes named from AXES (any case)."""
+def projection_columns(axes: str) -> str:
+    """Three distinct axes named from AXES (any case), in lower case, as
+    QuadMesh4D.columns names them."""
     axes = axes.lower()
     if len(axes) != 3 or len(set(axes)) != 3 or any(a not in AXES for a in axes):
         raise ValueError(f"projection must name three distinct axes from {AXES!r}")
-    return [AXES.index(a) for a in axes]
-
-
-def project(mesh: QuadMesh4D, axes: str) -> Projection:
-    """Keep three of the four coordinate axes; the faces are the kept quads."""
-    return Projection(mesh, "".join(AXES[i] for i in projection_columns(axes)))
+    return axes
 
 
 def _dumps(column: np.ndarray) -> str:
@@ -321,57 +304,47 @@ def _output(path):
         raise
 
 
-def _mesh3d_parts(mesh, fmt: str):
-    """The vertex rows and the triangle rows of a projection, each as a row
-    count and a function from a slice of grid rows to the block's columns,
-    and the triangle count; checked before any write.  A block's triangles
-    are those of the kept quads whose first corner lies in it."""
-    if not isinstance(mesh, Projection):
-        raise ValueError(f"{fmt} export needs a projected 3D mesh")
-    mesh4, rows = mesh.mesh, mesh.mesh.grid.size
-    return ((rows, lambda block: mesh4.columns(block, mesh.axes)),
-            (rows, lambda block: _triangles(mesh4.kept_quads(block)).T),
-            2 * mesh4.quad_count)
+def _triangles(mesh: QuadMesh4D, rows: slice) -> np.ndarray:
+    """(3, t) corners of the triangles of the kept quads whose first corner
+    lies in a slice of rows: quad (a, b, c, d) -> (a, b, c), (a, c, d)."""
+    return mesh.kept_quads(rows)[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3).T
 
 
-def _triangles(quads: np.ndarray) -> np.ndarray:
-    # quad (a, b, c, d) -> triangles (a, b, c), (a, c, d)
-    return quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
-
-
-def export_obj(mesh, path) -> None:
-    """ASCII OBJ: 'v x y z' lines, then 1-based 'f i j k' triangles."""
-    vertices, (rows, triangles), _ = _mesh3d_parts(mesh, "OBJ")
+def export_obj(mesh: QuadMesh4D, path, axes: str = "xyz") -> None:
+    """ASCII OBJ of the grid projected to three axes (any case, checked
+    before the file is opened): 'v x y z' lines, then 1-based 'f i j k'
+    triangles of the kept quads."""
+    axes = projection_columns(axes)
     with _output(path) as fh:
-        _write_rows(fh, *vertices, "v ")
-        _write_rows(fh, rows, lambda block: triangles(block) + 1, "f ")
+        _write_rows(fh, mesh.grid.size, lambda rows: mesh.columns(rows, axes), "v ")
+        _write_rows(fh, mesh.grid.size, lambda rows: _triangles(mesh, rows) + 1, "f ")
 
 
-def export_ply(mesh, path) -> None:
-    """ASCII PLY with float vertex properties and triangle faces."""
-    vertices, faces, count = _mesh3d_parts(mesh, "PLY")
+def export_ply(mesh: QuadMesh4D, path, axes: str = "xyz") -> None:
+    """ASCII PLY of the grid projected to three axes (any case, checked
+    before the file is opened): float vertex properties and the kept quads'
+    triangle faces."""
+    axes = projection_columns(axes)
     header = [
         "ply",
         "format ascii 1.0",
-        f"element vertex {vertices[0]}",
+        f"element vertex {mesh.grid.size}",
         "property float x",
         "property float y",
         "property float z",
-        f"element face {count}",
+        f"element face {2 * mesh.quad_count}",
         "property list uchar int vertex_indices",
         "end_header",
     ]
     with _output(path) as fh:
         fh.write("\n".join(header) + "\n")
-        _write_rows(fh, *vertices)
-        _write_rows(fh, *faces, "3 ")
+        _write_rows(fh, mesh.grid.size, lambda rows: mesh.columns(rows, axes))
+        _write_rows(fh, mesh.grid.size, lambda rows: _triangles(mesh, rows), "3 ")
 
 
 def export_csv(mesh: QuadMesh4D, path, fields=CSV_FIELDS) -> None:
     """Vertex table of the named CSV_FIELDS; K is empty at non-regular
     vertices.  Only the named columns are evaluated."""
-    if not isinstance(mesh, QuadMesh4D):
-        raise ValueError("CSV export needs the full 4D mesh")
     if not fields or not set(fields) <= set(CSV_FIELDS):
         raise ValueError(f"CSV fields must name one or more of {', '.join(CSV_FIELDS)}")
     with _output(path) as fh:
@@ -380,8 +353,8 @@ def export_csv(mesh: QuadMesh4D, path, fields=CSV_FIELDS) -> None:
 
 
 def export(mesh, fmt: str, path, **options) -> None:
-    """Dispatch on format: obj and ply take a Projection, csv the 4D mesh;
-    options go to the writer (csv takes fields)."""
+    """Dispatch on format; options go to the writer (obj and ply take
+    axes, csv takes fields)."""
     writers = {"obj": export_obj, "ply": export_ply, "csv": export_csv}
     if fmt.lower() not in writers:
         raise ValueError(f"unsupported format {fmt!r}")

@@ -89,6 +89,25 @@ def test_verify_summary_counts_skipped_suites(capsys):
     assert lines[-1] == "verify: 6/8 suites passed, 0 failed, 2 skipped"
 
 
+@pytest.mark.parametrize("lam, real", [("1+1e-13i", False), ("1-1e-300i", False),
+                                       ("1-0i", True), ("1", True)])
+def test_only_an_exactly_real_lambda_runs_the_real_lambda_checks(lam, real, capsys):
+    # frames' closed forms, reductions' w = lam z and the three real-lambda
+    # displays hold for real lambda only: at 1+1e-13i, frames once compared
+    # the member with the closed forms of lambda = 1 and read pq=5.00e-14
+    argv = ["--m", "1", "--n", "1", f"--lambda={lam}", "--samples", "100"]
+    assert main(["verify", *argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = {line.split(":")[0]: line.split()[1] for line in lines[:-1]}
+    assert verdicts["frames"] == verdicts["reductions"] == ("PASS" if real else "SKIP")
+    assert lines[-1] == ("verify: 8/8 suites passed, 0 failed, 0 skipped" if real
+                         else "verify: 6/8 suites passed, 0 failed, 2 skipped")
+    assert main(["report", *argv]) == 0
+    shown = {row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]}
+    assert shown == ({"h11_general_cart", "h11_real_cart", "h11_real_xu", "h11_real_xv"}
+                     if real else {"h11_general_cart"})
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--samples", "0"],
     ["verify", "--samples=-1"],

@@ -28,8 +28,8 @@ from wep4.mesh import (
     export,
     export_csv,
     export_obj,
+    export_ply,
     format_column,
-    project,
     sample_grid,
 )
 
@@ -59,11 +59,6 @@ def load_obj(path) -> tuple[np.ndarray, np.ndarray]:
 def _whole(mesh, names) -> np.ndarray:
     """The named columns of every vertex row of a sampled grid, side by side."""
     return np.stack(mesh.columns(slice(None), names), axis=1)
-
-
-def _projected(projection) -> np.ndarray:
-    """A projection's (n, 3) vertex positions, as OBJ/PLY write them."""
-    return _whole(projection.mesh, projection.axes)
 
 
 def test_grid_validation():
@@ -273,16 +268,15 @@ def test_lam_zero_kills_fourth_coordinate():
 def test_projection_axis_selection(tmp_path):
     # four rings miss the branch points on r = 1, so every cell is kept
     mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)), PolarGrid(0.6, 1.4, 4, 4))
-    with pytest.raises(ValueError):
-        project(mesh, "xxy")
-    with pytest.raises(ValueError):
-        project(mesh, "xyzw")
-    p1 = project(mesh, "xyw")
-    p2 = project(mesh, "wxy")
-    assert sorted(map(sorted, _projected(p1))) == sorted(map(sorted, _projected(p2)))
+    for axes in ("xxy", "xyzw"):
+        with pytest.raises(ValueError):
+            export_obj(mesh, tmp_path / "bad.obj", axes)
+    p1 = _whole(mesh, "xyw")
+    p2 = _whole(mesh, "wxy")
+    assert sorted(map(sorted, p1)) == sorted(map(sorted, p2))
     face_lists = []
     for axes in ("xyz", "xyw", "xzw", "yzw"):
-        export_obj(project(mesh, axes), tmp_path / "faces.obj")
+        export_obj(mesh, tmp_path / "faces.obj", axes)
         face_lists.append([l for l in (tmp_path / "faces.obj").read_text().splitlines()
                            if l.startswith("f ")])
     assert len(face_lists[0]) == 2 * 3 * 4 and all(faces == face_lists[0] for faces in face_lists)
@@ -291,7 +285,7 @@ def test_projection_axis_selection(tmp_path):
 def test_projection_drops_nothing_at_lam_zero(tmp_path):
     mesh = sample_grid(family_member(FamilyParams(1, 1, 0)), PolarGrid(0.6, 1.4, 3, 4))
     assert np.all(mesh.columns(slice(None), ("w",))[0] == 0.0)
-    export_obj(project(mesh, "xyz"), tmp_path / "kept.obj")
+    export_obj(mesh, tmp_path / "kept.obj", "xyz")
     lines = (tmp_path / "kept.obj").read_text().splitlines()
     assert sum(1 for l in lines if l.startswith("v ")) == mesh.grid.size
 
@@ -302,7 +296,7 @@ def test_open_grid_obj_counts(tmp_path):
                        PolarGrid(0.6, 0.8, 2, 2, theta_closed=False))
     assert len(mesh.kept_quads(slice(None))) == 1
     path = tmp_path / "patch.obj"
-    export(project(mesh, "xyz"), "obj", path)
+    export(mesh, "obj", path, axes="xyz")
     lines = path.read_text().splitlines()
     assert sum(1 for l in lines if l.startswith("v ")) == 4
     assert sum(1 for l in lines if l.startswith("f ")) == 2
@@ -337,7 +331,7 @@ def test_exports_are_deterministic(tmp_path):
         mesh = sample_grid(family_member(params), grid)
         obj = tmp_path / f"{tag}.obj"
         csv = tmp_path / f"{tag}.csv"
-        export(project(mesh, "xyz"), "obj", obj)
+        export(mesh, "obj", obj, axes="xyz")
         export(mesh, "csv", csv)
         blobs.append((obj.read_bytes(), csv.read_bytes()))
     assert blobs[0] == blobs[1]
@@ -346,7 +340,7 @@ def test_exports_are_deterministic(tmp_path):
 def test_obj_round_trip_is_byte_identical(tmp_path):
     mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)), PolarGrid(0.5, 1.9, 5, 8))
     first = tmp_path / "one.obj"
-    export(project(mesh, "xyz"), "obj", first)
+    export(mesh, "obj", first, axes="xyz")
     # the loaded numbers, written again by repr, give the file back
     assert _reference_3d(*load_obj(first), "obj") == first.read_bytes()
 
@@ -355,7 +349,7 @@ def test_ply_header_and_counts(tmp_path):
     mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)),
                        PolarGrid(0.6, 0.8, 2, 2, theta_closed=False))
     path = tmp_path / "patch.ply"
-    export(project(mesh, "xyz"), "ply", path)
+    export(mesh, "ply", path, axes="xyz")
     lines = path.read_text().splitlines()
     assert lines[0] == "ply" and lines[1] == "format ascii 1.0"
     assert "element vertex 4" in lines and "element face 2" in lines
@@ -365,15 +359,22 @@ def test_ply_header_and_counts(tmp_path):
 def test_export_usage_errors(tmp_path):
     mesh = sample_grid(family_member(FamilyParams(1, 1, 1.0)), PolarGrid(0.6, 0.8, 2, 2))
     with pytest.raises(ValueError):
-        export(mesh, "obj", tmp_path / "x.obj")  # 4D mesh into obj
-    with pytest.raises(ValueError):
-        export_csv(project(mesh, "xyz"), tmp_path / "x.csv")
-    with pytest.raises(ValueError):
         export(mesh, "stl", tmp_path / "x.stl")
-    arrays = (np.zeros((3, 3)), np.array([[0, 1, 2]]))
-    for fmt in ("obj", "ply"):
-        with pytest.raises(ValueError, match="projected"):
-            export(arrays, fmt, tmp_path / f"x.{fmt}")
+    # bad axes and bad fields are refused before the file is opened: an
+    # existing file is left as it was, and no new file is made
+    for writer, fmt in ((export_obj, "obj"), (export_ply, "ply")):
+        existing = tmp_path / f"existing.{fmt}"
+        existing.write_text("kept\n")
+        for axes in ("xxy", "xyzw", "", "xyq"):
+            for path in (existing, tmp_path / f"new.{fmt}"):
+                with pytest.raises(ValueError, match="three distinct axes"):
+                    writer(mesh, path, axes)
+            assert existing.read_text() == "kept\n"
+            assert not (tmp_path / f"new.{fmt}").exists()
+        # the axes are named in any case
+        writer(mesh, tmp_path / f"upper.{fmt}", "WYZ")
+        writer(mesh, tmp_path / f"lower.{fmt}", "wyz")
+        assert (tmp_path / f"upper.{fmt}").read_bytes() == (tmp_path / f"lower.{fmt}").read_bytes()
     # bad fields are refused before the file is opened: an existing file is
     # left as it was, and no new file is made
     existing = tmp_path / "existing.csv"
@@ -492,11 +493,11 @@ def _reference_3d(vertices, faces, fmt: str) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _reference_bytes(mesh, fmt: str, fields=CSV_FIELDS) -> bytes:
-    """The whole-file writer on whole columns: a sampled grid's CSV, or a
-    projection's OBJ/PLY by _reference_3d."""
+def _reference_bytes(mesh, fmt: str, fields=CSV_FIELDS, axes=None) -> bytes:
+    """The whole-file writer on whole columns: a sampled grid's CSV, or its
+    OBJ/PLY projected to three axes by _reference_3d."""
     if fmt != "csv":
-        return _reference_3d(_projected(mesh), mesh.mesh.kept_quads(slice(None)), fmt)
+        return _reference_3d(_whole(mesh, axes), mesh.kept_quads(slice(None)), fmt)
     columns = dict(zip(CSV_FIELDS, mesh.columns(slice(None), CSV_FIELDS)))
     texts = [
         np.where(mesh.regular, "1", "0").tolist() if name == "regular"
@@ -508,16 +509,14 @@ def _reference_bytes(mesh, fmt: str, fields=CSV_FIELDS) -> bytes:
 
 
 def _assert_exports_match_reference(mesh4, tmp_path):
-    mesh3 = project(mesh4, "yzw")
-    cases = [(mesh4, "csv", CSV_FIELDS), (mesh4, "csv", ("u", "v", "E", "K")),
-             (mesh3, "obj", None), (mesh3, "ply", None)]
-    for mesh, fmt, fields in cases:
+    cases = [("csv", CSV_FIELDS), ("csv", ("u", "v", "E", "K")), ("obj", None), ("ply", None)]
+    for fmt, fields in cases:
         path = tmp_path / f"out.{fmt}"
         if fields is None:
-            export(mesh, fmt, path)
+            export(mesh4, fmt, path, axes="yzw")
         else:
-            export_csv(mesh, path, fields=fields)
-        assert path.read_bytes() == _reference_bytes(mesh, fmt, fields), (fmt, fields)
+            export_csv(mesh4, path, fields=fields)
+        assert path.read_bytes() == _reference_bytes(mesh4, fmt, fields, "yzw"), (fmt, fields)
 
 
 @pytest.mark.parametrize("rows", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
@@ -549,12 +548,11 @@ def test_export_memory_is_bounded_by_one_block(tmp_path):
     for grid, formats in ((PolarGrid(0.5, 2.0, 100, 400), ("csv", "obj", "ply")),
                           (PolarGrid(0.5, 2.0, 400, 1000), ("csv", "obj"))):
         mesh4 = sample_grid(member, grid)
-        mesh3 = project(mesh4, "xyz")
         for fmt in formats:
-            mesh = mesh4 if fmt == "csv" else mesh3
+            options = {} if fmt == "csv" else {"axes": "xyz"}
             tracemalloc.start()
             try:
-                export(mesh, fmt, tmp_path / f"big.{fmt}")
+                export(mesh4, fmt, tmp_path / f"big.{fmt}", **options)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -599,7 +597,7 @@ GOLDEN_GRIDS = {(1, 1, 0): PolarGrid(1e-3, 1e3, 12, 8), (1, 3, 1 + 1j): PolarGri
 def test_export_bytes_match_pinned_digests(tmp_path, member, fmt):
     mesh4 = sample_grid(family_member(FamilyParams(*member)), GOLDEN_GRIDS[member])
     path = tmp_path / f"golden.{fmt}"
-    export(mesh4 if fmt == "csv" else project(mesh4, "xyz"), fmt, path)
+    export(mesh4, fmt, path, **({} if fmt == "csv" else {"axes": "xyz"}))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[member, fmt]
 
 
@@ -620,12 +618,12 @@ def test_curvature_export_bytes_match_pinned_digest(tmp_path):
 @example((FamilyParams(1, 1, 0), PolarGrid(1.0, 2.0, 2, 4)), "xyz")  # every cell masked
 def test_obj_export_round_trips_through_load_obj(case, axes):
     params, grid = case
-    mesh3 = project(sample_grid(family_member(params), grid), axes)
+    mesh4 = sample_grid(family_member(params), grid)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mesh.obj"
-        export_obj(mesh3, path)
+        export_obj(mesh4, path, axes)
         vertices, faces = load_obj(path)
     # bit for bit, except that the writer prints -0.0 as 0
-    assert np.array_equal(vertices.view(np.int64), (_projected(mesh3) + 0.0).view(np.int64))
-    triangles = mesh3.mesh.kept_quads(slice(None))[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
+    assert np.array_equal(vertices.view(np.int64), (_whole(mesh4, axes) + 0.0).view(np.int64))
+    triangles = mesh4.kept_quads(slice(None))[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
     assert faces.dtype == np.int64 and np.array_equal(faces, triangles)

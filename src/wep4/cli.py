@@ -289,12 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"wep4: error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:
+    except (FloatingPointError, NonFiniteCoefficientError) as exc:
         print(f"wep4: error: the member overflows double precision ({exc})", file=sys.stderr)
-        return 2
-    except NonFiniteCoefficientError as exc:
-        # only an overflowing --lambda makes a member's coefficients non-finite
-        print(f"wep4: error: --lambda too large: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse usage errors and --help
         return int(exc.code or 0)

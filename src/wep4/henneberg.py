@@ -88,9 +88,9 @@ def _integrate_phi(phi: tuple[LaurentPoly, ...]) -> tuple[LaurentPoly, ...]:
 class FamilyMember:
     """One member's Laurent data, built once by family_member and handed to
     every consumer: the parameters, the (f, g, h) data, and the four
-    components of the null form (one nullity check) and of its curve.  The
-    fixed g = w, h = lam w form and curve that only the integral-free audit
-    reads are built on first use."""
+    components of the null form and of its curve.  The fixed g = w,
+    h = lam w form and curve that only the integral-free audit reads are
+    built on first use."""
 
     params: FamilyParams
     triple: WeierstrassTriple
@@ -112,7 +112,7 @@ class FamilyMember:
 
 
 def family_member(p: FamilyParams) -> FamilyMember:
-    """The member's record, with the null form checked once."""
+    """The member's record, with the null form and its curve built once."""
     triple = family_triple(p)
     phi = phi_from_triple(triple)
     return FamilyMember(p, triple, phi, _integrate_phi(phi))

@@ -118,6 +118,10 @@ def test_only_an_exactly_real_lambda_runs_the_real_lambda_checks(lam, real, caps
     ["eval", "--point", "1e-200,0"],
     ["eval", "--lambda", "1e308", "--point", "1,0"],
     ["info", "--lambda", "1e308"],
+    # the smallest |lam| whose own coefficients overflow is about 9.48e153
+    ["eval", "--lambda=1e155", "--point=0.5,0.5"],
+    ["info", "--lambda=1e155"],
+    ["mesh", "--lambda=1e155", "--nr=3", "--ntheta=4", "--format=obj"],
     ["mesh", "--nr", "1001", "--ntheta", "1000"],
     ["curvature", "--nr", "2", "--ntheta", "500001"],
     ["verify", "--samples=1000000000000"],
@@ -162,9 +166,37 @@ def test_member_that_overflows_its_samples_exits_two(argv, tmp_path, capsys):
         assert captured.err.startswith("wep4: error: the member overflows")
 
 
+@pytest.mark.parametrize("member", [["--m=1", "--n=1", "--lambda=1e77"],
+                                    ["--m=3", "--n=5", "--lambda=1e100i"],
+                                    ["--m=9", "--n=9", "--lambda=1e150"]])
+def test_member_with_finite_coefficients_is_not_refused(member, tmp_path, capsys):
+    # from |lam| of about 1e77 up to 9.48e153 the member's coefficients are
+    # finite and their squares are not: the commands that read only values
+    # run, and those that square them refuse with one line
+    out = tmp_path / "mesh.obj"
+    grid = ["--rmin=0.5", "--rmax=0.7", "--nr=3", "--ntheta=4"]
+    assert main(["eval", *member, "--point=0.5,0.5"]) == 0
+    point = np.array(capsys.readouterr().out.split(), dtype=float)
+    assert point.shape == (4,) and np.isfinite(point).all()
+    assert main(["info", *member]) == 0
+    # json writes an inf or nan coefficient as a bare Infinity or NaN
+    json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert main(["mesh", *member, *grid, "--format=obj", f"--out={out}"]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out} (12 vertices")
+    vertices = np.array([line.split()[1:] for line in out.read_text().splitlines()
+                         if line.startswith("v ")], dtype=float)
+    assert vertices.shape == (12, 3) and np.isfinite(vertices).all()
+    for argv in (["verify"], ["report"], ["curvature", *grid, f"--out={tmp_path / 'K.csv'}"]):
+        assert main([*argv, *member]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("wep4: error: the member overflows double precision (")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not (tmp_path / "K.csv").exists()
+
+
 def test_each_command_builds_the_member_once(tmp_path, monkeypatch, capsys):
-    # phi_from_triple runs the nullity check; only the integral-free audit
-    # adds a second form, the fixed g = w, h = lam w one
+    # phi_from_triple builds a null form; only the integral-free audit adds
+    # a second one, the fixed g = w, h = lam w form
     built = []
     original = henneberg.phi_from_triple
 

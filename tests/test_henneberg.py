@@ -1,6 +1,7 @@
 """Family data, closed-form curves, reductions, and the integral-free route."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from wep4.henneberg import (
     seed_phi,
 )
 from wep4.laurent import IDENTITY, LaurentPoly
-from wep4.verify import _max_coeff_ulp
+from wep4.verify import _max_coeff_ulp, check_nullity
 from wep4.weierstrass import nullity_residual
 
 LAM_GRID = (0, 1, 1 + 1j, 0.5 - 2j)
@@ -155,6 +156,9 @@ def test_classic_phi_components():
     assert phi[2] == LaurentPoly({1: 1.0, -3: -1.0})
     assert phi[3].is_zero
     assert nullity_residual(phi, 1.3 + 0.2j) <= 1e-15
+    # phi_from_triple builds the form unchecked: hold it to verify's bound
+    holder = replace(family_member(FamilyParams(1, 1, 0)), phi=phi)
+    assert check_nullity(holder, 100, np.random.default_rng(0)).passed
 
 
 def test_family_is_twice_classic_at_lam_zero():

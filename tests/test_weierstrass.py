@@ -9,7 +9,6 @@ from wep4.henneberg import FamilyParams, family_member, family_triple
 from wep4.laurent import IDENTITY, ONE, ZERO, LaurentPoly, accurate_sum
 from wep4.weierstrass import (
     WeierstrassTriple,
-    _check_null,
     is_regular,
     nullity_defect,
     nullity_residual,
@@ -50,6 +49,8 @@ def test_phi_nullity_is_structural():
     for lam in (0, 1, 1 + 1j, 0.5 - 2j):
         phi = family_member(FamilyParams(1, 1, lam)).phi
         assert nullity_defect(phi).is_zero
+    assert not nullity_defect((ONE, ZERO, ZERO, ZERO)).is_zero
+    assert nullity_defect((ONE, ONE * 1j, ZERO, ZERO)).is_zero  # 1 + (i)^2 = 0
 
 
 def test_phi_for_plane():
@@ -79,12 +80,6 @@ def test_nullity_residual_zero_over_zero_reports_zero():
     zero_form = (ZERO, ZERO, ZERO, ZERO)
     assert nullity_residual(zero_form, 1 + 0j) == 0.0
     assert np.array_equal(nullity_residual(zero_form, np.array([1 + 0j, 2j])), [0.0, 0.0])
-
-
-def test_non_null_parts_raise():
-    with pytest.raises(ValueError, match="not null"):
-        _check_null((ONE, ZERO, ZERO, ZERO))
-    _check_null((ONE, ONE * 1j, ZERO, ZERO))  # 1 + (i)^2 = 0
 
 
 def test_is_regular_compares_f_with_its_envelope():

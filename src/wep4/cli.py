@@ -36,6 +36,9 @@ _LAMBDA_CHARS = re.compile(r"^[0-9eE+\-.i]+$")
 # plain negative number, so "--point -0.5,0.4" would lose its value.
 _DASH_LED_FLAGS = ("--point", "--lambda")
 _DASH_LED_VALUE = re.compile(r"^-[0-9.i]")
+# numpy's messages that mean a value overflowed; it takes w**-k as 1 / w**k,
+# so a power that divides by zero overflows too (w = 0 is refused before)
+_OVERFLOW = re.compile(r"overflow|divide by zero encountered in power")
 # The built-in value of every subcommand flag, by dest; --samples by command.
 DEFAULTS = {"m": 1, "n": 1, "lam": "0", "point": None, "out": None, "rmin": 0.5, "rmax": 2.0,
             "nr": 80, "ntheta": 160, "open_seam": False, "project": "xyz", "fmt": "obj",
@@ -290,7 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wep4: error: {exc}", file=sys.stderr)
         return 2
     except (FloatingPointError, NonFiniteCoefficientError) as exc:
-        print(f"wep4: error: the member overflows double precision ({exc})", file=sys.stderr)
+        overflow = isinstance(exc, NonFiniteCoefficientError) or _OVERFLOW.match(str(exc))
+        what = "the member overflows double precision" if overflow else "floating-point error"
+        print(f"wep4: error: {what} ({exc})", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse usage errors and --help
         return int(exc.code or 0)

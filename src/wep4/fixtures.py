@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import surface_jet
+from .geometry import immersion_point, surface_jet
 from .henneberg import FamilyMember, FamilyParams
 
 __all__ = [
@@ -408,14 +408,14 @@ def fidelity_report(member: FamilyMember, samples) -> FidelityReport:
     the displays' bodies stay verbatim.
     """
     w = np.asarray(samples, dtype=complex).reshape(-1)
-    jet = surface_jet(member, w)
+    jet, position = surface_jet(member, w), immersion_point(member.curve, w)
     rows: list[FidelityRow] = []
     for fx in fixtures_for(member.params):
         ref = fixture_eval(fx, _fixture_coords(fx, w))
         if fx.kind == "position":
             xu, xv = _tangents(fx, w)
-            scale = _column_max(jet.position)
-            for check, got in (("value", ref - jet.position), ("tangent_u", xu - jet.xu),
+            scale = _column_max(position)
+            for check, got in (("value", ref - position), ("tangent_u", xu - jet.xu),
                                ("tangent_v", xv - jet.xv)):
                 rows += _verdict_rows(fx.fixture_id, check, _column_max(got), scale, 1e-9)
         else:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .henneberg import FamilyMember, FamilyParams
 from .laurent import LaurentPoly, accurate_sum, evaluate
-from .weierstrass import WeierstrassTriple, is_regular
+from .weierstrass import WeierstrassTriple
 
 __all__ = [
     "SurfaceJet",
@@ -43,19 +43,18 @@ class FormulaDegenerateError(ValueError):
 
 @dataclass(frozen=True)
 class SurfaceJet:
-    """First-order data of the immersion at one point or at an array of them.
+    """First-order data of the immersion at one point or at an array of them:
+    the analytic tangents and the first fundamental form.
 
-    Vectors have shape (4,) at one point and (n, 4) over n points; E, F, G
-    and regular are then floats and a bool, or arrays of shape (n,).
+    Vectors have shape (4,) at one point and (n, 4) over n points; E, F and
+    G are then floats, or arrays of shape (n,).
     """
 
-    position: np.ndarray
     xu: np.ndarray
     xv: np.ndarray
     E: float | np.ndarray
     F: float | np.ndarray
     G: float | np.ndarray
-    regular: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,26 +89,14 @@ def _scaled(c, vec: np.ndarray) -> np.ndarray:
 def immersion_point(curve, w, axes=range(4)) -> np.ndarray:
     """Real part of the C4 curve's components: the immersion point in R4 (a
     stack of points over an array of w), or its coordinates on the axes."""
-    parts = [curve[i] for i in axes]
-    if isinstance(w, np.ndarray):
-        return np.stack(evaluate(parts, w, real=True), axis=-1)
-    return np.stack([part(w).real for part in parts], axis=-1)
+    return np.stack(evaluate([curve[i] for i in axes], w, real=True), axis=-1)
 
 
 def surface_jet(member: FamilyMember, w) -> SurfaceJet:
-    """Position, analytic tangents, first fundamental form, is_regular flag."""
-    position = immersion_point(member.curve, w)
-    vals = np.stack([comp(w) for comp in member.phi], axis=-1)
+    """Analytic tangents and the first fundamental form, from phi."""
+    vals = np.stack(evaluate(member.phi, w), axis=-1)
     xu, xv = vals.real, -vals.imag
-    return SurfaceJet(
-        position=position,
-        xu=xu,
-        xv=xv,
-        E=_dot(xu, xu),
-        F=_dot(xu, xv),
-        G=_dot(xv, xv),
-        regular=is_regular(member.triple, w),
-    )
+    return SurfaceJet(xu=xu, xv=xv, E=_dot(xu, xu), F=_dot(xu, xv), G=_dot(xv, xv))
 
 
 _PERP = [1, 0, 3, 2]
@@ -209,8 +196,8 @@ def _psi(triple: WeierstrassTriple, w: np.ndarray) -> np.ndarray:
     """psi = ((a + conj b) / 2, i (conj b - a) / 2, (a conj b - 1) / 2,
     -i (a conj b + 1) / 2) at w, with (a, b) of _split: null, orthogonal to
     phi and conj phi, and |psi|^2 = A B / 2 > 0 everywhere."""
-    a, b = _split(triple)
-    av, bc = a(w), np.conj(b(w))
+    av, bv = evaluate(_split(triple), w)
+    bc = np.conj(bv)
     ab = av * bc
     return np.stack([0.5 * (av + bc), 0.5j * (bc - av), 0.5 * (ab - 1.0), -0.5j * (ab + 1.0)],
                     axis=-1)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .laurent import IDENTITY, ZERO, LaurentPoly
+from .laurent import IDENTITY, ZERO, LaurentPoly, evaluate
 from .weierstrass import WeierstrassTriple, phi_from_triple
 
 __all__ = [
@@ -155,7 +155,7 @@ def integral_free_point(seed: LaurentPoly, lam: complex, w):
     lam = complex(lam)
     d1 = seed.derivative()
     d2 = d1.derivative()
-    p0, p1, p2 = (seed, d1, d2) if w is IDENTITY else (seed(w), d1(w), d2(w))
+    p0, p1, p2 = (seed, d1, d2) if w is IDENTITY else evaluate((seed, d1, d2), w)
     a = 1.0 + lam * lam
     # distributed, so that the same lines serve numbers and polynomials
     radial = w * p1 - p0

@@ -47,19 +47,22 @@ def accurate_sum(values: Iterable):
     """Sum real or complex scalars exactly rounded, or arrays elementwise.
 
     Scalars go through math.fsum (componentwise for complex values), so
-    algebraic cancellations come out as true zeros.  Arrays go through a
-    cascade of error-free TwoSum steps (Ogita, Rump & Oishi's Sum2): each
-    step's rounding error is recovered exactly and added back at the end,
-    which makes exact cancellations zeros there too.  Complex addition is
-    componentwise, so TwoSum holds on complex arrays as is.
+    algebraic cancellations come out as true zeros.  Arrays (an ndarray
+    first value) go through a cascade of error-free TwoSum steps (Ogita,
+    Rump & Oishi's Sum2), taken one term at a time: each step's rounding
+    error is recovered exactly and added back at the end, which makes exact
+    cancellations zeros there too.  Complex addition is componentwise, so
+    TwoSum holds on complex arrays as is.
     """
-    vals = list(values)
-    if not any(isinstance(v, np.ndarray) for v in vals):
+    terms = iter(values)
+    total = next(terms, 0.0)
+    if not isinstance(total, np.ndarray):
+        vals = [total, *terms]
         if any(isinstance(v, complex) for v in vals):
             return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
         return math.fsum(vals)
-    total, error = vals[0], 0.0
-    for term in vals[1:]:
+    error = 0.0
+    for term in terms:
         s = total + term
         z = s - total
         error = error + ((total - (s - z)) + (term - z))
@@ -191,18 +194,21 @@ class LaurentPoly:
         return accurate_sum(max(abs(c), 2.0**-1022) * radius**k for k, c in self._terms.items())
 
 
-def evaluate(polys, w: np.ndarray, real: bool = False) -> list[np.ndarray]:
-    """Several polynomials at one ndarray of points: the array path.
+def evaluate(polys, w, real: bool = False) -> list:
+    """Several polynomials at one set of points w, a complex scalar or an ndarray.
 
-    Each power w**k is computed once for all of them, and each value is the
-    accurate_sum of its terms c * w**k.  A power is never a temporary that
-    numpy could reuse in place (from 256 kB), which rounds the product
-    differently, so a value has the same bits at any array length.
-    real=True gives only the real parts, summed from the terms' real parts:
-    TwoSum is componentwise on complex arrays, so that is the real part of
-    the complex sum, bit for bit.  Raises LaurentDomainError if w holds 0
+    At a scalar each polynomial takes its own exact fsum path (__call__).
+    Over an ndarray each power w**k is computed once for all of them, never
+    as a temporary that numpy could reuse in place (from 256 kB), which
+    rounds c * w**k differently; each value is the accurate_sum of its terms,
+    streamed, so it has the bits of its polynomial alone at any array length.
+    real=True gives the real parts, over an ndarray summed from the terms'
+    real parts: TwoSum is componentwise, so that is the real part of the
+    complex sum, bit for bit.  Raises LaurentDomainError if w is or holds 0
     and a polynomial has negative exponents.
     """
+    if not isinstance(w, np.ndarray):
+        return [p(w).real if real else p(w) for p in polys]
     w = w.astype(complex, copy=False)
     exponents = {k for p in polys for k in p._terms}
     if exponents and min(exponents) < 0 and np.any(w == 0):
@@ -210,10 +216,10 @@ def evaluate(polys, w: np.ndarray, real: bool = False) -> list[np.ndarray]:
     powers = {k: w**k for k in exponents}
     values = []
     for p in polys:
-        terms = [c * powers[k] for k, c in p._terms.items()]
+        terms = (c * powers[k] for k, c in p._terms.items())
         if real:
-            terms = [t.real for t in terms]
-        values.append(accurate_sum(terms) if terms
+            terms = (t.real for t in terms)
+        values.append(accurate_sum(terms) if p._terms
                       else np.zeros(w.shape, float if real else complex))
     return values
 

@@ -33,7 +33,7 @@ from .henneberg import (
     recover_seed,
     seed_phi,
 )
-from .laurent import IDENTITY, LaurentPoly, accurate_sum
+from .laurent import IDENTITY, LaurentPoly, accurate_sum, evaluate
 from .weierstrass import WeierstrassTriple, is_regular, nullity_defect, nullity_residual
 
 __all__ = [
@@ -229,8 +229,8 @@ def _quadrature_nodes(curve) -> int:
 
 def check_quadrature(member: FamilyMember, rng: np.random.Generator) -> SuiteResult:
     """Gauss-Legendre quadrature of the 1-form from the base point 1 against
-    curve differences, per component; one array evaluation per component of
-    the form (all targets and nodes) and of the curve (targets and base).
+    curve differences, per component; one array evaluation of the form (all
+    targets and nodes) and one of the curve (targets and base).
 
     With n >= 2K nodes the rule is exact for phi's positive powers.  A term
     w^-k is analytic inside the Bernstein ellipse of parameter 2 about the
@@ -257,9 +257,9 @@ def check_quadrature(member: FamilyMember, rng: np.random.Generator) -> SuiteRes
     near = np.array([_segment_origin_distance(t) for t in z])
     radii = np.stack([near, np.maximum(np.abs(z), 1.0)])
     err, size = [], []
-    for p, x in zip(phi, curve):
-        at_ends, env_ends = x(ends), x.envelope(np.abs(ends))
-        err.append(np.abs((z - base) / 2.0 * np.sum(wts * p(zs), axis=1)
+    for p, x, at_nodes, at_ends in zip(phi, curve, evaluate(phi, zs), evaluate(curve, ends)):
+        env_ends = x.envelope(np.abs(ends))
+        err.append(np.abs((z - base) / 2.0 * np.sum(wts * at_nodes, axis=1)
                           - (at_ends[:-1] - at_ends[-1])))
         size.append(np.abs(z - base) * np.max(p.envelope(radii), axis=0)
                     + env_ends[:-1] + env_ends[-1])
@@ -291,10 +291,10 @@ def _ring_points(curve) -> int:
 
 def _ring_defects(curve, w: np.ndarray, size: int) -> np.ndarray:
     """|trapezoid mean of Re X_k on the ring - Re X_k(w0)|, (points, coordinates);
-    each coordinate is evaluated once over the centres and rings stacked."""
+    the coordinates are evaluated together over the centres and rings stacked."""
     ring = np.exp(2j * math.pi * np.arange(size) / size)
     pts = np.concatenate([w[None, :], w + (np.abs(w) / 4.0) * ring[:, None]])
-    vals = np.stack([comp(pts).real for comp in curve], axis=-1)
+    vals = np.stack(evaluate(curve, pts, real=True), axis=-1)
     return np.abs(accurate_sum(vals[1:]) / size - vals[0])
 
 
@@ -359,7 +359,8 @@ def _roundtrip_bound(seed: LaurentPoly, lam: complex, w: np.ndarray) -> np.ndarr
     each k_j sums, weighted by k_j's coefficient in recover_seed."""
     a = 1.0 + lam * lam
     r = np.abs(w)
-    p0, p1, p2 = (np.abs(d(w)) for d in (seed, seed.derivative(), seed.derivative().derivative()))
+    d1 = seed.derivative()
+    p0, p1, p2 = map(np.abs, evaluate((seed, d1, d1.derivative()), w))
     k12 = 0.5 * (1.0 + abs(a) * r * r) * p2 + abs(a) * (r * p1 + p0)  # k1's and k2's terms
     k34 = (1.0 + abs(lam) ** 2) * (r * p2 + p1)  # k3's, plus lam times k4's
     weighted = (np.abs(a * w * w - 1.0) + np.abs(a * w * w + 1.0)) / 2.0 * k12 + r * k34
@@ -387,7 +388,7 @@ def check_integral_free(member: FamilyMember, rng: np.random.Generator) -> Suite
 
     w = sample_annulus(rng, INTEGRAL_FREE_POINTS, r_lo=0.6, r_hi=1.5)
     k = np.stack(integral_free_point(seed, lam, w))
-    ref = np.stack([comp(w) for comp in target])
+    ref = np.stack(evaluate(target, w))
     worst_point = _worst((k - ref) / np.maximum(1.0, np.abs(ref).max(axis=0)))
     can_invert = abs(1.0 + lam * lam) > 1e-3
     worst_rt = 0.0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laurent import ONE, ZERO, LaurentPoly, accurate_sum
+from .laurent import ONE, ZERO, LaurentPoly, accurate_sum, evaluate
 
 __all__ = [
     "WeierstrassTriple",
@@ -68,7 +68,7 @@ def nullity_residual(phi, w):
     0/0 as 0.  ``w`` may be an ndarray of points, which gives an array of
     residuals.
     """
-    vals = [p(w) for p in phi]
+    vals = evaluate(phi, w)
     num = abs(accurate_sum(v * v for v in vals))
     den = accurate_sum(abs(v) ** 2 for v in vals)
     ratio = np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0.0)

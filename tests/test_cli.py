@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wep4 import henneberg
+from wep4 import cli, henneberg
 from wep4.cli import DEFAULTS, UsageError, _build_parser, _parse_args, main, parse_lambda
 from wep4.fixtures import fidelity_report
 from wep4.henneberg import FamilyParams, family_member
@@ -164,6 +164,19 @@ def test_member_that_overflows_its_samples_exits_two(argv, tmp_path, capsys):
     assert captured.err.count("\n") == 1 and not out.exists()
     if argv[0] in ("mesh", "curvature"):
         assert captured.err.startswith("wep4: error: the member overflows")
+
+
+@pytest.mark.parametrize("numerator, message", [(1.0, "divide by zero encountered in divide"),
+                                                (0.0, "invalid value encountered in divide")])
+def test_other_floating_point_errors_are_not_called_overflows(numerator, message, monkeypatch,
+                                                              capsys):
+    # under main's errstate numpy raises these too: they exit 2 with numpy's
+    # own message, and only an overflow is reported as one
+    monkeypatch.setattr(cli, "run_verify", lambda *args: np.array([numerator]) / np.zeros(1))
+    assert main(["verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"wep4: error: floating-point error ({message})\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("member", [["--m=1", "--n=1", "--lambda=1e77"],

@@ -15,7 +15,6 @@ import pytest
 from wep4.geometry import (
     FormulaDegenerateError,
     FrameScalars,
-    SurfaceJet,
     _dot,
     _psi,
     _scaled,
@@ -31,7 +30,7 @@ from wep4.henneberg import FamilyParams, family_member
 from wep4.laurent import ONE, ZERO, LaurentPoly, accurate_sum
 from wep4.mesh import PolarGrid, sample_grid
 from wep4.verify import sample_regular
-from wep4.weierstrass import WeierstrassTriple
+from wep4.weierstrass import WeierstrassTriple, is_regular
 
 import exact
 from test_weierstrass import conformal_factor
@@ -63,16 +62,18 @@ def _orthogonalize(vec: np.ndarray, basis: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def normal_frame(jet: SurfaceJet) -> NormalFrame:
-    """Reference: Gram-Schmidt frame from (xu, xv, perp1, perp2).
+def normal_frame(member, w) -> NormalFrame:
+    """Reference: Gram-Schmidt frame from (xu, xv, perp1, perp2) of the
+    member's jet at w.
 
     e1, e2 span the tangent plane, n1, n2 the normal plane.  Raises
-    DegenerateFrameError when the four candidates are numerically rank
-    deficient (the residual check is the rank test); over a stack of
-    points, when that holds at any of them.
+    DegenerateFrameError at a point that is not is_regular, or when the four
+    candidates are numerically rank deficient (the residual check is the
+    rank test); over a stack of points, when that holds at any of them.
     """
-    if not np.all(jet.regular):
+    if not np.all(is_regular(member.triple, w)):
         raise DegenerateFrameError("no frame at a non-regular point")
+    jet = surface_jet(member, w)
     perp1, perp2 = perp_vectors(jet)
     basis: list[np.ndarray] = []
     for vec in (jet.xu, jet.xv, perp1, perp2):
@@ -127,7 +128,7 @@ def _regular_points(member, count, lo=0.45, hi=1.7):
     while len(out) < count:
         for w in _points(count, lo, hi):
             jet = surface_jet(member, w)
-            if jet.regular and jet.E > 1e-3:
+            if is_regular(member.triple, w) and jet.E > 1e-3:
                 out.append((w, jet))
                 if len(out) == count:
                     break
@@ -158,8 +159,9 @@ def test_immersion_point_at_one_for_complex_lam():
 
 def test_jet_branch_point_flagged():
     params = FamilyParams(1, 1, 0)
-    jet = surface_jet(family_member(params), 1 + 0j)
-    assert jet.E == 0.0 and not jet.regular
+    member = family_member(params)
+    jet = surface_jet(member, 1 + 0j)
+    assert jet.E == 0.0 and not is_regular(member.triple, 1 + 0j)
 
 
 def test_jet_conformality():
@@ -213,7 +215,7 @@ def test_normal_frame_orthonormal():
     params = FamilyParams(1, 1, 1.0)
     member = family_member(params)
     jet = surface_jet(member, 1.5 + 0.5j)
-    frame = normal_frame(jet)
+    frame = normal_frame(member, 1.5 + 0.5j)
     planar = normal_plane(member.triple, 1.5 + 0.5j)
     tangents = [jet.xu / math.sqrt(jet.E), jet.xv / math.sqrt(jet.G)]
     for basis in (np.stack([frame.e1, frame.e2, frame.n1, frame.n2]),
@@ -229,7 +231,7 @@ def test_normal_frame_rejects_non_regular():
     member = family_member(params)
     for w in (1 + 0j, np.array([1.5 + 0.5j, 1 + 0j])):  # one point, or any in a stack
         with pytest.raises(DegenerateFrameError):
-            normal_frame(surface_jet(member, w))
+            normal_frame(member, w)
         # the closed form needs no tangent plane: a unit normal pair there too
         for n in normal_plane(member.triple, w):
             assert np.all(np.abs(_dot(n, n) - 1.0) <= 1e-15)
@@ -242,22 +244,24 @@ def test_stacked_jets_and_frames_match_one_point_calls():
         params = FamilyParams(1, 1, lam)
         member = family_member(params)
         w = np.array([z for z, _ in _regular_points(member, 40)])
-        jet = surface_jet(member, w)
+        jet, position = surface_jet(member, w), immersion_point(member.curve, w)
         s = frame_scalars(params, w)
-        frame = normal_frame(jet)
+        frame = normal_frame(member, w)
         planar = normal_plane(member.triple, w)
         normals = closed_form_normals(jet, s)
-        assert jet.xu.shape == (40, 4) and jet.E.shape == (40,) and jet.regular.all()
+        assert jet.xu.shape == (40, 4) and jet.E.shape == (40,)
+        assert is_regular(member.triple, w).all()
         for i, z in enumerate(w.tolist()):
             one = surface_jet(member, z)
-            for name in ("position", "xu", "xv", "E", "F", "G"):
-                got, want = getattr(jet, name)[i], getattr(one, name)
-                assert np.allclose(got, want, rtol=1e-14, atol=1e-14 * (1 + jet.E[i])), name
+            tol = {"rtol": 1e-14, "atol": 1e-14 * (1 + jet.E[i])}
+            assert np.allclose(position[i], immersion_point(member.curve, z), **tol)
+            for name in ("xu", "xv", "E", "F", "G"):
+                assert np.allclose(getattr(jet, name)[i], getattr(one, name), **tol), name
             s1 = frame_scalars(params, z)
             for name in ("p", "q", "quartic", "cross_minus", "cross_plus", "inv_r8"):
                 # numpy and Python round r2**4 apart by an ulp at times
                 assert getattr(s, name)[i] == pytest.approx(getattr(s1, name), rel=1e-15)
-            frame1 = normal_frame(one)
+            frame1 = normal_frame(member, z)
             for name in ("e1", "e2", "n1", "n2"):
                 assert np.max(np.abs(getattr(frame, name)[i] - getattr(frame1, name))) <= 1e-14
             for n, n_one in zip(planar, normal_plane(member.triple, z)):
@@ -274,7 +278,7 @@ def test_closed_form_normals_span_gs_normals():
             s = frame_scalars(params, w)
             if s.cross_minus <= 1e-6:
                 continue
-            frame = normal_frame(jet)
+            frame = normal_frame(member, w)
             planar = normal_plane(member.triple, w)
             n1, n2 = closed_form_normals(jet, s)
             for n in (n1, n2):
@@ -331,7 +335,7 @@ def test_normal_plane_of_every_member(m, n, lam):
     planar = _projector(n1, n2)
     for i, z in enumerate(w.tolist()):
         try:
-            frame = normal_frame(surface_jet(member, z))
+            frame = normal_frame(member, z)
         except DegenerateFrameError:
             continue
         assert np.max(np.abs(planar[i] - _projector(frame.n1, frame.n2))) <= 1e-13

@@ -1,6 +1,7 @@
 """Laurent algebra: frozen examples, calculus rules, and generative properties."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wep4.geometry import _split
-from wep4.henneberg import FamilyParams, family_member
+from wep4.henneberg import FamilyParams, family_member, seed_phi
 from wep4.laurent import (
     IDENTITY,
     ONE,
@@ -171,6 +172,56 @@ def test_array_values_do_not_depend_on_the_array_size():
     for p in _member_polys(3, 5, 0.5 - 2j)[:4]:
         blocks = np.concatenate([p(w[s:s + 1024]) for s in range(0, w.size, 1024)])
         assert np.array_equal(p(w).view(float), blocks.view(float))
+
+
+def _tuples(m, n, lam) -> list[tuple]:
+    """The tuples verify and report evaluate together at one set of points:
+    the 1-form, the curve, the pair (a, b) and the seed with its first two
+    derivatives."""
+    member = family_member(FamilyParams(m, n, lam))
+    seed = seed_phi(m, n)
+    d1 = seed.derivative()
+    return [member.phi, member.curve, _split(member.triple), (seed, d1, d1.derivative())]
+
+
+@pytest.mark.parametrize("lam", LAM_GRID, ids=str)
+@pytest.mark.parametrize("m, n", MN_GRID, ids=str)
+def test_a_tuple_gives_each_polynomial_the_bits_it_has_alone(m, n, lam):
+    # 1,000 annulus points, the (targets, nodes) shape of the quadrature
+    # suite, and 20,000 points, past numpy's 256 kB in-place temporaries
+    blocks = (_block(1000), _block(20 * 64, seed=6).reshape(20, 64), _block(20_000, seed=7))
+    for polys in _tuples(m, n, lam):
+        for w in blocks:
+            values, reals = evaluate(polys, w), evaluate(polys, w, real=True)
+            for p, value, real in zip(polys, values, reals):
+                alone = p(w)
+                assert value.shape == real.shape == w.shape
+                assert value.tobytes() == alone.tobytes()
+                assert real.tobytes() == alone.real.tobytes()
+        for z in _block(8, seed=8).tolist():
+            alone = [p(z) for p in polys]
+            assert np.array(evaluate(polys, z)).tobytes() == np.array(alone).tobytes()
+            reals = np.array(evaluate(polys, z, real=True))
+            assert reals.tobytes() == np.array([v.real for v in alone]).tobytes()
+
+
+def test_evaluate_holds_the_power_table_and_a_fixed_number_of_arrays():
+    # the cascade takes a polynomial's terms one at a time: a listed cascade
+    # held the terms of the largest component (6 here) on top of these
+    phi = family_member(FamilyParams(3, 5, 0.5 - 2j)).phi
+    w = _block(100_000)
+    exponents = {k for p in phi for k, _ in p}
+    assert max(len(dict(p)) for p in phi) == 6
+    tracemalloc.start()
+    try:
+        values = evaluate(phi, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == 4
+    # the power table, the four values, and six arrays of the cascade (five
+    # where numpy reuses temporaries in place), with 1 MB to spare
+    assert peak <= (len(exponents) + len(phi) + 6) * w.nbytes + 2**20
 
 
 def test_evaluate_raises_at_the_puncture_exactly_when_a_call_does():

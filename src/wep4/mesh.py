@@ -17,9 +17,9 @@ vertex's values do not depend on the size of its grid.
 
 Exports are plain ASCII with LF line endings and floats printed in their
 shortest round-trip form, the text repr gives, so identical inputs give
-byte-identical files.  orjson writes each block's text in one call; the
-tokens of 1e-9 <= |x| < 1e-4 are then given repr's exponent form, and
-repr writes only nan, inf and |x| >= 1e16.
+byte-identical files.  One kernel writes every block, of floats or of
+face indices: one orjson call, then vectorized edits of its bytes where
+its text differs from repr's; repr writes only nan, inf and |x| >= 1e16.
 """
 
 from __future__ import annotations
@@ -58,10 +58,9 @@ CSV_FIELDS = ("u", "v", "x", "y", "z", "w", "E", "K", "regular")
 # are read, a mask of its kept cells (1 byte per vertex each); everything
 # else is evaluated and written a block at a time.  In a fresh process on a
 # 2-core x86 host (Python 3.11, numpy 2.4), a 1000 x 1000 `mesh` of (1,3,1+i)
-# peaks at 35 MB RSS as CSV and 33 MB as OBJ (291 and 276 MB when whole
-# columns were held), +4.2 and +3.4 MB over a warmed-up import.  Export
-# traces 1.2-1.6 MB (CSV) and 0.45-0.87 MB (OBJ/PLY) at 40,000 and 400,000
-# vertices, evaluation included.
+# peaks at 34.5 MB RSS as CSV or OBJ (291 and 276 MB when whole columns
+# were held), +4.4 MB over importing the CLI and orjson.  Export traces
+# 1.2-1.7 MB (CSV) and 0.38-0.82 MB (OBJ/PLY) at 40,000 and 400,000 vertices.
 MAX_VERTICES = 1_000_000
 _CHUNK_ROWS = 1024
 
@@ -218,75 +217,76 @@ def projection_columns(axes: str) -> str:
     return axes
 
 
-def _dumps(column: np.ndarray) -> str:
-    """The numbers of a contiguous 1-D array, comma-separated, from one
-    orjson call: floats in shortest round-trip form, integers as str
-    prints them."""
-    # Imported here, not at module top: only exports use it, and its import
-    # (6-9 ms and 0.7 MB RSS on a 2-core x86 host, Python 3.11) would
-    # otherwise be paid by every command, the ones that never export too.
-    import orjson
-
-    return orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii")
-
-
 def format_column(values) -> list[str]:
     """Shortest decimals that round-trip, as repr prints them; integral
     values lose the '.0', -0.0 prints as 0 and NaN marks an empty field.
 
     Raises ValueError unless values is one column (1-D)."""
-    column = np.asarray(values, dtype=float) + 0.0
+    column = np.asarray(values, dtype=float)
     if column.ndim != 1:
         raise ValueError(f"format_column takes a 1-D column, not shape {column.shape}")
-    # orjson writes the digits repr writes, and the same text except for
-    # nan and inf ('null') and |x| >= 1e16 (1e16 for 1e+16), which repr
-    # writes, and 1e-9 <= |x| < 1e-4, rewritten here: orjson drops the
-    # exponent's leading zero (3.3e-7 for 3.3e-07) and, from 1e-5, writes
-    # fixed form (0.000055 for 5.5e-05).
-    size = np.abs(column)
-    by_repr = ~(size < 1e16)
-    text = (_dumps(np.where(by_repr, 0.0, column)) + ",").replace(".0,", ",")[:-1]
-    texts = text.split(",") if column.size else []
-    for i in np.flatnonzero((size >= 1e-9) & (size < 1e-4)).tolist():
-        token = texts[i]
-        if token[-2] == "-":
-            texts[i] = token[:-1] + "0" + token[-1]
-        elif "e" not in token:
-            sign, _, digits = token.partition("0.0000")
-            texts[i] = f"{sign}{digits[0]}.{digits[1:]}".rstrip(".") + "e-05"
-    picked = np.flatnonzero(by_repr).tolist()
-    for i, value in zip(picked, column[picked].tolist()):
-        token = repr(value)
-        texts[i] = "" if token == "nan" else token[:-2] if token.endswith(".0") else token
-    return texts
+    return _block_text(column[:, None], "", " ").split("\n")[:-1]
 
 
-def _texts(column) -> list[str]:
-    """One block of a column as text: floats by format_column, the regular
-    flags as integers."""
-    if column.dtype.kind == "f":
-        return format_column(column)
-    return _dumps(column.astype(np.int64)).split(",")
+def _block_text(table, prefix: str, sep: str) -> str:
+    """The lines of a (rows, k) table, each prefix plus one row joined by
+    sep (one character): floats as format_column prints them, integers as
+    str does.  One orjson call writes the flattened table with repr's
+    digits.  Where its text differs, its bytes are edited in place (a NUL
+    marks one to drop): 1.0 for 1, 3.3e-7 for 3.3e-07 (1e-9 <= |x| < 1e-5)
+    and 0.000055 for 5.5e-05 (1e-5 <= |x| < 1e-4); repr writes nan, inf
+    and |x| >= 1e16."""
+    # Imported here, not at module top: its import (6-9 ms and 0.7 MB RSS on
+    # a 2-core x86 host, Python 3.11) would otherwise be paid by every command.
+    import orjson
+
+    table = np.asarray(table)
+    if not table.size:
+        return ""
+    flat, reprs = table.ravel(), ()
+    if flat.dtype.kind != "i":
+        flat = flat + 0.0  # a float copy, with -0.0 as 0.0
+        size = np.abs(flat)
+        by_repr = ~(size < 1e16)
+        reprs = tuple(b"" if t == "nan" else t.encode() for t in map(repr, flat[by_repr].tolist()))
+        flat[by_repr] = 0.0
+    raw = np.frombuffer(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8).copy()
+    raw[0] = raw[-1] = ord(",")  # in place of the brackets: a ',' before and after each cell
+    commas = (raw == ord(",")).nonzero()[0]
+    ends = commas[1:]  # a view, so shifting ends below shifts commas too
+    if flat.dtype.kind == "f":
+        short = (size >= 1e-9) & (size < 1e-5)
+        if short.any():  # e-7 -> e-07
+            raw = np.insert(raw, ends[short] - 1, ord("0"))
+            ends += np.cumsum(short)
+        starts = commas[:-1] + 1
+        dot = ends[flat == np.floor(flat)]  # integral: drop the '.0'
+        raw[dot - 1] = raw[dot - 2] = 0
+        fixed = ((size >= 1e-5) & (size < 1e-4)).nonzero()[0]
+        if fixed.size:  # [-]0.0000ddd -> [-]d.dde-05
+            start, end = starts[fixed] + (flat[fixed] < 0), ends[fixed]
+            lead, width = raw[start + 6], end - start - 7
+            mid = np.repeat(start + 2 + width - np.cumsum(width), width) + np.arange(width.sum())
+            raw[mid] = raw[mid + 5]
+            raw[start], raw[start + 1] = lead, np.where(width > 0, ord("."), 0)
+            raw[end[:, None] + np.arange(-5, 0)] = np.frombuffer(b"e-05\0", np.uint8)
+        if reprs:  # each placeholder 0.0, now '0' and two NULs, becomes '%s'
+            at = starts[by_repr]
+            raw[at], raw[at + 1] = ord("%"), ord("s")
+    raw[ends] = ord(sep)
+    raw[ends[table.shape[1] - 1::table.shape[1]]] = raw[0] = ord("\n")
+    # bytes, not str: on an export block, bytes' replace and % ran 10x and 35x faster
+    text = raw.tobytes().replace(b"\0", b"") % reprs
+    text = text.replace(b"\n", b"\n" + prefix.encode())  # '\n' + prefix + row, each row
+    return text[1:len(text) - len(prefix)].decode("ascii")
 
 
 def _write_rows(fh, count, block, prefix: str = "", sep: str = " ") -> None:
-    """Write count rows, _CHUNK_ROWS at a time: block(rows) gives the columns
-    of a slice of rows (a block may hold fewer rows, or none), and each line
-    is prefix plus one row joined by sep.
-
-    An integer block (face indices, never negative) is written by one
-    orjson call, with a -1 column marking where each line ends."""
+    """Write count rows, _CHUNK_ROWS at a time: block(rows) gives the k
+    columns of a slice of rows (a list or a (k, rows) array, maybe empty),
+    each line prefix plus one row joined by sep."""
     for rows in _blocks(0, count):
-        columns = block(rows)
-        if not len(columns[0]):
-            continue
-        if isinstance(columns, np.ndarray) and columns.dtype.kind == "i":
-            table = np.full((columns.shape[1], len(columns) + 1), -1, dtype=np.int64)
-            table[:, :-1] = columns.T
-            text = _dumps(table.ravel())[:-3].replace(",-1,", "\n" + prefix).replace(",", sep)
-        else:
-            text = ("\n" + prefix).join(map(sep.join, zip(*map(_texts, columns))))
-        fh.writelines((prefix, text, "\n"))
+        fh.write(_block_text(np.stack(block(rows), axis=1), prefix, sep))
 
 
 @contextmanager

@@ -19,12 +19,13 @@ from wep4.geometry import immersion_point, surface_jet
 from wep4.henneberg import FamilyParams, family_member
 from wep4.mesh import (
     _CHUNK_ROWS,
-    _texts,
+    _block_text,
     _write_rows,
     AXES,
     CSV_FIELDS,
     MAX_VERTICES,
     PolarGrid,
+    QuadMesh4D,
     export,
     export_csv,
     export_obj,
@@ -457,21 +458,98 @@ def test_format_column_takes_one_column():
             format_column(bad)
 
 
+def _column_texts(column) -> list[str]:
+    """One column through the block kernel, one text per cell."""
+    return _block_text(np.asarray(column)[:, None], "", " ").split("\n")[:-1]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=64))
 @example([0, 1, -1, 10, 100, 1023, 1024, 2**53 + 1, 2**63 - 1, -(2**63)])
 def test_integer_column_tokens_are_str(ints):
     column = np.array(ints, dtype=np.int64)
-    assert _texts(column) == [str(i) for i in ints]
-    # face columns reach the writer as strided rows of a transposed block
+    assert _column_texts(column) == [str(i) for i in ints]
+    # strided rows of a transposed block, and the block itself
     block = np.stack([column, column[::-1]], axis=1).T
-    assert [_texts(row) for row in block] == [[str(i) for i in ints], [str(i) for i in ints[::-1]]]
-    assert _texts(column % 2 == 0) == ["1" if i % 2 == 0 else "0" for i in ints]
-    # an integer block is written as face rows: non-negative indices only
+    assert [_column_texts(row) for row in block] == [[str(i) for i in ints],
+                                                    [str(i) for i in ints[::-1]]]
+    assert _block_text(block.T, "", ",") == "".join(f"{a},{b}\n" for a, b in block.T.tolist())
+    assert _column_texts(column % 2 == 0) == ["1" if i % 2 == 0 else "0" for i in ints]
+    # an integer block is written as face rows
     faces = np.abs(np.stack([column, column[::-1]]) // 2)
     out = io.StringIO()
     _write_rows(out, len(ints), lambda rows: faces[:, rows], "f ")
     assert out.getvalue() == "".join(f"f {a} {b}\n" for a, b in faces.T.tolist())
+
+
+# the (prefix, sep) of each block the writers emit: OBJ vertices and faces,
+# PLY vertices and faces, CSV rows
+WRITER_LINES = (("v ", " "), ("f ", " "), ("", " "), ("3 ", " "), ("", ","))
+
+
+def _reference_lines(table, prefix: str, sep: str) -> str:
+    """The block kernel's text, one cell at a time: floats by the repr
+    rule, integers by str."""
+    table = np.asarray(table)
+    if table.dtype.kind == "i":
+        rows = [[str(i) for i in row] for row in table.tolist()]
+    else:
+        rows = [_repr_column(row) for row in table]
+    return "".join(prefix + sep.join(row) + "\n" for row in rows)
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+_TINY = 2.2250738585072014e-308  # the least normal double
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    _signed(st.integers(0, 2**53 + 8).map(float)),
+    _signed(st.floats(-12.0, -3.0).map(lambda e: 10.0**e)),  # log-uniform
+    _signed(st.floats(1e-5, 1e-4, exclude_max=True)),
+    _signed(st.floats(min_value=1e16)),
+    st.floats(-_TINY, _TINY),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _tables(draw, cells):
+    """A (rows, k <= 9) table, rows >= 0, of cells drawn from a strategy."""
+    k = draw(st.integers(1, 9))
+    return k, draw(st.lists(st.lists(cells, min_size=k, max_size=k), max_size=24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables(_CELLS), st.sampled_from(WRITER_LINES))
+@example((3, []), ("v ", " "))
+def test_block_text_matches_repr_rule(case, lines):
+    # every class of cell the kernel edits, side by side: 0 and -0.0,
+    # integral values to 2**53 + 8, log-uniform 1e-12 to 1e-3, the 1e-5
+    # decade, |x| >= 1e16, subnormals, nan and +-inf
+    k, rows = case
+    table = np.array(rows, dtype=float).reshape(-1, k)
+    assert _block_text(table, *lines) == _reference_lines(table, *lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_tables(st.integers(-(2**63), 2**63 - 1)), st.sampled_from(WRITER_LINES))
+@example((3, []), ("f ", " "))
+def test_block_text_of_integers_is_str(case, lines):
+    k, rows = case
+    table = np.array(rows, dtype=np.int64).reshape(-1, k)
+    assert _block_text(table, *lines) == _reference_lines(table, *lines)
+
+
+@pytest.mark.parametrize("lines", WRITER_LINES)
+def test_block_text_of_edge_floats(lines):
+    edges = _edge_floats()
+    for k in range(1, 10):
+        table = np.array(edges[:len(edges) - len(edges) % k]).reshape(-1, k)
+        assert _block_text(table, *lines) == _reference_lines(table, *lines), k
+        # a transposed (non-contiguous) view of the same numbers
+        assert _block_text(table.T, *lines) == _reference_lines(table.T, *lines), k
 
 
 def _reference_3d(vertices, faces, fmt: str) -> bytes:
@@ -539,6 +617,43 @@ def test_block_writer_matches_whole_file_writer_at_block_edges(tmp_path, rows):
 def test_block_writer_matches_whole_file_writer_on_readme_grid(tmp_path, closed):
     grid = PolarGrid(0.5, 2.0, 80, 160, theta_closed=closed)
     mesh4 = sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)), grid)
+    _assert_exports_match_reference(mesh4, tmp_path)
+
+
+def _moved_into(mesh, lo: float, hi: float):
+    """A sampled grid whose float columns are moved into lo <= |x| < hi:
+    each value keeps its sign (0 becomes +), its magnitude is spread
+    log-uniformly over the range and cut to 1 to 17 significant digits by
+    row, and K stays empty where it was."""
+    class Moved(QuadMesh4D):
+        def _block(self, rows, names):
+            columns = super()._block(rows, names)
+            digits = 1 + np.arange(*rows.indices(self.grid.size)) % 17
+            return [column if name == "regular" else _into(column, digits, lo, hi)
+                    for name, column in zip(names, columns)]
+
+    return Moved(mesh.member, mesh.grid, mesh.regular)
+
+
+def _into(column, digits, lo, hi):
+    empty = np.isnan(column)
+    size = lo * (hi / lo) ** (np.abs(np.where(empty, 0.0, column)) * 997.0 % 1.0)
+    scale = 10.0 ** (digits - 1 - np.floor(np.log10(size)))
+    size = np.clip(np.round(size * scale) / scale, lo, np.nextafter(hi, 0.0))
+    return np.where(empty, np.nan, np.copysign(size, column))
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-5, 1e-4), (1e-9, 1e-5)])
+def test_block_writer_matches_whole_file_writer_on_small_columns(tmp_path, lo, hi):
+    # every float field in a range orjson spells differently from repr:
+    # fixed form on [1e-5, 1e-4), a one-digit exponent on [1e-9, 1e-5).
+    # 1,104 angles flag the roots of unity on the r = 1 ring (empty K).
+    mesh4 = _moved_into(sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)),
+                                    PolarGrid(0.5, 1.5, 3, 1104)), lo, hi)
+    floats = _whole(mesh4, CSV_FIELDS[:-1])
+    assert np.all((floats >= lo) & (floats < hi) | (floats <= -lo) & (floats > -hi)
+                  | np.isnan(floats))
+    assert np.isnan(floats).sum() == 8 and (floats < 0).any()
     _assert_exports_match_reference(mesh4, tmp_path)
 
 

@@ -149,8 +149,14 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     """Parse the --config flags, then argv over them, then fill DEFAULTS."""
     args = parser.parse_args(argv)
     if args.config:
-        # keys only other subcommands know come back unparsed and are ignored
-        config, _ = parser.parse_known_args([args.command, *_config_flags(args.config)])
+        config, others = parser.parse_known_args([args.command, *_config_flags(args.config)])
+        # keys only other subcommands know come back unparsed and are ignored;
+        # a key no subcommand knows (a flag or a prefix of one) is refused
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        known = [flag for p in sub.choices.values() for flag in p._option_string_actions]
+        for key in (other.split("=", 1)[0] for other in others):
+            if not any(flag.startswith(key) for flag in known):
+                raise UsageError(f"--config key {key[2:]!r} is not a flag of any subcommand")
         args = parser.parse_args(argv, config)
     for key, value in DEFAULTS.items():
         vars(args).setdefault(key, value.get(args.command) if key == "samples" else value)

@@ -4,9 +4,10 @@ Each suite checks one structural property of the pipeline (nullity,
 conformality, harmonic coordinates, the exactness of back-differentiation,
 quadrature consistency, frame identities, the integral-free route, and the
 degenerate-parameter reductions), coefficient identities exactly and
-sampled ones as one array of points, and reports a pass/fail verdict with
-a worst-case error.  The command line `verify` subcommand runs every suite
-applicable to the requested member; the tests drive the same functions.
+sampled ones as one array of points drawn from the suite's own stream,
+and reports a pass/fail verdict with a worst-case error.  The command line
+`verify` subcommand runs every suite applicable to the requested member;
+the tests drive the same functions.
 """
 
 from __future__ import annotations
@@ -68,12 +69,17 @@ class SuiteResult:
 
 # -- sampling ------------------------------------------------------------------
 
+# Output order; a suite's place picks its random stream, so new suites go last.
+SUITES = ("nullity", "back_differentiation", "quadrature", "conformality", "harmonicity",
+          "frames", "integral_free", "reductions")
 # is_regular tolerance of the sampled suites, a distance in units of 1/N that
 # keeps every sample clear of the branch points and their degenerate metric.
 SAMPLE_MARGIN = 1e-4
 # Sizes of the fixed-size suites; quadrature nodes and harmonicity rings
 # are sized by the member's exponents (_quadrature_nodes, _ring_points).
 QUADRATURE_TARGETS = 20
+HARMONICITY_POINTS = 50
+FRAME_POINTS = 100
 INTEGRAL_FREE_POINTS = 25
 EPS = np.finfo(float).eps
 
@@ -85,42 +91,39 @@ def sample_annulus(rng: np.random.Generator, count: int,
     return r * np.exp(1j * t)
 
 
-def sample_regular(rng: np.random.Generator, count: int, triple: WeierstrassTriple,
-                   r_lo: float = 0.4, r_hi: float = 1.8) -> np.ndarray:
-    """Annulus samples kept only where is_regular holds with SAMPLE_MARGIN.
-
-    Draws batches of `count` points until `count` have passed, keeping the
-    first ones in draw order; every batch is drawn whole.
-    """
+def _rejection_sample(draw, keep, count: int) -> np.ndarray:
+    """The first `count` points where keep holds, in draw order, from
+    batches of `count` that draw() returns whole."""
     kept: list[np.ndarray] = []
     found = 0
     while found < count:
-        w = sample_annulus(rng, count, r_lo, r_hi)
-        healthy = w[is_regular(triple, w, SAMPLE_MARGIN)][: count - found]
-        kept.append(healthy)
-        found += healthy.size
+        w = draw()
+        kept.append(w[keep(w)][: count - found])
+        found += kept[-1].size
     return np.concatenate(kept)
 
 
-def _segment_origin_distance(z: complex) -> float:
-    # distance from 0 to the segment [1, z]
-    a, b = 1 + 0j, z
-    d = b - a
-    denom = abs(d) ** 2
-    if denom == 0.0:
-        return abs(a)
-    t = max(0.0, min(1.0, (-(a.conjugate() * d).real) / denom))
-    return abs(a + t * d)
+def sample_regular(rng: np.random.Generator, count: int, triple: WeierstrassTriple,
+                   r_lo: float = 0.4, r_hi: float = 1.8) -> np.ndarray:
+    """Annulus samples kept only where is_regular holds with SAMPLE_MARGIN."""
+    return _rejection_sample(lambda: sample_annulus(rng, count, r_lo, r_hi),
+                             lambda w: is_regular(triple, w, SAMPLE_MARGIN), count)
 
 
-def quadrature_targets(rng: np.random.Generator, count: int) -> list[complex]:
-    """Targets whose segment from the base point 1 stays clear of the puncture."""
-    out: list[complex] = []
-    while len(out) < count:
-        w = complex(rng.uniform(0.6, 1.6) * np.exp(1j * rng.uniform(-1.5, 1.5)))
-        if _segment_origin_distance(w) >= 0.45 and abs(w - 1.0) >= 0.3:
-            out.append(w)
-    return out
+def _segment_origin_distance(z: np.ndarray) -> np.ndarray:
+    """Distance from 0 to each segment [1, z]."""
+    d = z - 1.0
+    denom = np.abs(d) ** 2
+    t = np.clip(-d.real / np.where(denom > 0.0, denom, 1.0), 0.0, 1.0)
+    return np.abs(1.0 + t * d)
+
+
+def quadrature_targets(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Targets whose segment from the base point 1 stays clear of the
+    puncture, as an array drawn in batches of `count`."""
+    return _rejection_sample(
+        lambda: rng.uniform(0.6, 1.6, count) * np.exp(1j * rng.uniform(-1.5, 1.5, count)),
+        lambda z: (_segment_origin_distance(z) >= 0.45) & (np.abs(z - 1.0) >= 0.3), count)
 
 
 # -- suites --------------------------------------------------------------------
@@ -251,10 +254,10 @@ def check_quadrature(member: FamilyMember, rng: np.random.Generator) -> SuiteRes
     nodes = _quadrature_nodes(curve)
     xs, wts = _gauss_legendre(nodes)
     base = 1 + 0j
-    z = np.array(quadrature_targets(rng, QUADRATURE_TARGETS))
+    z = quadrature_targets(rng, QUADRATURE_TARGETS)
     zs = base + ((xs + 1.0) / 2.0)[None, :] * (z - base)[:, None]
     ends = np.append(z, base)
-    near = np.array([_segment_origin_distance(t) for t in z])
+    near = _segment_origin_distance(z)
     radii = np.stack([near, np.maximum(np.abs(z), 1.0)])
     err, size = [], []
     for p, x, at_nodes, at_ends in zip(phi, curve, evaluate(phi, zs), evaluate(curve, ends)):
@@ -298,7 +301,7 @@ def _ring_defects(curve, w: np.ndarray, size: int) -> np.ndarray:
     return np.abs(accurate_sum(vals[1:]) / size - vals[0])
 
 
-def check_harmonicity(member: FamilyMember, points: int, rng: np.random.Generator) -> SuiteResult:
+def check_harmonicity(member: FamilyMember, rng: np.random.Generator) -> SuiteResult:
     """Mean-value property of every coordinate Re X_k at every centre w0.
 
     The trapezoid mean on |w - w0| = |w0|/4 is exact for the curve's terms
@@ -306,7 +309,7 @@ def check_harmonicity(member: FamilyMember, points: int, rng: np.random.Generato
     each defect is held to 16 eps (1 + env), env the coordinate's envelope
     at the ring's outer or inner radius, whichever is larger.
     """
-    w = sample_annulus(rng, points, r_lo=0.75, r_hi=1.6)
+    w = sample_annulus(rng, HARMONICITY_POINTS, r_lo=0.75, r_hi=1.6)
     size = _ring_points(member.curve)
     defects = _ring_defects(member.curve, w, size)
     radii = np.stack([1.25 * np.abs(w), 0.75 * np.abs(w)])
@@ -316,18 +319,14 @@ def check_harmonicity(member: FamilyMember, points: int, rng: np.random.Generato
                        f"ring_points={size} max_eps_ratio={worst:.2f}")
 
 
-def _subset(record, keep: np.ndarray):
-    """A jet or frame-scalar record cut down to the points where keep holds."""
-    return type(record)(**{k: v[keep] for k, v in vars(record).items()})
-
-
-def check_frames(member: FamilyMember, points: int, rng: np.random.Generator) -> SuiteResult:
+def check_frames(member: FamilyMember, rng: np.random.Generator) -> SuiteResult:
     """Closed-form p, q and normals against direct inner products and the
-    normal plane of psi, for the m = n = 1 real-lam member."""
+    normal plane of psi, for the m = n = 1 real-lam member, whose normals'
+    divisor cross_minus = (1 + lam^2)|w|^2 is >= 0.16 on sample_regular's annulus."""
     params = member.params
     if params.m != 1 or params.n != 1 or not params.lam_is_real:
         return SuiteResult("frames", True, 0, "not applicable here", skipped=True)
-    w = sample_regular(rng, points, member.triple)
+    w = sample_regular(rng, FRAME_POINTS, member.triple)
     jet = surface_jet(member, w)
     perp1, perp2 = perp_vectors(jet)
     s = frame_scalars(params, w)
@@ -338,10 +337,7 @@ def check_frames(member: FamilyMember, points: int, rng: np.random.Generator) ->
     e1, e2 = jet.xu / np.sqrt(jet.E)[:, None], jet.xv / np.sqrt(jet.G)[:, None]
     basis = np.stack([e1, e2, n1, n2], axis=1)
     worst_gram = _worst(basis @ basis.transpose(0, 2, 1) - np.eye(4))
-    # the closed forms divide by cross_minus: check them where it is clear of 0
-    keep = s.cross_minus > 1e-6
-    n1, n2 = n1[keep], n2[keep]
-    normals = closed_form_normals(_subset(jet, keep), _subset(s, keep))
+    normals = closed_form_normals(jet, s)
     worst_span = _worst(*(
         np.linalg.norm(n - np.sum(n * n1, axis=1, keepdims=True) * n1
                        - np.sum(n * n2, axis=1, keepdims=True) * n2, axis=1)
@@ -349,7 +345,7 @@ def check_frames(member: FamilyMember, points: int, rng: np.random.Generator) ->
     ))
     ok = worst_pq <= 1e-10 and worst_gram <= 1e-10 and worst_span <= 1e-8
     return SuiteResult(
-        "frames", ok, 6 * points,
+        "frames", ok, 6 * FRAME_POINTS,
         f"pq={worst_pq:.2e} gram={worst_gram:.2e} span={worst_span:.2e}",
     )
 
@@ -409,44 +405,34 @@ def check_integral_free(member: FamilyMember, rng: np.random.Generator) -> Suite
 def check_reductions(member: FamilyMember) -> SuiteResult:
     """Degenerate-parameter geometry: lam = 0 planarity, m = n proportionality."""
     params, curve = member.params, member.curve
-    checks = 0
-    ok = True
-    notes = []
+    found = {}  # note -> passed
     if params.lam == 0:
-        checks += 1
-        ok &= curve[3].is_zero
-        notes.append(f"w_component_zero={curve[3].is_zero}")
+        found[f"w_component_zero={curve[3].is_zero}"] = curve[3].is_zero
         if (params.m, params.n) == (1, 1):
-            classic = classic_henneberg_curve()
-            doubled = tuple(2.0 * comp for comp in classic[:3])
-            match = doubled == curve[:3]
-            checks += 1
-            ok &= match
-            notes.append(f"double_classic={match}")
+            match = tuple(2.0 * comp for comp in classic_henneberg_curve()[:3]) == curve[:3]
+            found[f"double_classic={match}"] = match
     if params.m == params.n and params.lam_is_real:
-        scaled = curve[2] * params.lam
-        worst = _max_coeff_ulp(curve[3], scaled)
-        checks += 1
-        ok &= worst <= 1.0
-        notes.append(f"w_eq_lam_z_ulp={worst:g}")
-    if checks == 0:
+        worst = _max_coeff_ulp(curve[3], curve[2] * params.lam)
+        found[f"w_eq_lam_z_ulp={worst:g}"] = worst <= 1.0
+    if not found:
         return SuiteResult("reductions", True, 0, "not applicable here", skipped=True)
-    return SuiteResult("reductions", ok, checks, " ".join(notes))
+    return SuiteResult("reductions", all(found.values()), len(found), " ".join(found))
 
 
 def run_verify(params: FamilyParams, samples: int, seed: int) -> list[SuiteResult]:
-    """Every suite applicable to this member, with one seeded RNG stream and
-    the member's Laurent data built once."""
+    """Every suite applicable to this member, with its Laurent data built once.
+    Suite SUITES[i] draws from child i of SeedSequence(seed), so its points
+    depend only on the seed and the suite, never on which suites ran."""
     member = family_member(params)
-    rng = np.random.default_rng(seed)
-    results = [
-        check_nullity(member, samples, rng),
+    children = np.random.SeedSequence(seed).spawn(len(SUITES))
+    rng = dict(zip(SUITES, map(np.random.default_rng, children)))
+    return [
+        check_nullity(member, samples, rng["nullity"]),
         check_back_differentiation(member),
-        check_quadrature(member, rng),
-        check_conformality(member, min(samples, 1000), rng),
-        check_harmonicity(member, 50, rng),
-        check_frames(member, 100, rng),
-        check_integral_free(member, rng),
+        check_quadrature(member, rng["quadrature"]),
+        check_conformality(member, min(samples, 1000), rng["conformality"]),
+        check_harmonicity(member, rng["harmonicity"]),
+        check_frames(member, rng["frames"]),
+        check_integral_free(member, rng["integral_free"]),
         check_reductions(member),
     ]
-    return results

@@ -141,9 +141,9 @@ def test_criterion_04_conformality():
 
 def test_criterion_05_harmonicity_convergence():
     rng = np.random.default_rng(SEED)
-    result = check_harmonicity(family_member(FamilyParams(1, 1, 1 + 1j)), 50, rng)
+    result = check_harmonicity(family_member(FamilyParams(1, 1, 1 + 1j)), rng)
     assert result.passed, result.detail
-    result = check_harmonicity(family_member(FamilyParams(1, 3, 1 + 1j)), 50, rng)
+    result = check_harmonicity(family_member(FamilyParams(1, 3, 1 + 1j)), rng)
     assert result.passed, result.detail
     _announce("05", "harmonic coordinates, mean-value property to rounding")
 
@@ -239,7 +239,7 @@ def test_criterion_06e_general_cart_display_matches_pipeline_at_real_lam():
 def test_criterion_07_frame_suite():
     rng = np.random.default_rng(SEED)
     for lam in (0.0, 1.0, 2.0):
-        result = check_frames(family_member(FamilyParams(1, 1, lam)), 100, rng)
+        result = check_frames(family_member(FamilyParams(1, 1, lam)), rng)
         assert not result.skipped and result.passed, result.detail
     _announce("07", "frame scalars, Gram matrix, closed-form normal span")
 

@@ -3,10 +3,10 @@
 `verify` and `report` evaluate each suite's samples as whole arrays.  The
 scalar rules they replaced are kept here as the references: each walks its
 samples one point at a time through the exact (fsum) scalar path, drawing
-from the RNG exactly as the suites did.  Over the acceptance grid and the
-benchmark's audit members, at two seeds, the array suites must keep every
-verdict and check count, leave the RNG stream (and so every later suite's
-line) untouched, and agree on the worst values to within stated bounds.
+from the suite's own stream exactly as the suite does.  Over the acceptance
+grid and the benchmark's audit members, at two seeds, the array suites must
+keep every verdict and check count, draw the same points, and agree on the
+worst values to within stated bounds.
 """
 
 import math
@@ -167,16 +167,19 @@ def scalar_integral_free(member, rng, points=25):
 
 
 def scalar_verify(params, samples, seed):
-    """The suites' worst values and lines, replayed through the scalar rules."""
-    rng = np.random.default_rng(seed)
+    """The suites' worst values and lines, replayed through the scalar rules,
+    each suite on child SUITES.index(name) of SeedSequence(seed)."""
+    children = np.random.SeedSequence(seed).spawn(len(verify.SUITES))
+    rng = dict(zip(verify.SUITES, map(np.random.default_rng, children)))
     member = family_member(params)
-    out = {"nullity": scalar_nullity(member.phi, samples, rng)}
-    out["quadrature"] = verify.check_quadrature(member, rng).line()
-    out["conformality"] = scalar_conformality(member, min(samples, 1000), rng)
-    out["harmonicity"] = scalar_harmonicity(member.curve, 50, rng)
+    out = {"nullity": scalar_nullity(member.phi, samples, rng["nullity"])}
+    out["quadrature"] = verify.check_quadrature(member, rng["quadrature"]).line()
+    out["conformality"] = scalar_conformality(member, min(samples, 1000), rng["conformality"])
+    out["harmonicity"] = scalar_harmonicity(member.curve, verify.HARMONICITY_POINTS,
+                                            rng["harmonicity"])
     if params.m == params.n == 1 and params.lam_is_real:
-        out["frames"] = scalar_frames(member, 100, rng)
-    out["integral_free"] = scalar_integral_free(member, rng)
+        out["frames"] = scalar_frames(member, verify.FRAME_POINTS, rng["frames"])
+    out["integral_free"] = scalar_integral_free(member, rng["integral_free"])
     out["reductions"] = verify.check_reductions(member).line()
     return out
 
@@ -229,7 +232,7 @@ def test_verify_suites_match_the_scalar_rules(params, samples, seed):
     results = {r.name: r for r in run_verify(params, samples, seed)}
     ref = scalar_verify(params, samples, seed)
 
-    # suites whose code is unchanged see the same RNG stream: identical lines
+    # suites whose code is unchanged see the same stream: identical lines
     for name in ("quadrature", "reductions"):
         assert results[name].line() == ref[name]
 
@@ -317,8 +320,9 @@ def test_stacked_laplacians_equal_the_separate_calls_bit_for_bit(m, n, lam):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_harmonicity_counts_equal_the_separate_call_rule(m, n, lam, seed):
     member = family_member(FamilyParams(m, n, lam))
-    got = verify.check_harmonicity(member, 50, np.random.default_rng(seed))
-    checks, worst = separate_call_harmonicity(member.curve, 50, np.random.default_rng(seed))
+    got = verify.check_harmonicity(member, np.random.default_rng(seed))
+    checks, worst = separate_call_harmonicity(member.curve, verify.HARMONICITY_POINTS,
+                                              np.random.default_rng(seed))
     assert got.checks == checks == 200
     assert got.passed == (worst <= 16.0)
     assert _detail(got, "max_eps_ratio") == float(f"{worst:.2f}")

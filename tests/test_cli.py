@@ -507,6 +507,24 @@ def test_config_call_prints_the_bytes_of_the_same_flags(config, argv, flags, tmp
     assert capsys.readouterr().out == from_config != ""
 
 
+@pytest.mark.parametrize("config, argv, key", [
+    # a misspelt key would leave lambda at 0; a key in the dest's spelling
+    # would leave the closed seam (8 quads, where the open seam gives 6)
+    ({"lamda": "1+1i", "point": "0.5,0.5"}, ["eval"], "lamda"),
+    ({"open_seam": True, "nr": 3, "ntheta": 4}, ["mesh"], "open_seam"),
+])
+def test_config_key_no_subcommand_knows_exits_two_naming_it(config, argv, key, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.obj"
+    if argv[0] == "mesh":
+        argv = argv + ["--out", str(out)]
+    assert main(["--config", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"wep4: error: --config key {key!r} is not a flag of any subcommand\n"
+    assert captured.out == "" and not out.exists()
+
+
 # Good and bad values of every valued flag; the bad ones are dash-led, nan,
 # inf, empty, huge or of the wrong type.  A valid grid has at most 8 x 8
 # vertices and a valid sample count is at most 50, so every accepted draw is

@@ -82,53 +82,54 @@ def _poly_json(poly) -> dict:
     return {str(k): [c.real + 0.0, c.imag + 0.0] for k, c in poly}
 
 
-def _add_grid_flags(sub) -> None:
-    for flag, kind in (("--rmin", float), ("--rmax", float), ("--nr", int), ("--ntheta", int)):
-        sub.add_argument(flag, type=kind)
-    sub.add_argument("--open-seam", action="store_true",
-                     help="duplicate the theta seam instead of wrapping faces")
+# Each subcommand's summary and its flags in help order, as (flag, add_argument options).
+_MEMBER_FLAGS = (("--m", {"type": int, "help": "first odd order"}),
+                 ("--n", {"type": int, "help": "second odd order"}),
+                 ("--lambda", {"dest": "lam", "help": "complex weight, e.g. 0, 1, 1+1i, 0.5-2i"}))
+_GRID_FLAGS = (("--rmin", {"type": float}), ("--rmax", {"type": float}), ("--nr", {"type": int}),
+               ("--ntheta", {"type": int}), ("--open-seam", {"action": "store_true", "help": (
+                   "duplicate the theta seam instead of wrapping faces")}))
+_DRAW_FLAGS = (("--samples", {"type": int}), ("--seed", {"type": int}))
+_SUBCOMMANDS = {
+    "eval": ("immersion point at one parameter value",
+             _MEMBER_FLAGS + (("--point", {"help": "parameter point 'u,v'"}),)),
+    "mesh": ("sample, project, and export a mesh", _MEMBER_FLAGS + _GRID_FLAGS + (
+        ("--project", {"help": f"three axes from '{AXES}' (obj/ply only)"}),
+        ("--format", {"dest": "fmt", "choices": ["obj", "ply", "csv"]}),
+        ("--out", {"help": "output path"}))),
+    "verify": ("run the verification suites", _MEMBER_FLAGS + _DRAW_FLAGS),
+    "report": ("fidelity audit of reference displays", _MEMBER_FLAGS + _DRAW_FLAGS + (
+        ("--out", {"help": "write the CSV here instead of stdout"}),)),
+    "curvature": ("Gauss curvature over a grid to CSV", _MEMBER_FLAGS + _GRID_FLAGS + (
+        ("--out", {"help": "output CSV path"}),)),
+    "info": ("closed-form coefficients as JSON", _MEMBER_FLAGS + (
+        ("--out", {"help": "write the JSON here instead of stdout"}),)),
+}
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it adds its flags at its first parse, before it
+    can format help, usage or an error, so a call builds only its own flags."""
+
+    def __init__(self, *, flags, **kwargs):
+        super().__init__(**kwargs)
+        self._flags = self._unadded = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flag, options in self._unadded:
+            self.add_argument(flag, **options)
+        self._unadded = ()
+        return super().parse_known_args(_attach_dash_led_values(args, self._flags), namespace)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="wep4",
-        description="Closed-form Henneberg-type minimal surfaces in R4",
-    )
+        prog="wep4", description="Closed-form Henneberg-type minimal surfaces in R4")
     parser.add_argument("--config", help="JSON file with default flag values")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, summary: str) -> argparse.ArgumentParser:
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    for name, (summary, flags) in _SUBCOMMANDS.items():
         # absent flags stay absent, so parsing over a namespace keeps its values
-        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
-        p.add_argument("--m", type=int, help="first odd order")
-        p.add_argument("--n", type=int, help="second odd order")
-        p.add_argument("--lambda", dest="lam", help="complex weight, e.g. 0, 1, 1+1i, 0.5-2i")
-        return p
-
-    command("eval", "immersion point at one parameter value").add_argument(
-        "--point", help="parameter point 'u,v'")
-
-    p_mesh = command("mesh", "sample, project, and export a mesh")
-    _add_grid_flags(p_mesh)
-    p_mesh.add_argument("--project", help=f"three axes from '{AXES}' (obj/ply only)")
-    p_mesh.add_argument("--format", dest="fmt", choices=["obj", "ply", "csv"])
-    p_mesh.add_argument("--out", help="output path")
-
-    p_verify = command("verify", "run the verification suites")
-    p_verify.add_argument("--samples", type=int)
-    p_verify.add_argument("--seed", type=int)
-
-    p_report = command("report", "fidelity audit of reference displays")
-    p_report.add_argument("--samples", type=int)
-    p_report.add_argument("--seed", type=int)
-    p_report.add_argument("--out", help="write the CSV here instead of stdout")
-
-    p_curv = command("curvature", "Gauss curvature over a grid to CSV")
-    _add_grid_flags(p_curv)
-    p_curv.add_argument("--out", help="output CSV path")
-
-    command("info", "closed-form coefficients as JSON").add_argument(
-        "--out", help="write the JSON here instead of stdout")
+        sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS, flags=flags)
     return parser
 
 
@@ -152,8 +153,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
         config, others = parser.parse_known_args([args.command, *_config_flags(args.config)])
         # keys only other subcommands know come back unparsed and are ignored;
         # a key no subcommand knows (a flag or a prefix of one) is refused
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        known = [flag for p in sub.choices.values() for flag in p._option_string_actions]
+        known = ["-h", "--help", *(flag for _, flags in _SUBCOMMANDS.values() for flag, _ in flags)]
         for key in (other.split("=", 1)[0] for other in others):
             if not any(flag.startswith(key) for flag in known):
                 raise UsageError(f"--config key {key[2:]!r} is not a flag of any subcommand")
@@ -163,11 +163,16 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     return args
 
 
-def _attach_dash_led_values(argv: list[str]) -> list[str]:
-    """Rewrite '--point -0.5,0.4' as '--point=-0.5,0.4' (and so for --lambda)."""
+def _attach_dash_led_values(argv: list[str], flags) -> list[str]:
+    """Rewrite '--point -0.5,0.4' as '--point=-0.5,0.4', and so for --lambda and
+    for each prefix that argparse resolves to one of the two among `flags`."""
+    names = [flag for flag, _ in flags]
+    dash_led = {name[:end] for name in _DASH_LED_FLAGS if name in names
+                for end in range(3, len(name) + 1)
+                if [other for other in names if other.startswith(name[:end])] == [name]}
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _DASH_LED_FLAGS and _DASH_LED_VALUE.match(arg):
+        if out and out[-1] in dash_led and _DASH_LED_VALUE.match(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -288,10 +293,9 @@ _COMMANDS = {"eval": _cmd_eval, "mesh": _cmd_mesh, "verify": _cmd_verify,
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = _attach_dash_led_values(list(sys.argv[1:] if argv is None else argv))
     parser = _build_parser()
     try:
-        args = _parse_args(parser, argv)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
         # values that overflow are refused, never written or printed as inf or nan
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[args.command](args)

@@ -1,5 +1,6 @@
 """Command line surface: parsing, dispatch, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -45,10 +46,14 @@ def test_eval_real_lambda(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--point", "-0.5,0.4"), ("--lambda", "-1+1i"),
-                                         ("--lambda", "-2i"), ("--point", "-.5,-1e-1")])
+                                         ("--lambda", "-2i"), ("--point", "-.5,-1e-1"),
+                                         # argparse takes a flag's unambiguous prefixes too
+                                         ("--lam", "-0.5-2i"), ("--poi", "-0.5,0.4"),
+                                         ("--p", "-0.5,0.4")])
 def test_dash_led_values_match_the_equals_form(flag, value, capsys):
     argv = ["eval", "--m", "1", "--n", "3", "--lambda", "0.5", "--point", "0.7,0.2"]
-    argv[argv.index(flag) + 1] = value
+    at = next(i for i, arg in enumerate(argv) if arg.startswith(flag))
+    argv[at:at + 2] = [flag, value]
     assert main(argv) == 0
     spaced = capsys.readouterr().out
     joined = argv[:argv.index(flag)] + [f"{flag}={value}"] + argv[argv.index(flag) + 2:]
@@ -465,6 +470,46 @@ def test_one_parser_serves_a_config_call_then_a_plain_call(tmp_path):
     assert (first.m, first.n, first.lam, first.samples, first.seed) == (3, 1, "1+1i", 50, 9)
     second = _parse_args(parser, ["verify"])
     assert vars(second) == {**DEFAULTS, "samples": 1000, "command": "verify", "config": None}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _eager_parser():
+    """The wep4 parser built the plain argparse way: every flag of every
+    subcommand added up front, from the same table."""
+    parser = argparse.ArgumentParser(
+        prog="wep4", description="Closed-form Henneberg-type minimal surfaces in R4")
+    parser.add_argument("--config", help="JSON file with default flag values")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, flags) in cli._SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+    return parser
+
+
+def test_lazily_filled_parsers_format_as_the_eager_ones(capsys):
+    lazy, eager = _build_parser(), _eager_parser()
+    assert lazy.format_help() == eager.format_help()
+    assert lazy.format_usage() == eager.format_usage()
+    for name, parser in _subparsers(eager).items():
+        lazy_parser = _subparsers(lazy)[name]
+        lazy_parser.parse_known_args([])
+        assert lazy_parser.format_help() == parser.format_help()
+        assert lazy_parser.format_usage() == parser.format_usage()
+        assert main([name, "--help"]) == 0
+        assert capsys.readouterr().out == parser.format_help()
+
+
+def test_a_call_fills_only_its_own_subcommand():
+    parser = _build_parser()
+    argv = ["eval", "--m=3", "--lambda=0.5-2i", "--point=0.7,-0.3"]
+    assert _parse_args(parser, argv) == _parse_args(parser, argv)  # no flag added twice
+    for name, sub in _subparsers(parser).items():
+        filled = {"--m", "--n", "--lambda", "--point"} if name == "eval" else set()
+        assert set(sub._option_string_actions) == {"-h", "--help", *filled}, name
 
 
 def test_config_open_seam_true_gives_the_open_seam_grid(tmp_path, capsys):

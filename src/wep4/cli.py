@@ -108,17 +108,23 @@ _SUBCOMMANDS = {
 
 
 class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser: it adds its flags at its first parse, before it
-    can format help, usage or an error, so a call builds only its own flags."""
+    """A subcommand's parser, built with its flags at its first use: until then
+    it holds only its table flags and options, so a call builds only its own."""
 
-    def __init__(self, *, flags, **kwargs):
-        super().__init__(**kwargs)
-        self._flags = self._unadded = flags
+    def __init__(self, *, flags, **options):
+        self._flags, self._options = flags, options
+
+    def __getattr__(self, name):
+        # runs only for an attribute not set yet, so a parser that is still
+        # a shell builds itself before any parse, help, usage, error or repr
+        if "_options" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        super().__init__(**self.__dict__.pop("_options"))
+        for flag, options in self._flags:
+            self.add_argument(flag, **options)
+        return getattr(self, name)
 
     def parse_known_args(self, args=None, namespace=None):
-        for flag, options in self._unadded:
-            self.add_argument(flag, **options)
-        self._unadded = ()
         return super().parse_known_args(_attach_dash_led_values(args, self._flags), namespace)
 
 
@@ -126,7 +132,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wep4", description="Closed-form Henneberg-type minimal surfaces in R4")
     parser.add_argument("--config", help="JSON file with default flag values")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
+    # prog is the prefix argparse would otherwise format a usage line for
+    sub = parser.add_subparsers(dest="command", required=True, prog="wep4",
+                                parser_class=_SubcommandParser)
     for name, (summary, flags) in _SUBCOMMANDS.items():
         # absent flags stay absent, so parsing over a namespace keeps its values
         sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS, flags=flags)
@@ -278,7 +286,7 @@ def _cmd_info(args) -> int:
     payload = {
         "m": params.m,
         "n": params.n,
-        "lambda": [params.lam.real, params.lam.imag],
+        "lambda": [params.lam.real + 0.0, params.lam.imag + 0.0],
         "data": {"f": _poly_json(triple.f), "g": _poly_json(triple.g), "h": _poly_json(triple.h)},
         "phi": [_poly_json(p) for p in member.phi],
         "curve": [_poly_json(p) for p in member.curve],

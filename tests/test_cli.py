@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -423,6 +424,15 @@ def test_info_json(capsys):
     assert len(payload["phi"]) == 4 and len(payload["curve"]) == 4
 
 
+@pytest.mark.parametrize("signed, plain", [("-0", "0"), ("-0i", "0"), ("1-0i", "1")])
+def test_info_prints_a_signed_zero_part_of_lambda_as_zero(signed, plain, capsys):
+    # the member is the same, so the JSON is the same bytes
+    assert main(["info", f"--lambda={signed}"]) == 0
+    out = capsys.readouterr().out
+    assert main(["info", f"--lambda={plain}"]) == 0
+    assert capsys.readouterr().out == out
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"m": 1, "n": 1, "lambda": "0", "point": "1,0"}))
@@ -503,13 +513,44 @@ def test_lazily_filled_parsers_format_as_the_eager_ones(capsys):
         assert capsys.readouterr().out == parser.format_help()
 
 
-def test_a_call_fills_only_its_own_subcommand():
+def test_a_call_fills_only_its_own_subcommand(tmp_path, monkeypatch, capsys):
     parser = _build_parser()
     argv = ["eval", "--m=3", "--lambda=0.5-2i", "--point=0.7,-0.3"]
     assert _parse_args(parser, argv) == _parse_args(parser, argv)  # no flag added twice
-    for name, sub in _subparsers(parser).items():
-        filled = {"--m", "--n", "--lambda", "--point"} if name == "eval" else set()
-        assert set(sub._option_string_actions) == {"-h", "--help", *filled}, name
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"lambda": "1+1i", "samples": 5}))
+    # the top-level parser alone, or it and the running subcommand's parser
+    calls = [(["--help"], 1), ([], 1), (["evl"], 1),
+             *(([name, "--help"], 2) for name in cli._SUBCOMMANDS),
+             (argv, 2), (["--config", str(config), "verify"], 2)]
+    for call, parsers in calls:
+        built.clear()
+        assert main(call) in (0, 2)
+        assert len(built) == parsers, call
+    capsys.readouterr()
+    # a subcommand parser that has not run yet is built by its first use of any kind
+    for name, parsed in _subparsers(parser).items():
+        parsed.parse_known_args([])
+        assert _subparsers(_build_parser())[name].format_help() == parsed.format_help()
+        assert repr(_subparsers(_build_parser())[name]) == repr(parsed)
+        assert copy.copy(_subparsers(_build_parser())[name]).format_help() == parsed.format_help()
+
+
+def test_defaults_hold_the_dest_of_every_table_flag_and_no_other():
+    # _parse_args fills a flag that was not given from DEFAULTS by its dest
+    table = [(name, flag, options) for name, (_, flags) in cli._SUBCOMMANDS.items()
+             for flag, options in flags]
+    dests = {options.get("dest", flag[2:].replace("-", "_")) for _, flag, options in table}
+    assert dests == set(DEFAULTS)
+    assert set(DEFAULTS["samples"]) == {name for name, flag, _ in table if flag == "--samples"}
 
 
 def test_config_open_seam_true_gives_the_open_seam_grid(tmp_path, capsys):

@@ -32,9 +32,11 @@ from .verify import run_verify, sample_annulus
 __all__ = ["main", "parse_lambda"]
 
 _LAMBDA_CHARS = re.compile(r"^[0-9eE+\-.i]+$")
-# argparse takes a token that starts with "-" for an option unless it is a
-# plain negative number, so "--point -0.5,0.4" would lose its value.
-_DASH_LED_FLAGS = ("--point", "--lambda")
+# A subcommand parser's _negative_number_matcher: argparse reads a token that starts
+# with "-" and names no option as a value only if this matches it, and its own
+# pattern takes plain negative numbers only, so "--point -0.5,0.4" would lose its value.
+# _ActionsContainer.__init__ sets it on the instance, so it is set after __init__;
+# checked on Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0.
 _DASH_LED_VALUE = re.compile(r"^-[0-9.i]")
 # numpy's messages that mean a value overflowed; it takes w**-k as 1 / w**k,
 # so a power that divides by zero overflows too (w = 0 is refused before)
@@ -120,12 +122,10 @@ class _SubcommandParser(argparse.ArgumentParser):
         if "_options" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         super().__init__(**self.__dict__.pop("_options"))
+        self._negative_number_matcher = _DASH_LED_VALUE
         for flag, options in self._flags:
             self.add_argument(flag, **options)
         return getattr(self, name)
-
-    def parse_known_args(self, args=None, namespace=None):
-        return super().parse_known_args(_attach_dash_led_values(args, self._flags), namespace)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -169,22 +169,6 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     for key, value in DEFAULTS.items():
         vars(args).setdefault(key, value.get(args.command) if key == "samples" else value)
     return args
-
-
-def _attach_dash_led_values(argv: list[str], flags) -> list[str]:
-    """Rewrite '--point -0.5,0.4' as '--point=-0.5,0.4', and so for --lambda and
-    for each prefix that argparse resolves to one of the two among `flags`."""
-    names = [flag for flag, _ in flags]
-    dash_led = {name[:end] for name in _DASH_LED_FLAGS if name in names
-                for end in range(3, len(name) + 1)
-                if [other for other in names if other.startswith(name[:end])] == [name]}
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in dash_led and _DASH_LED_VALUE.match(arg):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
 
 
 def _write_text(path, text: str, note: str = "") -> None:

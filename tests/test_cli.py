@@ -62,9 +62,45 @@ def test_dash_led_values_match_the_equals_form(flag, value, capsys):
     assert capsys.readouterr().out == spaced and len(spaced.split()) == 4
 
 
-def test_option_after_a_valued_flag_is_not_taken_as_its_value(capsys):
-    assert main(["eval", "--point", "--lambda", "1"]) == 2
-    assert "expected one argument" in capsys.readouterr().err
+def test_option_after_a_valued_flag_is_not_taken_as_its_value(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in (["eval", "--point", "--lambda", "1"], ["info", "--out", "-h"],
+                 ["eval", "--lambda", "--m", "3"],
+                 ["mesh", "--rmin", "--nr", "3", "--out", "x.obj"]):
+        assert main(argv) == 2, argv
+        assert "expected one argument" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+# Flags that let each subcommand run fast, unless the flag under test is one of them.
+_QUICK_FLAGS = {"eval": {"--point": "0.5,0.5"}, "verify": {"--samples": "10"},
+                "report": {"--samples": "10"}, "info": {},
+                "mesh": {"--nr": "3", "--ntheta": "4", "--out": "m.obj"},
+                "curvature": {"--nr": "3", "--ntheta": "4", "--out": "K.csv"}}
+
+
+@pytest.mark.parametrize("cmd", list(cli._SUBCOMMANDS))
+def test_every_valued_flag_takes_a_dash_led_value(cmd, tmp_path, monkeypatch, capsys):
+    """A token of "-" and a digit, "." or "i" after any valued flag, or after a
+    prefix argparse resolves to it, is that flag's value: as if joined by "="."""
+    monkeypatch.chdir(tmp_path)
+    names = ["--help", *(flag for flag, _ in cli._SUBCOMMANDS[cmd][1])]
+    valued = [flag for flag, options in cli._SUBCOMMANDS[cmd][1] if "action" not in options]
+
+    def run(argv):
+        return main(argv), *capsys.readouterr()
+
+    for flag in valued:
+        rest = [arg for other, value in _QUICK_FLAGS[cmd].items() if other != flag
+                for arg in (other, value)]
+        # the shortest prefix that names this flag and no other, where there is one
+        prefixes = [flag[:end] for end in range(3, len(flag))
+                    if [name for name in names if name.startswith(flag[:end])] == [flag]]
+        for given in [flag, *prefixes[:1]]:
+            for token in ("-1e-3", "-i", "-0.5,0.4", "-1.csv"):
+                spaced = run([cmd, given, token, *rest])
+                assert spaced == run([cmd, f"{given}={token}", *rest]), (given, token)
+                assert "expected one argument" not in spaced[2]
 
 
 def test_eval_rejects_puncture_and_bad_point(capsys):

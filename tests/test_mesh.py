@@ -9,12 +9,14 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wep4 import mesh as mesh_module
 from wep4.geometry import immersion_point, surface_jet
 from wep4.henneberg import FamilyParams, family_member
 from wep4.mesh import (
@@ -498,6 +500,16 @@ def _reference_lines(table, prefix: str, sep: str) -> str:
     return "".join(prefix + sep.join(row) + "\n" for row in rows)
 
 
+def _without_repr():
+    """A patch that shadows repr in wep4.mesh by a function that raises:
+    the kernel writes every cell, nan, +-inf and |x| >= 1e16 included, from
+    its one orjson text.  Entered in a test body, not as a fixture, so that
+    Hypothesis tests can use it."""
+    def refuse(value):
+        raise AssertionError(f"the export kernel called repr on {value!r}")
+    return mock.patch.object(mesh_module, "repr", refuse, create=True)
+
+
 def _signed(magnitudes):
     return st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
 
@@ -530,7 +542,9 @@ def test_block_text_matches_repr_rule(case, lines):
     # decade, |x| >= 1e16, subnormals, nan and +-inf
     k, rows = case
     table = np.array(rows, dtype=float).reshape(-1, k)
-    assert _block_text(table, *lines) == _reference_lines(table, *lines)
+    with _without_repr():
+        text = _block_text(table, *lines)
+    assert text == _reference_lines(table, *lines)
 
 
 @settings(max_examples=100, deadline=None)
@@ -547,9 +561,10 @@ def test_block_text_of_edge_floats(lines):
     edges = _edge_floats()
     for k in range(1, 10):
         table = np.array(edges[:len(edges) - len(edges) % k]).reshape(-1, k)
-        assert _block_text(table, *lines) == _reference_lines(table, *lines), k
-        # a transposed (non-contiguous) view of the same numbers
-        assert _block_text(table.T, *lines) == _reference_lines(table.T, *lines), k
+        # the table and a transposed (non-contiguous) view of the same numbers
+        with _without_repr():
+            texts = _block_text(table, *lines), _block_text(table.T, *lines)
+        assert texts == (_reference_lines(table, *lines), _reference_lines(table.T, *lines)), k
 
 
 def _reference_3d(vertices, faces, fmt: str) -> bytes:
@@ -615,9 +630,13 @@ def test_block_writer_matches_whole_file_writer_at_block_edges(tmp_path, rows):
 
 @pytest.mark.parametrize("closed", [True, False])
 def test_block_writer_matches_whole_file_writer_on_readme_grid(tmp_path, closed):
+    # at (99,99,0.97i) most positions and energies are >= 1e16 (a '+' after
+    # the 'e', three exponent digits from 1e100), and blocks 3 to 6 hold
+    # them beside values in [1e-9, 1e-4), whose exponent gains a '0' or
+    # whose fixed form is rewritten
     grid = PolarGrid(0.5, 2.0, 80, 160, theta_closed=closed)
-    mesh4 = sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)), grid)
-    _assert_exports_match_reference(mesh4, tmp_path)
+    for params in (FamilyParams(1, 3, 1 + 1j), FamilyParams(99, 99, 0.97j)):
+        _assert_exports_match_reference(sample_grid(family_member(params), grid), tmp_path)
 
 
 def _moved_into(mesh, lo: float, hi: float):
@@ -643,10 +662,11 @@ def _into(column, digits, lo, hi):
     return np.where(empty, np.nan, np.copysign(size, column))
 
 
-@pytest.mark.parametrize("lo, hi", [(1e-5, 1e-4), (1e-9, 1e-5)])
+@pytest.mark.parametrize("lo, hi", [(1e-5, 1e-4), (1e-9, 1e-5), (1e16, 1e300)])
 def test_block_writer_matches_whole_file_writer_on_small_columns(tmp_path, lo, hi):
     # every float field in a range orjson spells differently from repr:
-    # fixed form on [1e-5, 1e-4), a one-digit exponent on [1e-9, 1e-5).
+    # fixed form on [1e-5, 1e-4), a one-digit exponent on [1e-9, 1e-5),
+    # no '+' after the 'e' from 1e16 (two or three exponent digits).
     # 1,104 angles flag the roots of unity on the r = 1 ring (empty K).
     mesh4 = _moved_into(sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)),
                                     PolarGrid(0.5, 1.5, 3, 1104)), lo, hi)

@@ -66,18 +66,7 @@ def parse_lambda(text: str) -> complex:
 
 
 def _params_from(args) -> FamilyParams:
-    try:
-        return FamilyParams(args.m, args.n, parse_lambda(args.lam))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _grid_from(args) -> PolarGrid:
-    try:
-        return PolarGrid(args.rmin, args.rmax, args.nr, args.ntheta,
-                         theta_closed=not args.open_seam)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return FamilyParams(args.m, args.n, parse_lambda(args.lam))
 
 
 def _poly_json(poly) -> dict:
@@ -194,9 +183,10 @@ def _cmd_eval(args) -> int:
         raise UsageError(f"the point {args.point!r} is not finite")
     if w == 0:
         raise UsageError("the point 0,0 is the puncture")
+    curve = family_member(params).curve  # a member that overflows is main's to report
     try:
-        point = immersion_point(family_member(params).curve, w)
-    except (OverflowError, ZeroDivisionError):  # |w|**k out of range either way
+        point = immersion_point(curve, w)
+    except (OverflowError, ZeroDivisionError, ValueError):  # |w|**k out of range, or inf - inf
         point = None
     if point is None or not np.isfinite(point).all():
         raise UsageError(f"the curve overflows double precision at the point {args.point!r}")
@@ -209,16 +199,13 @@ def _sample(args):
     params = _params_from(args)
     if not args.out:
         raise UsageError("--out is required")
-    grid = _grid_from(args)
+    grid = PolarGrid(args.rmin, args.rmax, args.nr, args.ntheta, theta_closed=not args.open_seam)
     return sample_grid(family_member(params), grid)
 
 
 def _cmd_mesh(args) -> int:
     if args.fmt != "csv":
-        try:
-            projection_columns(args.project)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        projection_columns(args.project)  # refused before the grid is sampled
     mesh4 = _sample(args)
     options = {} if args.fmt == "csv" else {"axes": args.project}
     export(mesh4, args.fmt, args.out, **options)
@@ -291,13 +278,15 @@ def main(argv: list[str] | None = None) -> int:
         # values that overflow are refused, never written or printed as inf or nan
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"wep4: error: {exc}", file=sys.stderr)
-        return 2
     except (FloatingPointError, NonFiniteCoefficientError) as exc:
         overflow = isinstance(exc, NonFiniteCoefficientError) or _OVERFLOW.match(str(exc))
         what = "the member overflows double precision" if overflow else "floating-point error"
         print(f"wep4: error: {what} ({exc})", file=sys.stderr)
+        return 2
+    # after the overflow clause, which takes NonFiniteCoefficientError first: the
+    # library raises ValueError only to refuse a value from outside the program
+    except ValueError as exc:
+        print(f"wep4: error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse usage errors and --help
         return int(exc.code or 0)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wep4 import cli, henneberg
@@ -170,6 +170,8 @@ def test_only_an_exactly_real_lambda_runs_the_real_lambda_checks(lam, real, caps
     ["report", "--samples=1000001"],
     ["verify", "--seed=-1"],
     ["report", "--seed=-1"],
+    # finite coefficients whose terms overflow to inf - inf in the evaluation's fsum
+    ["eval", "--m", "1", "--n", "5", "--lambda", "9e153", "--point", "2,0"],
 ])
 def test_bad_input_exits_two_with_message(argv, tmp_path, monkeypatch, capsys):
     # the grid and sample caps must hold before anything is sampled
@@ -180,6 +182,8 @@ def test_bad_input_exits_two_with_message(argv, tmp_path, monkeypatch, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("wep4: error: ") and captured.out == ""
+    if argv[0] == "eval" and "the member overflows" not in captured.err:
+        assert repr(argv[argv.index("--point") + 1]) in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -494,6 +498,8 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     # nested too deep for the JSON decoder, which raises RecursionError
     pytest.param('{"m": ' + "[" * 100_000 + "]" * 100_000 + "}", ["eval", "--point", "1,0"],
                  id="deep-nesting"),
+    # a path that open() refuses, which no shell argument can hold
+    ('{"out": "a\\u0000b"}', ["info"]),
 ])
 def test_bad_config_value_exits_two_like_the_flag(text, argv, tmp_path, capsys):
     # config values go through argparse's type= and choices= and the same
@@ -702,11 +708,11 @@ def _command_and_values(draw):
     return command, values
 
 
-def _run_main(argv) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run_main(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
-    return rc, err.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
@@ -725,6 +731,32 @@ def test_any_flags_or_config_exit_zero_one_or_two(case):
         config = Path(tmp) / "cfg.json"
         config.write_text(json.dumps(values))
         for args in (argv, ["--config", str(config), command]):
-            rc, err = _run_main(args)
+            rc, _, err = _run_main(args)
             assert rc in (0, 1, 2), (args, rc, err)
             assert "Traceback" not in err, (args, err)
+
+
+def _polar(r_lo: float, r_hi: float):
+    """Complex numbers with a log-uniform modulus from r_lo to r_hi, at any angle."""
+    return st.builds(lambda e, t: 10.0 ** e * complex(np.cos(t), np.sin(t)),
+                     st.floats(np.log10(r_lo), np.log10(r_hi)), st.floats(0, 2 * np.pi))
+
+
+_ODD = st.integers(0, 7).map(lambda k: 2 * k + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ODD, _ODD, _polar(1e-300, 9e153), _polar(1e-3, 1e3))
+@example(1, 5, 9e153 + 0j, 2 + 0j)  # its terms overflow to inf - inf in fsum
+def test_eval_of_any_member_prints_a_point_or_refuses(m, n, lam, w):
+    # every member the CLI builds, up to |lam| of about 9.48e153: an escaped
+    # exception or RuntimeWarning fails the test (pyproject.toml)
+    rc, out, err = _run_main(["eval", f"--m={m}", f"--n={n}",
+                              f"--lambda={lam.real!r}{lam.imag:+.17g}i",
+                              f"--point={w.real!r},{w.imag!r}"])
+    if rc == 0:
+        point = [float(token) for token in out.split()]
+        assert len(point) == 4 and np.isfinite(point).all() and err == "", (out, err)
+    else:
+        assert rc == 2 and out == "", (rc, out, err)
+        assert err.startswith("wep4: error: ") and err.count("\n") == 1, err

@@ -65,10 +65,6 @@ def parse_lambda(text: str) -> complex:
     return value
 
 
-def _params_from(args) -> FamilyParams:
-    return FamilyParams(args.m, args.n, parse_lambda(args.lam))
-
-
 def _poly_json(poly) -> dict:
     return {str(k): [c.real + 0.0, c.imag + 0.0] for k, c in poly}
 
@@ -170,8 +166,7 @@ def _write_text(path, text: str, note: str = "") -> None:
     print(f"wrote {path} {note}".rstrip())
 
 
-def _cmd_eval(args) -> int:
-    params = _params_from(args)
+def _cmd_eval(args, member) -> int:
     if not args.point:
         raise UsageError("--point is required")
     try:
@@ -183,9 +178,8 @@ def _cmd_eval(args) -> int:
         raise UsageError(f"the point {args.point!r} is not finite")
     if w == 0:
         raise UsageError("the point 0,0 is the puncture")
-    curve = family_member(params).curve  # a member that overflows is main's to report
     try:
-        point = immersion_point(curve, w)
+        point = immersion_point(member.curve, w)
     except (OverflowError, ZeroDivisionError, ValueError):  # |w|**k out of range, or inf - inf
         point = None
     if point is None or not np.isfinite(point).all():
@@ -194,19 +188,18 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _sample(args):
+def _sample(args, member):
     """The grid of a mesh or curvature command."""
-    params = _params_from(args)
     if not args.out:
         raise UsageError("--out is required")
     grid = PolarGrid(args.rmin, args.rmax, args.nr, args.ntheta, theta_closed=not args.open_seam)
-    return sample_grid(family_member(params), grid)
+    return sample_grid(member, grid)
 
 
-def _cmd_mesh(args) -> int:
+def _cmd_mesh(args, member) -> int:
     if args.fmt != "csv":
         projection_columns(args.project)  # refused before the grid is sampled
-    mesh4 = _sample(args)
+    mesh4 = _sample(args, member)
     options = {} if args.fmt == "csv" else {"axes": args.project}
     export(mesh4, args.fmt, args.out, **options)
     print(f"wrote {args.out} ({mesh4.regular.size} vertices, {mesh4.quad_count} quads)")
@@ -222,9 +215,8 @@ def _draws_from(args) -> tuple[int, int]:
     return args.samples, args.seed
 
 
-def _cmd_verify(args) -> int:
-    params = _params_from(args)
-    results = run_verify(params, *_draws_from(args))
+def _cmd_verify(args, member) -> int:
+    results = run_verify(member, *_draws_from(args))
     for res in results:
         print(res.line())
     failed = sum(not r.skipped and not r.passed for r in results)
@@ -234,25 +226,23 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _cmd_report(args) -> int:
-    params = _params_from(args)
+def _cmd_report(args, member) -> int:
     samples, seed = _draws_from(args)
     rng_points = sample_annulus(np.random.default_rng(seed), samples, r_lo=0.5, r_hi=1.7)
-    report = fidelity_report(family_member(params), rng_points)
+    report = fidelity_report(member, rng_points)
     _write_text(args.out, report.to_csv(), f"({len(report.rows)} rows)")
     return 0
 
 
-def _cmd_curvature(args) -> int:
-    mesh4 = _sample(args)
+def _cmd_curvature(args, member) -> int:
+    mesh4 = _sample(args, member)
     export(mesh4, "csv", args.out, fields=("u", "v", "E", "K"))
     print(f"wrote {args.out} ({mesh4.regular.size} rows)")
     return 0
 
 
-def _cmd_info(args) -> int:
-    params = _params_from(args)
-    member = family_member(params)
+def _cmd_info(args, member) -> int:
+    params = member.params
     triple = member.triple
     payload = {
         "m": params.m,
@@ -277,7 +267,8 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
         # values that overflow are refused, never written or printed as inf or nan
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _COMMANDS[args.command](args)
+            member = family_member(FamilyParams(args.m, args.n, parse_lambda(args.lam)))
+            return _COMMANDS[args.command](args, member)
     except (FloatingPointError, NonFiniteCoefficientError) as exc:
         overflow = isinstance(exc, NonFiniteCoefficientError) or _OVERFLOW.match(str(exc))
         what = "the member overflows double precision" if overflow else "floating-point error"

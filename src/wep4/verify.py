@@ -27,9 +27,7 @@ from .geometry import (
 )
 from .henneberg import (
     FamilyMember,
-    FamilyParams,
     classic_henneberg_curve,
-    family_member,
     integral_free_point,
     recover_seed,
     seed_phi,
@@ -166,7 +164,7 @@ def _max_coeff_ulp(a: LaurentPoly, b: LaurentPoly) -> float:
         for x, y in ((ca.real, cb.real), (ca.imag, cb.imag)):
             if x == y:
                 continue
-            worst = max(worst, abs(x - y) / (math.ulp(max(abs(x), abs(y))) or 1.0))
+            worst = max(worst, abs(x - y) / math.ulp(max(abs(x), abs(y))))
     return worst
 
 
@@ -419,11 +417,11 @@ def check_reductions(member: FamilyMember) -> SuiteResult:
     return SuiteResult("reductions", all(found.values()), len(found), " ".join(found))
 
 
-def run_verify(params: FamilyParams, samples: int, seed: int) -> list[SuiteResult]:
-    """Every suite applicable to this member, with its Laurent data built once.
+def run_verify(member: FamilyMember, samples: int, seed: int) -> list[SuiteResult]:
+    """Every suite applicable to the member, on the record as it is given:
+    one that family_member built, or one changed with dataclasses.replace.
     Suite SUITES[i] draws from child i of SeedSequence(seed), so its points
     depend only on the seed and the suite, never on which suites ran."""
-    member = family_member(params)
     children = np.random.SeedSequence(seed).spawn(len(SUITES))
     rng = dict(zip(SUITES, map(np.random.default_rng, children)))
     return [

@@ -186,6 +186,29 @@ def test_bad_input_exits_two_with_message(argv, tmp_path, monkeypatch, capsys):
         assert repr(argv[argv.index("--point") + 1]) in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    *((argv, "the member overflows double precision (") for argv in (
+        ["eval", "--lambda", "1e155", "--point", "0,0"],
+        ["eval", "--lambda", "1e155"],
+        ["mesh", "--lambda", "1e155"],
+        ["mesh", "--lambda", "1e155", "--project", "xx", "--out", "x.obj"],
+        ["curvature", "--lambda", "1e155", "--nr", "1", "--out", "x.csv"],
+        ["verify", "--lambda", "1e155", "--samples", "0"],
+        ["report", "--lambda", "1e155", "--seed", "-1"])),
+    (["mesh", "--m", "2", "--project", "xx", "--out", "x.obj"], "m must be a positive odd"),
+    (["mesh", "--lambda", "1 i", "--project", "xx", "--out", "x.obj"], "bad lambda syntax"),
+])
+def test_a_bad_member_is_refused_before_any_flag_of_the_command(argv, message, tmp_path,
+                                                                 monkeypatch, capsys):
+    # main builds the member first, so its refusal wins over a bad point,
+    # projection, grid, sample count or seed, or a missing --point or --out
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"wep4: error: {message}") and captured.out == ""
+    assert captured.err.count("\n") == 1 and not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--m", "2001", "--n", "1", "--samples", "10"],
     ["verify", "--m", "999", "--n", "1"],
@@ -268,7 +291,7 @@ def test_each_command_builds_the_member_once(tmp_path, monkeypatch, capsys):
     flags = ["--m", "1", "--n", "3", "--lambda", "1+1i"]
     grid = ["--nr", "3", "--ntheta", "4", "--out", str(tmp_path / "out")]
     for run, want in (
-        (lambda: run_verify(params, 50, 42), ["family", "fixed_gh"]),
+        (lambda: run_verify(family_member(params), 50, 42), ["family", "fixed_gh"]),
         (lambda: fidelity_report(family_member(params), np.array([0.9 + 0.2j])), ["family"]),
         (lambda: main(["verify", *flags, "--samples", "50"]), ["family", "fixed_gh"]),
         (lambda: main(["report", *flags, "--samples", "20"]), ["family"]),

@@ -32,7 +32,7 @@ from wep4.laurent import IDENTITY, LaurentPoly, evaluate
 
 
 def test_run_verify_all_suites_pass():
-    results = run_verify(FamilyParams(1, 1, 1 + 1j), samples=150, seed=42)
+    results = run_verify(family_member(FamilyParams(1, 1, 1 + 1j)), samples=150, seed=42)
     names = [r.name for r in results]
     assert names == [
         "nullity", "back_differentiation", "quadrature", "conformality",
@@ -45,7 +45,7 @@ def test_run_verify_all_suites_pass():
 
 
 def test_suites_applicable_at_lam_zero():
-    results = run_verify(FamilyParams(1, 1, 0), samples=100, seed=1)
+    results = run_verify(family_member(FamilyParams(1, 1, 0)), samples=100, seed=1)
     by_name = {r.name: r for r in results}
     assert not by_name["frames"].skipped and by_name["frames"].passed
     assert not by_name["reductions"].skipped and by_name["reductions"].passed
@@ -59,13 +59,29 @@ def test_suites_applicable_at_lam_zero():
 def test_a_suite_that_draws_nothing_moves_no_other_line(params, seed, suite, monkeypatch):
     # each sampled suite draws from its own stream, so a suite that SKIPs
     # without drawing leaves every other suite's line as it was
-    full = [r.line() for r in run_verify(params, 300, seed)]
+    full = [r.line() for r in run_verify(family_member(params), 300, seed)]
     monkeypatch.setattr(verify, f"check_{suite}",
                         lambda *args: verify.SuiteResult(suite, True, 0, "stub", skipped=True))
-    stubbed = [r.line() for r in run_verify(params, 300, seed)]
+    stubbed = [r.line() for r in run_verify(family_member(params), 300, seed)]
     at = [line.split(":")[0] for line in full].index(suite)
     assert stubbed[at] == f"{suite}: SKIP (0 checks) stub"
     assert stubbed[:at] + stubbed[at + 1:] == full[:at] + full[at + 1:]
+
+
+@pytest.mark.parametrize("m, n, lam", [(1, 1, 1), (1, 3, 1 + 1j), (3, 5, 0.5 - 2j), (1, 1, 0)])
+def test_run_verify_audits_a_slipped_member(m, n, lam):
+    # the top coefficient of phi_1 off by 2^-40 of itself, the curve kept:
+    # the form is no longer null, so nullity FAILs
+    member = family_member(FamilyParams(m, n, lam))
+    first = dict(member.phi[0])
+    top = max(first)
+    slipped = LaurentPoly({**first, top: first[top] * (1 + 2.0**-40)})
+    failed = []
+    with np.errstate(over="raise", divide="raise", invalid="raise"):  # as the command line runs
+        for audited in (member, replace(member, phi=(slipped, *member.phi[1:]))):
+            failed.append({r.name for r in run_verify(audited, 1000, 42)
+                           if not r.skipped and not r.passed})
+    assert failed[0] == set() and "nullity" in failed[1], failed
 
 
 def test_result_lines_render_status():
@@ -222,7 +238,7 @@ def test_sample_regular_avoids_branch_ring():
 @pytest.mark.parametrize("lam, seed", [(2, 32), (2, 34), (2, 50), (2, 71), (2, 83), (2, 91), (1, 91)])
 def test_integral_free_bound_clears_roundoff(lam, seed):
     # an h = 1e-6 central difference of the seed route read ~2e-9 at these seeds
-    results = run_verify(FamilyParams(1, 1, lam), samples=1000, seed=seed)
+    results = run_verify(family_member(FamilyParams(1, 1, lam)), samples=1000, seed=seed)
     for r in results:
         assert r.skipped or r.passed, r.line()
 

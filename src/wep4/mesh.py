@@ -13,13 +13,16 @@ its four axes (the projection to R3); the exporters evaluate, format and
 write one block before starting the next, so neither a float column nor
 the text of the whole grid is ever held.  A block is too small for
 numpy to reuse its temporaries in place, which rounds differently, so a
-vertex's values do not depend on the size of its grid.
+vertex's values do not depend on the size of its grid: numpy does that
+from 256 kB, and a 2,048-row block keeps every float temporary under it
+(a complex column is 32 kB, the flattened 9-column CSV table 147 kB).
 
 Exports are plain ASCII with LF line endings and floats printed in their
 shortest round-trip form, the text repr gives, so identical inputs give
 byte-identical files.  One kernel writes every block, of floats or of
 face indices: one orjson call, then vectorized edits of its bytes where
-its text differs from repr's, nan and +-inf included.
+its text differs from repr's, nan and +-inf included.  The bytes go to a
+file opened in binary mode as they are, never decoded to str.
 """
 
 from __future__ import annotations
@@ -58,11 +61,12 @@ CSV_FIELDS = ("u", "v", "x", "y", "z", "w", "E", "K", "regular")
 # are read, a mask of its kept cells (1 byte per vertex each); everything
 # else is evaluated and written a block at a time.  In a fresh process on a
 # 2-core x86 host (Python 3.11, numpy 2.4), a 1000 x 1000 `mesh` of (1,3,1+i)
-# peaks at 34.5 MB RSS as CSV or OBJ (291 and 276 MB when whole columns
-# were held), +4.4 MB over importing the CLI and orjson.  Export traces
-# 1.2-1.7 MB (CSV) and 0.38-0.82 MB (OBJ/PLY) at 40,000 and 400,000 vertices.
+# peaks at 34.5-34.7 MB RSS as CSV and 34.1-34.3 MB as OBJ (291 and 276 MB
+# when whole columns were held), +4.3-4.9 MB over importing the CLI and
+# orjson.  Export traces 1.63-1.70 MB (CSV) and 0.51-0.86 MB (OBJ/PLY) at
+# 40,000 and 400,000 vertices.
 MAX_VERTICES = 1_000_000
-_CHUNK_ROWS = 1024
+_CHUNK_ROWS = 2048
 _NULL_TEXTS = np.frombuffer(b"\0\0\0\0inf\0-inf", np.uint8).reshape(3, 4)  # nan, inf, -inf
 
 
@@ -226,75 +230,90 @@ def format_column(values) -> list[str]:
     column = np.asarray(values, dtype=float)
     if column.ndim != 1:
         raise ValueError(f"format_column takes a 1-D column, not shape {column.shape}")
-    return _block_text(column[:, None], "", " ").split("\n")[:-1]
+    return str(_block_text(column[:, None], "", " "), "ascii").split("\n")[:-1]
 
 
-def _block_text(table, prefix: str, sep: str) -> str:
-    """The lines of a (rows, k) table, each prefix plus one row joined by
-    sep (one character): floats as format_column prints them, integers as
+def _block_text(table, prefix: str, sep: str) -> memoryview:
+    """The ASCII lines of a (rows, k) table, each prefix plus one row joined
+    by sep (one character): floats as format_column prints them, integers as
     str does.  One orjson call writes the flattened table with repr's
     digits.  Where its text differs, its bytes are edited in place (a NUL
     marks one to drop): 1.0 for 1, 3.3e-7 for 3.3e-07 (1e-9 <= |x| < 1e-5),
     0.000055 for 5.5e-05 (1e-5 <= |x| < 1e-4), 1e16 for 1e+16 (finite
-    |x| >= 1e16), and null for nan's empty field, inf and -inf."""
+    |x| >= 1e16), and null for nan's empty field, inf and -inf.
+
+    The lines are returned as a memoryview of their bytes, never decoded,
+    sliced or re-encoded.  The masks are read from |x| before the text
+    exists, and each array is dropped before the next copy of the text is
+    made, so a block holds at most two copies of its text at once."""
     # Imported here, not at module top: its import (6-9 ms and 0.7 MB RSS on
     # a 2-core x86 host, Python 3.11) would otherwise be paid by every command.
     import orjson
 
     table = np.asarray(table)
     if not table.size:
-        return ""
+        return memoryview(b"")
     flat = table.ravel()
-    if flat.dtype.kind != "i":
+    floats = flat.dtype.kind != "i"
+    if floats:
         flat = flat + 0.0  # a float copy, with -0.0 as 0.0
         size = np.abs(flat)
+        big = (size >= 1e16) & (size < math.inf)
+        grown = big | (size >= 1e-9) & (size < 1e-5)
+        shift = 1 + big[grown] + (size[grown] >= 1e100)
+        integral = (flat == np.floor(flat)) & (size < 1e16)
+        fixed = ((size >= 1e-5) & (size < 1e-4)).nonzero()[0]
+        null = (~(size < math.inf)).nonzero()[0]
+        del size
     raw = np.frombuffer(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY), np.uint8).copy()
     raw[0] = raw[-1] = ord(",")  # in place of the brackets: a ',' before and after each cell
     commas = (raw == ord(",")).nonzero()[0]
     ends = commas[1:]  # a view, so shifting ends below shifts commas too
-    if flat.dtype.kind == "f":
-        big = (size >= 1e16) & (size < math.inf)
-        grown = big | (size >= 1e-9) & (size < 1e-5)
-        if grown.any():  # e-7 -> e-07 before the last digit; e16 -> e+16 after the 'e'
-            at = ends[grown] - 1 - big[grown] - (size[grown] >= 1e100)
-            raw = np.insert(raw, at, np.where(big[grown], ord("+"), ord("0")))
+    if floats:
+        if shift.size:  # e-7 -> e-07 before the last digit; e16 -> e+16 after the 'e'
+            raw = np.insert(raw, ends[grown] - shift, np.where(big[grown], ord("+"), ord("0")))
             ends += np.cumsum(grown)
-        starts = commas[:-1] + 1
-        dot = ends[(flat == np.floor(flat)) & (size < 1e16)]  # integral: drop the '.0'
+        dot = ends[integral]  # integral: drop the '.0'
         raw[dot - 1] = raw[dot - 2] = 0
-        fixed = ((size >= 1e-5) & (size < 1e-4)).nonzero()[0]
         if fixed.size:  # [-]0.0000ddd -> [-]d.dde-05
-            start, end = starts[fixed] + (flat[fixed] < 0), ends[fixed]
+            start, end = commas[fixed] + 1 + (flat[fixed] < 0), ends[fixed]
             lead, width = raw[start + 6], end - start - 7
             mid = np.repeat(start + 2 + width - np.cumsum(width), width) + np.arange(width.sum())
             raw[mid] = raw[mid + 5]
             raw[start], raw[start + 1] = lead, np.where(width > 0, ord("."), 0)
             raw[end[:, None] + np.arange(-5, 0)] = np.frombuffer(b"e-05\0", np.uint8)
-        null = (~(size < math.inf)).nonzero()[0]
         if null.size:  # each 'null' becomes nan's empty field, inf or -inf
             kind = np.isinf(flat[null]) * (1 + (flat[null] < 0))
-            raw[starts[null, None] + np.arange(4)] = _NULL_TEXTS[kind]
+            raw[commas[null, None] + 1 + np.arange(4)] = _NULL_TEXTS[kind]
     raw[ends] = ord(sep)
     raw[ends[table.shape[1] - 1::table.shape[1]]] = raw[0] = ord("\n")
-    # drop the NULs, then prefix each row (bytes' replace ran 10x faster than str's)
-    text = raw.tobytes().replace(b"\0", b"").replace(b"\n", b"\n" + prefix.encode())
-    return text[1:len(text) - len(prefix)].decode("ascii")
+    del table, flat, commas, ends
+    text = raw.tobytes()
+    del raw
+    # drop the NULs (only float edits write them), then prefix each row
+    # (bytes' replace ran 10x faster than str's)
+    if floats:
+        text = text.replace(b"\0", b"")
+    if prefix:
+        text = text.replace(b"\n", b"\n" + prefix.encode())
+    return memoryview(text)[1:len(text) - len(prefix)]
 
 
 def _write_rows(fh, count, block, prefix: str = "", sep: str = " ") -> None:
-    """Write count rows, _CHUNK_ROWS at a time: block(rows) gives the k
-    columns of a slice of rows (a list or a (k, rows) array, maybe empty),
-    each line prefix plus one row joined by sep."""
+    """Write count rows to a binary file as the kernel's bytes, _CHUNK_ROWS
+    at a time: block(rows) gives the k columns of a slice of rows (a list
+    or a (k, rows) array, maybe empty), each line prefix plus one row
+    joined by sep."""
     for rows in _blocks(0, count):
         fh.write(_block_text(np.stack(block(rows), axis=1), prefix, sep))
 
 
 @contextmanager
 def _output(path):
-    """The export file, open for writing.  If writing fails (a block that
-    overflows, say), a file this call created is removed again."""
+    """The export file, open for writing bytes.  If writing fails (a block
+    that overflows, say), a file this call created is removed again."""
     created = not os.path.exists(path)
-    fh = open(path, "w", encoding="ascii", newline="\n")
+    fh = open(path, "wb")
     try:
         with fh:
             yield fh
@@ -337,7 +356,7 @@ def export_ply(mesh: QuadMesh4D, path, axes: str = "xyz") -> None:
         "end_header",
     ]
     with _output(path) as fh:
-        fh.write("\n".join(header) + "\n")
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
         _write_rows(fh, mesh.grid.size, lambda rows: mesh.columns(rows, axes))
         _write_rows(fh, mesh.grid.size, lambda rows: _triangles(mesh, rows), "3 ")
 
@@ -348,7 +367,7 @@ def export_csv(mesh: QuadMesh4D, path, fields=CSV_FIELDS) -> None:
     if not fields or not set(fields) <= set(CSV_FIELDS):
         raise ValueError(f"CSV fields must name one or more of {', '.join(CSV_FIELDS)}")
     with _output(path) as fh:
-        fh.write(",".join(fields) + "\n")
+        fh.write((",".join(fields) + "\n").encode("ascii"))
         _write_rows(fh, mesh.grid.size, lambda rows: mesh.columns(rows, fields), sep=",")
 
 

@@ -460,9 +460,14 @@ def test_format_column_takes_one_column():
             format_column(bad)
 
 
+def _text(table, prefix: str, sep: str) -> str:
+    """The block kernel's bytes, read as ASCII."""
+    return bytes(_block_text(table, prefix, sep)).decode("ascii")
+
+
 def _column_texts(column) -> list[str]:
     """One column through the block kernel, one text per cell."""
-    return _block_text(np.asarray(column)[:, None], "", " ").split("\n")[:-1]
+    return _text(np.asarray(column)[:, None], "", " ").split("\n")[:-1]
 
 
 @settings(max_examples=100, deadline=None)
@@ -475,13 +480,13 @@ def test_integer_column_tokens_are_str(ints):
     block = np.stack([column, column[::-1]], axis=1).T
     assert [_column_texts(row) for row in block] == [[str(i) for i in ints],
                                                     [str(i) for i in ints[::-1]]]
-    assert _block_text(block.T, "", ",") == "".join(f"{a},{b}\n" for a, b in block.T.tolist())
+    assert _text(block.T, "", ",") == "".join(f"{a},{b}\n" for a, b in block.T.tolist())
     assert _column_texts(column % 2 == 0) == ["1" if i % 2 == 0 else "0" for i in ints]
     # an integer block is written as face rows
     faces = np.abs(np.stack([column, column[::-1]]) // 2)
-    out = io.StringIO()
+    out = io.BytesIO()
     _write_rows(out, len(ints), lambda rows: faces[:, rows], "f ")
-    assert out.getvalue() == "".join(f"f {a} {b}\n" for a, b in faces.T.tolist())
+    assert out.getvalue().decode("ascii") == "".join(f"f {a} {b}\n" for a, b in faces.T.tolist())
 
 
 # the (prefix, sep) of each block the writers emit: OBJ vertices and faces,
@@ -543,7 +548,7 @@ def test_block_text_matches_repr_rule(case, lines):
     k, rows = case
     table = np.array(rows, dtype=float).reshape(-1, k)
     with _without_repr():
-        text = _block_text(table, *lines)
+        text = _text(table, *lines)
     assert text == _reference_lines(table, *lines)
 
 
@@ -553,7 +558,7 @@ def test_block_text_matches_repr_rule(case, lines):
 def test_block_text_of_integers_is_str(case, lines):
     k, rows = case
     table = np.array(rows, dtype=np.int64).reshape(-1, k)
-    assert _block_text(table, *lines) == _reference_lines(table, *lines)
+    assert _text(table, *lines) == _reference_lines(table, *lines)
 
 
 @pytest.mark.parametrize("lines", WRITER_LINES)
@@ -563,7 +568,7 @@ def test_block_text_of_edge_floats(lines):
         table = np.array(edges[:len(edges) - len(edges) % k]).reshape(-1, k)
         # the table and a transposed (non-contiguous) view of the same numbers
         with _without_repr():
-            texts = _block_text(table, *lines), _block_text(table.T, *lines)
+            texts = _text(table, *lines), _text(table.T, *lines)
         assert texts == (_reference_lines(table, *lines), _reference_lines(table.T, *lines)), k
 
 
@@ -621,7 +626,7 @@ def _assert_exports_match_reference(mesh4, tmp_path):
 def test_block_writer_matches_whole_file_writer_at_block_edges(tmp_path, rows):
     # a grid of three rings of `rows` angles (at least 2): its vertices end
     # before, at and after the third block edge, and its two rings of cells
-    # cross block edges; r = 1 is the middle ring, so 1,024 angles flag the
+    # cross block edges; r = 1 is the middle ring, so 2,048 angles flag the
     # eight roots of unity and mask the cells around them
     mesh4 = sample_grid(family_member(FamilyParams(1, 3, 1 + 1j)),
                         PolarGrid(0.5, 1.5, 3, max(rows, 2)))
@@ -680,9 +685,11 @@ def test_block_writer_matches_whole_file_writer_on_small_columns(tmp_path, lo, h
 def test_export_memory_is_bounded_by_one_block(tmp_path):
     # evaluation, formatting and writing traced together.  At 40,000
     # vertices the whole-file writer peaked at 25-27 MB (OBJ/PLY) and 46 MB
-    # (CSV), and whole-grid E and K columns alone at 5 MB; one block stays
-    # near 1 MB at 40,000 and 400,000 vertices alike.  PLY reads its blocks
-    # as OBJ does, and is traced on the smaller grid only (tracing is slow).
+    # (CSV), and whole-grid E and K columns alone at 5 MB.  One 2,048-row
+    # block peaks at 1.63-1.70 MB as CSV and 0.51-0.86 MB as OBJ/PLY, at
+    # 40,000 and 400,000 vertices alike (1,024-row blocks of the str kernel:
+    # 1.23-1.25 and 0.38-0.82 MB).  PLY reads its blocks as OBJ does, and is
+    # traced on the smaller grid only (tracing is slow).
     member = family_member(FamilyParams(1, 3, 1 + 1j))
     for grid, formats in ((PolarGrid(0.5, 2.0, 100, 400), ("csv", "obj", "ply")),
                           (PolarGrid(0.5, 2.0, 400, 1000), ("csv", "obj"))):
@@ -714,6 +721,26 @@ def test_vertex_values_do_not_depend_on_the_grid_size(tmp_path, member):
         export(sample_grid(member, small), "csv", tmp_path / "small.csv")
         rows = (tmp_path / "small.csv").read_text().splitlines()[1:]
         assert rows == big[128 * ring:128 * (ring + 2)], ring
+
+
+@pytest.mark.parametrize("member, fmt, options", [
+    ((1, 3, 1 + 1j), "obj", {}),
+    ((1, 3, 1 + 1j), "ply", {}),
+    ((1, 3, 1 + 1j), "csv", {}),
+    ((99, 99, 0.97j), "ply", {}),  # most fields >= 1e16
+    ((5, 7, 0.3j), "csv", {"fields": ("u", "v", "E", "K")}),  # K mostly below 1e-4
+], ids=str)
+def test_block_size_changes_no_byte(tmp_path, monkeypatch, member, fmt, options):
+    # the README grid's 12,800 rows, sampled and written 1,024 rows at a
+    # time and then in blocks of the default size
+    member = family_member(FamilyParams(*member))
+    texts = []
+    for rows in (1024, _CHUNK_ROWS):
+        monkeypatch.setattr(mesh_module, "_CHUNK_ROWS", rows)
+        path = tmp_path / f"{rows}.{fmt}"
+        export(sample_grid(member, PolarGrid(0.5, 2.0, 80, 160)), fmt, path, **options)
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
 
 
 # SHA-256 of each file as the repr-based writer wrote it; the two CSV digests

@@ -16,18 +16,16 @@ invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
+import math
 import re
 import sys
 
-import numpy as np
-
-from .fixtures import fidelity_report
 from .henneberg import FamilyParams, family_member, seed_phi
-from .geometry import immersion_point
-from .laurent import NonFiniteCoefficientError
-from .mesh import AXES, PolarGrid, export, format_column, projection_columns, sample_grid
-from .verify import run_verify, sample_annulus
+from .laurent import NonFiniteCoefficientError, evaluate
+from .output import open_output
+from .weierstrass import AXES
 
 __all__ = ["main", "parse_lambda"]
 
@@ -51,6 +49,26 @@ MAX_SAMPLES = 1_000_000
 
 class UsageError(ValueError):
     pass
+
+
+def _on_first_call(module: str, name: str):
+    """A stand-in for the array module's function (or class) name that imports
+    the module when it is first called: eval and info never load numpy.  The
+    commands call these module names, which tests and tracers replace."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(f".{module}", __package__), name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+PolarGrid = _on_first_call("mesh", "PolarGrid")
+export = _on_first_call("mesh", "export")
+projection_columns = _on_first_call("mesh", "projection_columns")
+sample_grid = _on_first_call("mesh", "sample_grid")
+run_verify = _on_first_call("verify", "run_verify")
+sample_annulus = _on_first_call("verify", "sample_annulus")
+fidelity_report = _on_first_call("fixtures", "fidelity_report")
 
 
 def parse_lambda(text: str) -> complex:
@@ -161,9 +179,17 @@ def _write_text(path, text: str, note: str = "") -> None:
     if not path:
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+    with open_output(path) as fh:
+        fh.write(text.encode("ascii"))
     print(f"wrote {path} {note}".rstrip())
+
+
+def _format_value(x: float) -> str:
+    """x as repr prints it, '.0' dropped from an integral value and -0.0 as 0:
+    the scalar reference of the rule that mesh.format_column's kernel
+    vectorizes, as math.fsum is to the array TwoSum in laurent.accurate_sum."""
+    text = repr(x + 0.0)
+    return text[:-2] if text.endswith(".0") else text
 
 
 def _cmd_eval(args, member) -> int:
@@ -174,17 +200,18 @@ def _cmd_eval(args, member) -> int:
         w = complex(float(u_text), float(v_text))
     except ValueError:
         raise UsageError(f"bad point {args.point!r}, expected 'u,v'") from None
-    if not np.isfinite(w):
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise UsageError(f"the point {args.point!r} is not finite")
     if w == 0:
         raise UsageError("the point 0,0 is the puncture")
-    try:
-        point = immersion_point(member.curve, w)
+    try:  # the exact fsum path of each coordinate
+        point = evaluate(member.curve, w, real=True)
+        finite = all(map(math.isfinite, point))
     except (OverflowError, ZeroDivisionError, ValueError):  # |w|**k out of range, or inf - inf
-        point = None
-    if point is None or not np.isfinite(point).all():
+        finite = False
+    if not finite:
         raise UsageError(f"the curve overflows double precision at the point {args.point!r}")
-    print(" ".join(format_column(point)))
+    print(" ".join(map(_format_value, point)))
     return 0
 
 
@@ -227,6 +254,8 @@ def _cmd_verify(args, member) -> int:
 
 
 def _cmd_report(args, member) -> int:
+    import numpy as np
+
     samples, seed = _draws_from(args)
     rng_points = sample_annulus(np.random.default_rng(seed), samples, r_lo=0.5, r_hi=1.7)
     report = fidelity_report(member, rng_points)
@@ -265,10 +294,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
+        member = family_member(FamilyParams(args.m, args.n, parse_lambda(args.lam)))
+        command = _COMMANDS[args.command]
+        if args.command in ("eval", "info"):  # Python scalars only: no numpy, no numpy error
+            return command(args, member)
+        import numpy as np
+
         # values that overflow are refused, never written or printed as inf or nan
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            member = family_member(FamilyParams(args.m, args.n, parse_lambda(args.lam)))
-            return _COMMANDS[args.command](args, member)
+            return command(args, member)
     except (FloatingPointError, NonFiniteCoefficientError) as exc:
         overflow = isinstance(exc, NonFiniteCoefficientError) or _OVERFLOW.match(str(exc))
         what = "the member overflows double precision" if overflow else "floating-point error"

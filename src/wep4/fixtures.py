@@ -30,6 +30,7 @@ import numpy as np
 
 from .geometry import immersion_point, surface_jet
 from .henneberg import FamilyMember, FamilyParams
+from .weierstrass import AXES
 
 __all__ = [
     "Fixture",
@@ -306,9 +307,6 @@ def fixtures_for(params: FamilyParams) -> list[Fixture]:
 
 # -- fidelity audit -----------------------------------------------------------
 
-_COMPONENTS = ("x", "y", "z", "w")
-
-
 @dataclass(frozen=True)
 class FidelityRow:
     """One audited check: one component of a display against the pipeline."""
@@ -381,7 +379,7 @@ def _column_max(values: np.ndarray) -> np.ndarray:
 
 def _verdict_rows(fixture_id, check, devs, scales, tol_rel) -> list[FidelityRow]:
     rows = []
-    for i, name in enumerate(_COMPONENTS):
+    for i, name in enumerate(AXES):
         tol = tol_rel * (1.0 + float(scales[i]))
         dev = float(devs[i])
         rows.append(

@@ -10,9 +10,8 @@ the package check closed forms by structural equality instead of sampling.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Mapping
-
-import numpy as np
 
 __all__ = [
     "LaurentPoly",
@@ -25,6 +24,13 @@ __all__ = [
     "accurate_sum",
     "evaluate",
 ]
+
+
+def _is_array(value) -> bool:
+    """True for an ndarray.  No ndarray exists before numpy is imported, so
+    the test imports nothing: the scalar paths run without numpy."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(value, np.ndarray)
 
 
 class LaurentDomainError(ZeroDivisionError):
@@ -56,7 +62,7 @@ def accurate_sum(values: Iterable):
     """
     terms = iter(values)
     total = next(terms, 0.0)
-    if not isinstance(total, np.ndarray):
+    if not _is_array(total):
         vals = [total, *terms]
         if any(isinstance(v, complex) for v in vals):
             return complex(math.fsum(v.real for v in vals), math.fsum(v.imag for v in vals))
@@ -175,7 +181,7 @@ class LaurentPoly:
         Evaluation at 0 raises LaurentDomainError when negative exponents are
         present.
         """
-        if isinstance(w, np.ndarray):
+        if _is_array(w):
             return evaluate((self,), w)[0]
         w = complex(w)
         if not self._terms:
@@ -207,8 +213,10 @@ def evaluate(polys, w, real: bool = False) -> list:
     complex sum, bit for bit.  Raises LaurentDomainError if w is or holds 0
     and a polynomial has negative exponents.
     """
-    if not isinstance(w, np.ndarray):
+    if not _is_array(w):
         return [p(w).real if real else p(w) for p in polys]
+    import numpy as np
+
     w = w.astype(complex, copy=False)
     exponents = {k for p in polys for k in p._terms}
     if exponents and min(exponents) < 0 and np.any(w == 0):

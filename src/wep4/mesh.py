@@ -28,8 +28,6 @@ file opened in binary mode as they are, never decoded to str.
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,7 +35,8 @@ import numpy as np
 
 from .geometry import conformal_fields, immersion_point
 from .henneberg import FamilyMember
-from .weierstrass import is_regular
+from .output import open_output
+from .weierstrass import AXES, is_regular
 
 __all__ = [
     "PolarGrid",
@@ -55,7 +54,6 @@ __all__ = [
     "format_column",
 ]
 
-AXES = "xyzw"
 CSV_FIELDS = ("u", "v", "x", "y", "z", "w", "E", "K", "regular")
 # An input guard only: a grid holds its regular flags and, once its faces
 # are read, a mask of its kept cells (1 byte per vertex each); everything
@@ -308,21 +306,6 @@ def _write_rows(fh, count, block, prefix: str = "", sep: str = " ") -> None:
         fh.write(_block_text(np.stack(block(rows), axis=1), prefix, sep))
 
 
-@contextmanager
-def _output(path):
-    """The export file, open for writing bytes.  If writing fails (a block
-    that overflows, say), a file this call created is removed again."""
-    created = not os.path.exists(path)
-    fh = open(path, "wb")
-    try:
-        with fh:
-            yield fh
-    except BaseException:
-        if created:
-            os.remove(path)
-        raise
-
-
 def _triangles(mesh: QuadMesh4D, rows: slice) -> np.ndarray:
     """(3, t) corners of the triangles of the kept quads whose first corner
     lies in a slice of rows: quad (a, b, c, d) -> (a, b, c), (a, c, d)."""
@@ -334,7 +317,7 @@ def export_obj(mesh: QuadMesh4D, path, axes: str = "xyz") -> None:
     before the file is opened): 'v x y z' lines, then 1-based 'f i j k'
     triangles of the kept quads."""
     axes = projection_columns(axes)
-    with _output(path) as fh:
+    with open_output(path) as fh:
         _write_rows(fh, mesh.grid.size, lambda rows: mesh.columns(rows, axes), "v ")
         _write_rows(fh, mesh.grid.size, lambda rows: _triangles(mesh, rows) + 1, "f ")
 
@@ -355,7 +338,7 @@ def export_ply(mesh: QuadMesh4D, path, axes: str = "xyz") -> None:
         "property list uchar int vertex_indices",
         "end_header",
     ]
-    with _output(path) as fh:
+    with open_output(path) as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         _write_rows(fh, mesh.grid.size, lambda rows: mesh.columns(rows, axes))
         _write_rows(fh, mesh.grid.size, lambda rows: _triangles(mesh, rows), "3 ")
@@ -366,7 +349,7 @@ def export_csv(mesh: QuadMesh4D, path, fields=CSV_FIELDS) -> None:
     vertices.  Only the named columns are evaluated."""
     if not fields or not set(fields) <= set(CSV_FIELDS):
         raise ValueError(f"CSV fields must name one or more of {', '.join(CSV_FIELDS)}")
-    with _output(path) as fh:
+    with open_output(path) as fh:
         fh.write((",".join(fields) + "\n").encode("ascii"))
         _write_rows(fh, mesh.grid.size, lambda rows: mesh.columns(rows, fields), sep=",")
 

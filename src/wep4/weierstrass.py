@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .laurent import ONE, ZERO, LaurentPoly, accurate_sum, evaluate
 
 __all__ = [
@@ -24,7 +22,11 @@ __all__ = [
     "nullity_defect",
     "nullity_residual",
     "is_regular",
+    "AXES",
 ]
+
+# The four coordinates of R4, named in the order of phi's components.
+AXES = "xyzw"
 
 # Branch flag tolerance of is_regular, a distance in units of 1/N (see there).
 BRANCH_TOL = 1e-8
@@ -68,6 +70,8 @@ def nullity_residual(phi, w):
     0/0 as 0.  ``w`` may be an ndarray of points, which gives an array of
     residuals.
     """
+    import numpy as np
+
     vals = evaluate(phi, w)
     num = abs(accurate_sum(v * v for v in vals))
     den = accurate_sum(abs(v) ** 2 for v in vals)

@@ -5,6 +5,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,7 +20,7 @@ from wep4 import cli, henneberg
 from wep4.cli import DEFAULTS, UsageError, _build_parser, _parse_args, main, parse_lambda
 from wep4.fixtures import fidelity_report
 from wep4.henneberg import FamilyParams, family_member
-from wep4.mesh import CSV_FIELDS
+from wep4.mesh import CSV_FIELDS, format_column
 from wep4.verify import run_verify
 
 
@@ -783,3 +786,99 @@ def test_eval_of_any_member_prints_a_point_or_refuses(m, n, lam, w):
     else:
         assert rc == 2 and out == "", (rc, out, err)
         assert err.startswith("wep4: error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(3.0)
+@example(-123456789.0)
+@example(9999999999999998.0)  # the largest integral value below 1e16 that keeps its digits
+@example(2.0**53)
+@example(1e-9)
+@example(-3.3e-8)
+@example(1e-7)
+@example(5.5e-6)
+@example(1e-5)
+@example(-5.5e-5)
+@example(1e-4)
+@example(9.999999999999999e-05)
+@example(1e16)
+@example(-1.5e17)
+@example(1e100)
+@example(1.7976931348623157e308)
+@example(5e-324)
+@example(-2.2250738585072009e-308)
+def test_scalar_repr_rule_is_format_columns_rule(x):
+    # one rule, two implementations: eval's pure-Python reference and the
+    # export kernel's vectorized edits of orjson's text
+    assert cli._format_value(x) == format_column([x])[0]
+
+
+# the environment of a fresh interpreter that imports wep4 from this tree
+_FRESH_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+
+
+def _fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", code], env=_FRESH_ENV, capture_output=True,
+                          text=True, check=True).stdout
+
+
+_LOADED = "print(sorted(m for m in ('numpy', 'orjson') if m in sys.modules))"
+
+
+@pytest.mark.parametrize("code", [
+    "import wep4",
+    "import wep4.cli",
+    "from wep4.cli import main; assert main(['eval', '--m=3', '--n=5', '--lambda=0.5-2i', "
+    "'--point=0.7,-0.3']) == 0",
+    "from wep4.cli import main; assert main(['info', '--m=1', '--n=3', '--lambda=1+1i']) == 0",
+    "from wep4.cli import main; assert main(['--help']) == 0",
+    "from wep4.cli import main; assert main(['mesh', '--help']) == 0",
+    "from wep4.cli import main; assert main(['eval', '--lambda=1+1i']) == 2",
+    "from wep4.cli import main; assert main(['verify', '--m=2']) == 2",
+], ids=["import", "import-cli", "eval", "info", "help", "mesh-help", "usage-error", "bad-member"])
+def test_scalar_commands_load_no_numpy(code):
+    # this test process has numpy loaded, so look from a fresh one
+    assert _fresh(f"import sys; {code}; {_LOADED}").splitlines()[-1] == "[]"
+
+
+def test_array_commands_load_numpy_and_orjson(tmp_path):
+    out = str(tmp_path / "x.obj")
+    code = (f"import sys; from wep4.cli import main; "
+            f"assert main(['mesh', '--nr=3', '--ntheta=4', '--out', {out!r}]) == 0; {_LOADED}")
+    assert _fresh(code).splitlines()[-1] == "['numpy', 'orjson']"
+
+
+def test_package_names_load_on_first_use():
+    import wep4
+
+    code = ("import sys, wep4; from wep4 import PolarGrid, immersion_point, surface_jet; "
+            "print(PolarGrid.__module__, immersion_point.__module__, 'numpy' in sys.modules)")
+    assert _fresh(code).split() == ["wep4.mesh", "wep4.geometry", "True"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        wep4.no_such_name
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+@pytest.mark.parametrize("argv, name", [
+    (["mesh", "--format=obj"], "x.obj"),
+    (["mesh", "--format=csv"], "x.csv"),
+    (["curvature"], "k.csv"),
+    (["info"], "i.json"),
+    (["report", "--samples=20"], "r.csv"),
+])
+def test_out_to_redirected_stdout_writes_the_file_then_the_wrote_line(argv, name, tmp_path):
+    # --out /dev/stdout with stdout redirected to a file: the export's bytes,
+    # then the wrote line, none overwritten
+    member = ["--m=1", "--n=3", "--lambda=1+1i"]
+    grid = ["--nr=6", "--ntheta=8"] if argv[0] in ("mesh", "curvature") else []
+    command = [sys.executable, "-m", "wep4.cli", *argv, *member, *grid]
+    plain = subprocess.run([*command, "--out", name], cwd=tmp_path, env=_FRESH_ENV,
+                           capture_output=True, check=True).stdout
+    with open(tmp_path / "stdout", "wb") as fh:
+        subprocess.run([*command, "--out", "/dev/stdout"], cwd=tmp_path, env=_FRESH_ENV,
+                       stdout=fh, check=True)
+    expected = (tmp_path / name).read_bytes() + plain.replace(name.encode(), b"/dev/stdout")
+    assert (tmp_path / "stdout").read_bytes() == expected
